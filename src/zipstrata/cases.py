@@ -23,15 +23,7 @@ from .reps import (
     std_weights,
     wedge,
 )
-from .rootsys import (
-    Vector,
-    first_nonzero_sign,
-    neg,
-    root_system,
-    smul,
-    unit,
-    vec,
-)
+from .rootsys import Vector, neg, root_system, smul, unit, vec
 from .vanishing import Word, d_w0, strata_ord_table
 from .weyl import CocharacterDatum, Perm, WeylGroup, cocharacter_datum
 
@@ -124,13 +116,10 @@ def _zip_clp_exterior(
 
 
 def _sign_flips(datum: CocharacterDatum, label: Perm) -> int:
-    """Number of coordinate lines the signed permutation sends negative."""
+    """Number of coordinate lines the signed permutation sends negative:
+    the slots 1..rank holding a slot beyond rank."""
     rank = datum.group.system.rank
-    return sum(
-        1
-        for i in range(1, rank + 1)
-        if first_nonzero_sign(datum.group.act(label, unit(rank, i))) < 0
-    )
+    return sum(1 for k in label[:rank] if k > rank)
 
 
 def _case_orthogonal_std(cartan_type: str, m: int) -> _CaseData:
@@ -235,6 +224,12 @@ _MIN_RANK = {
 }
 
 
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    return all(p % d for d in range(2, int(p**0.5) + 1))
+
+
 def _build_case(spec: CaseSpec) -> _CaseData:
     if spec.identifier not in CASE_IDENTIFIERS:
         raise ValueError(f"unknown case {spec.identifier!r}")
@@ -243,9 +238,7 @@ def _build_case(spec: CaseSpec) -> _CaseData:
             f"case {spec.identifier} needs rank at least "
             f"{_MIN_RANK[spec.identifier]}"
         )
-    if spec.prime < 2 or any(
-        spec.prime % d == 0 for d in range(2, int(spec.prime**0.5) + 1)
-    ):
+    if not is_prime(spec.prime):
         raise ValueError(f"{spec.prime} is not a prime")
     if spec.identifier == "SO_odd_std":
         return _case_orthogonal_std("B", spec.rank)

@@ -23,11 +23,12 @@ from .cases import (
     CaseSpec,
     StratumReport,
     functoriality_check_A3_D3,
+    is_prime,
     run_case,
     siegel_cross_check,
 )
 from .oracle import gl_cell_order, gl_plucker_order
-from .rootsys import RootSystem, Vector, pairing, root_system, sum_vectors, unit, vec
+from .rootsys import RootSystem, Vector, root_system, sum_vectors, unit, vec
 from .vanishing import (
     condition_closed,
     family_word_typeB,
@@ -61,13 +62,6 @@ class RunConfig:
     prime: int
     fmt: str
     oracle: bool
-    seed: int
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 def _word_str(word: Sequence[int]) -> str:
@@ -435,7 +429,7 @@ def _config_from(
         rank = _FIXED_RANK.get(args.case)
         if rank is None:
             parser.error(f"case {args.case} needs --m or --n")
-    if not _is_prime(args.prime):
+    if not is_prime(args.prime):
         parser.error(f"{args.prime} is not a prime")
     return RunConfig(
         case=args.case,
@@ -443,7 +437,6 @@ def _config_from(
         prime=args.prime,
         fmt=getattr(args, "format", "text"),
         oracle=getattr(args, "oracle", False),
-        seed=getattr(args, "seed", 0),
     )
 
 
@@ -526,7 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(str(err), file=sys.stderr)
             return 2
     if args.command == "verify":
-        if args.prime and not all(_is_prime(p) for p in args.prime):
+        if args.prime and not all(is_prime(p) for p in args.prime):
             parser.error("every --prime must be prime")
         return cmd_verify(args)
     if args.command == "ord":

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .reps import WeightMultiset, mu_profile
-from .rootsys import Vector, dot
+from .rootsys import Vector, dot, vector_key
 from .weyl import CocharacterDatum, Perm, compose
 
 
@@ -98,10 +98,6 @@ def _slot_order(module: WeightMultiset, mu: Vector) -> Tuple[Vector, ...]:
     )
 
 
-def _vector_key(v: Vector) -> Tuple[Tuple[int, int], ...]:
-    return tuple((c.numerator, c.denominator) for c in v)
-
-
 # Memo for the per-module slot bookkeeping, keyed by identity because
 # hashing a large weight multiset on every lookup would cost more than the
 # sort it saves. Entries retain the module, so an id is never recycled
@@ -117,7 +113,7 @@ def _slot_table(
     if hit is not None and hit[0] is module:
         return hit[1], hit[2], hit[3]
     slots = _slot_order(module, mu)
-    index_of = {_vector_key(weight): k + 1 for k, weight in enumerate(slots)}
+    index_of = {vector_key(weight): k + 1 for k, weight in enumerate(slots)}
     ztype = zip_type(module, mu)
     if len(_SLOT_TABLES) > 64:
         _SLOT_TABLES.clear()
@@ -141,7 +137,7 @@ def build_standard(
     images = []
     for weight in slots:
         image = group.act(w, weight)
-        slot = index_of.get(_vector_key(image))
+        slot = index_of.get(vector_key(image))
         if slot is None:
             raise ValueError(f"weights are not stable: {image} is not a slot")
         images.append(slot)

@@ -13,9 +13,8 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 

@@ -49,6 +49,12 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
+def vector_key(v: Vector) -> Tuple[Tuple[int, int], ...]:
+    """Hash-friendly exact key: hashing integer pairs is far cheaper than
+    hashing Fractions, which costs a modular inverse per entry."""
+    return tuple((c.numerator, c.denominator) for c in v)
+
+
 def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -57,7 +63,8 @@ def first_nonzero_sign(v: Vector) -> int:
     """Sign of the first nonzero coordinate, or 0 for the zero vector.
 
     In the coordinate realizations used here a root is positive exactly when
-    this sign is +1, which is how Weyl-group lengths and descents are tested.
+    this sign is +1. Weyl-group lengths and descents do not test it: they
+    read the same order off slot positions (see ``zipstrata.weyl``).
     """
     for a in v:
         if a != 0:

@@ -22,9 +22,9 @@ from .rootsys import (
     add,
     is_dominant,
     pairing,
-    reflect,
     smul,
     sub,
+    vector_key,
 )
 from .weyl import CocharacterDatum, Perm, WeylGroup, compose
 
@@ -47,12 +47,6 @@ class ClosednessWitness:
     combination: Vector
 
 
-def _vkey(v: Vector) -> Tuple[Tuple[int, int], ...]:
-    """Hash-friendly exact key: hashing integer pairs is far cheaper than
-    hashing Fractions, which costs a modular inverse per entry."""
-    return tuple((c.numerator, c.denominator) for c in v)
-
-
 _ROOT_KEYS: Dict[Tuple[str, int], frozenset] = {}
 
 
@@ -60,7 +54,7 @@ def _root_keys(system: RootSystem) -> frozenset:
     tag = (system.cartan_type, system.rank)
     hit = _ROOT_KEYS.get(tag)
     if hit is None:
-        hit = frozenset(_vkey(a) for a in system.roots)
+        hit = frozenset(vector_key(a) for a in system.roots)
         _ROOT_KEYS[tag] = hit
     return hit
 
@@ -70,18 +64,18 @@ def _closure_violation(
 ) -> Optional[Tuple[Vector, Vector, Vector]]:
     """First pair in the subset whose natural combination escapes it."""
     members = tuple(dict.fromkeys(subset))
-    chosen = {_vkey(v) for v in members}
+    chosen = {vector_key(v) for v in members}
     all_roots = _root_keys(system)
     for alpha, beta in itertools.combinations(members, 2):
         total = add(alpha, beta)
-        total_key = _vkey(total)
+        total_key = vector_key(total)
         if total_key not in all_roots:
             continue
         if total_key not in chosen:
             return alpha, beta, total
         for a, b in _EXTRA_COEFFS:
             combo = add(smul(a, alpha), smul(b, beta))
-            combo_key = _vkey(combo)
+            combo_key = vector_key(combo)
             if combo_key in all_roots and combo_key not in chosen:
                 return alpha, beta, combo
     return None
@@ -95,18 +89,19 @@ def is_closed(system: RootSystem, subset: Iterable[Vector]) -> bool:
 
 def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Vector, ...]:
     """Roots swept out by the word: alpha_{i_1}, s_{i_1} alpha_{i_2}, and so
-    on, each letter's simple root pushed through the reflections before it.
+    on, each letter's simple root pushed once through the product of the
+    letters before it, which is then extended by that letter.
 
     For a reduced word these are exactly the inversions of the product, all
     positive and pairwise distinct; a non-reduced word revisits a root line
     and the sequence picks up repeats or negatives.
     """
+    group = WeylGroup(system)
+    prefix = group.identity()
     swept = []
-    for pos, letter in enumerate(word):
-        image = system.simple(letter)
-        for j in range(pos - 1, -1, -1):
-            image = reflect(image, system.simple(word[j]))
-        swept.append(image)
+    for letter in word:
+        swept.append(group.act(prefix, system.simple(letter)))
+        prefix = compose(prefix, group.simple_reflection(letter))
     return tuple(swept)
 
 

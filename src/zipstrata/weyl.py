@@ -11,31 +11,26 @@ dictionary depend on the type:
   D_m     N = 2m       as for C
 
 Outside type A every group element sigma satisfies
-sigma(i) + sigma(N+1-i) = N+1. Lengths, descents and reduced words are
-computed root-theoretically from the action on coordinate vectors, so the
-same code serves all four types.
+sigma(i) + sigma(N+1-i) = N+1.
+
+The slot order e_1 > ... > e_m > (0) > -e_m > ... > -e_1 refines
+positivity: w sends the root weight(a) - weight(b), a < b, to a negative
+root exactly when w(a) > w(b). Each group therefore keeps one integer table
+with a slot pair per positive root, the simple roots first, and reads
+lengths and right descents off it; every other combinatorial method goes
+through those two. The action on coordinate vectors (``act``) serves
+weights only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rootsys import (
-    RootSystem,
-    Vector,
-    add,
-    dot,
-    first_nonzero_sign,
-    neg,
-    parse_weight,
-    smul,
-    sub,
-    unit,
-)
+from .rootsys import RootSystem, Vector, dot, neg, parse_weight, unit
 
 Perm = Tuple[int, ...]
 
@@ -91,6 +86,23 @@ class WeylGroup:
     def identity(self) -> Perm:
         return identity_perm(self.slots)
 
+    @cached_property
+    def _root_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """Zero-based slot pairs (a, b), one per positive root
+        weight(a) - weight(b), the simple roots first in index order."""
+        t, m, n = self.system.cartan_type, self.rank, self.slots
+        simple = [(i, i + 1) for i in range(1, m + 1)]
+        if t == "D":
+            simple[-1] = (m - 1, m + 1)
+        if t == "A":
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        else:
+            pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 1, n + 1 - a)]
+            if t == "C":
+                pairs += [(a, n + 1 - a) for a in range(1, m + 1)]
+        rest = [pair for pair in pairs if pair not in simple]
+        return tuple((a - 1, b - 1) for a, b in simple + rest)
+
     # -- slot/weight dictionary -------------------------------------------
 
     def weight_of_slot(self, k: int) -> Vector:
@@ -144,17 +156,15 @@ class WeylGroup:
         return compose_all([self.simple_reflection(i) for i in word], self.slots)
 
     def length(self, w: Perm) -> int:
-        return sum(
-            1
-            for a in self.system.positive_roots
-            if first_nonzero_sign(self.act(w, a)) < 0
-        )
+        """Number of positive roots w sends negative."""
+        return sum(1 for a, b in self._root_pairs if w[a] > w[b])
 
     def right_descents(self, w: Perm) -> Tuple[int, ...]:
+        """Indices i with w(alpha_i) negative."""
         return tuple(
             i
-            for i in range(1, self.rank + 1)
-            if first_nonzero_sign(self.act(w, self.system.simple(i))) < 0
+            for i, (a, b) in zip(range(1, self.rank + 1), self._root_pairs)
+            if w[a] > w[b]
         )
 
     def left_descents(self, w: Perm) -> Tuple[int, ...]:
@@ -189,12 +199,11 @@ class WeylGroup:
         """Longest element of the parabolic subgroup generated by I."""
         u = self.identity()
         while True:
-            for i in I:
-                if first_nonzero_sign(self.act(u, self.system.simple(i))) > 0:
-                    u = compose(u, self.simple_reflection(i))
-                    break
-            else:
+            descents = self.right_descents(u)
+            ascent = next((i for i in I if i not in descents), None)
+            if ascent is None:
                 return u
+            u = compose(u, self.simple_reflection(ascent))
 
     def group_order(self) -> int:
         t, m = self.system.cartan_type, self.system.rank
@@ -208,10 +217,7 @@ class WeylGroup:
 
     def in_min_coset_reps(self, w: Perm, I: Sequence[int]) -> bool:
         """True when w is the minimal-length element of W_I * w."""
-        winv = inverse(w)
-        return all(
-            first_nonzero_sign(self.act(winv, self.system.simple(i))) > 0 for i in I
-        )
+        return set(I).isdisjoint(self.left_descents(w))
 
     def min_coset_reps(self, I: Sequence[int]) -> Tuple[Perm, ...]:
         """All minimal-length representatives of W_I \\ W, by BFS.
@@ -225,8 +231,9 @@ class WeylGroup:
         while frontier:
             nxt: List[Perm] = []
             for u in frontier:
+                descents = self.right_descents(u)
                 for j in range(1, self.rank + 1):
-                    if first_nonzero_sign(self.act(u, self.system.simple(j))) > 0:
+                    if j not in descents:
                         v = compose(u, self.simple_reflection(j))
                         if v not in seen and self.in_min_coset_reps(v, I):
                             seen.add(v)
@@ -239,7 +246,7 @@ class WeylGroup:
     ) -> Tuple[Perm, ...]:
         """Minimal-length representatives of W_I \\ W / W_J."""
         return tuple(
-            u for u in self.min_coset_reps(I) if not any(j in self.right_descents(u) for j in J)
+            u for u in self.min_coset_reps(I) if set(J).isdisjoint(self.right_descents(u))
         )
 
     def min_in_double_coset(self, w: Perm, I: Sequence[int], J: Sequence[int]) -> Perm:
@@ -251,11 +258,13 @@ class WeylGroup:
         """
         cur = w
         while True:
-            left = [i for i in I if i in self.left_descents(cur)]
+            descents = self.left_descents(cur)
+            left = [i for i in I if i in descents]
             if left:
                 cur = compose(self.simple_reflection(left[0]), cur)
                 continue
-            right = [j for j in J if j in self.right_descents(cur)]
+            descents = self.right_descents(cur)
+            right = [j for j in J if j in descents]
             if right:
                 cur = compose(cur, self.simple_reflection(right[0]))
                 continue

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipstrata.rootsys import add, neg, root_system, smul, unit, vec
+from zipstrata.rootsys import add, neg, reflect, root_system, smul, unit, vec
 from zipstrata.oracle import gl_cell_order
 from zipstrata.vanishing import (
     ClosednessWitness,
@@ -83,6 +83,25 @@ def test_root_sequence_of_square_revisits_the_root_line() -> None:
     system = root_system("A", 2)
     alpha = system.simple(1)
     assert root_sequence(system, (1, 1)) == (alpha, neg(alpha))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_root_sequence_matches_iterated_reflections(data) -> None:
+    """Reference definition: each letter's simple root reflected in the
+    simple roots of the letters before it, nearest letter first. Random
+    words include non-reduced ones."""
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=2 if cartan_type == "D" else 1, max_value=5))
+    system = root_system(cartan_type, rank)
+    word = data.draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=10))
+    expected = []
+    for pos, letter in enumerate(word):
+        image = system.simple(letter)
+        for j in range(pos - 1, -1, -1):
+            image = reflect(image, system.simple(word[j]))
+        expected.append(image)
+    assert root_sequence(system, word) == tuple(expected)
 
 
 # -- the suffix condition ----------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipstrata.rootsys import pairing, root_system, unit, vec
+from zipstrata.rootsys import first_nonzero_sign, pairing, root_system, unit, vec
 from zipstrata.weyl import (
     CocharacterDatum,
     WeylGroup,
@@ -126,6 +126,37 @@ def test_word_length_parity_and_bound(word: list) -> None:
     w = g.from_word(word)
     assert g.length(w) <= len(word)
     assert (g.length(w) - len(word)) % 2 == 0
+
+
+# The root-theoretic definitions that slot order replaces, kept as references:
+# an element's length and descents counted by pushing roots through ``act``.
+SMALL_GROUPS = (
+    [("A", r) for r in range(1, 5)]
+    + [("B", r) for r in range(1, 5)]
+    + [("C", r) for r in range(1, 5)]
+    + [("D", r) for r in range(2, 6)]
+)
+
+
+def _negative(g: WeylGroup, w, root) -> bool:
+    return first_nonzero_sign(g.act(w, root)) < 0
+
+
+@pytest.mark.parametrize("cartan_type,rank", SMALL_GROUPS)
+def test_slot_order_matches_the_action_on_roots(cartan_type: str, rank: int) -> None:
+    """D2 has the fork pair (1, 3) as its second simple root, so a wrong last
+    simple pair shows there first."""
+    g = wg(cartan_type, rank)
+    simple = [g.system.simple(i) for i in range(1, rank + 1)]
+    for w in g.elements():
+        length = sum(1 for a in g.system.positive_roots if _negative(g, w, a))
+        right = tuple(i for i, a in enumerate(simple, start=1) if _negative(g, w, a))
+        left = tuple(
+            i for i, a in enumerate(simple, start=1) if _negative(g, inverse(w), a)
+        )
+        assert g.length(w) == length, w
+        assert g.right_descents(w) == right, w
+        assert g.left_descents(w) == left, w
 
 
 # -- enumeration and orders -------------------------------------------------

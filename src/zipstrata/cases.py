@@ -23,9 +23,9 @@ from .reps import (
     std_weights,
     wedge,
 )
-from .rootsys import Vector, neg, root_system, smul, unit, vec
+from .rootsys import Vector, neg, smul, unit, vec
 from .vanishing import Word, d_w0, strata_ord_table
-from .weyl import CocharacterDatum, Perm, WeylGroup, cocharacter_datum
+from .weyl import CocharacterDatum, Perm, cocharacter_datum, weyl_group
 
 CASE_IDENTIFIERS = (
     "SO_odd_std",
@@ -94,10 +94,6 @@ def _e1(dim: int) -> Vector:
     return unit(dim, 1)
 
 
-def _group(cartan_type: str, rank: int) -> WeylGroup:
-    return WeylGroup(root_system(cartan_type, rank))
-
-
 def _table_ord(datum: CocharacterDatum, lam: Vector) -> Callable[[Perm], int]:
     table = strata_ord_table(datum, lam)
     return table.__getitem__
@@ -123,7 +119,7 @@ def _sign_flips(datum: CocharacterDatum, label: Perm) -> int:
 
 
 def _case_orthogonal_std(cartan_type: str, m: int) -> _CaseData:
-    datum = cocharacter_datum(_group(cartan_type, m), _e1(m))
+    datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
     module = std_weights(cartan_type, m)
     eta = neg(_e1(m))
     return _CaseData(
@@ -135,7 +131,7 @@ def _case_orthogonal_std(cartan_type: str, m: int) -> _CaseData:
 
 
 def _case_symplectic_std(n: int) -> _CaseData:
-    datum = cocharacter_datum(_group("C", n), _e1(n))
+    datum = cocharacter_datum(weyl_group("C", n), _e1(n))
     module = std_weights("C", n)
     eta = neg(_e1(n))
     return _CaseData(
@@ -156,7 +152,7 @@ def _case_siegel(n: int) -> _CaseData:
     ``siegel_cross_check`` keeps it honest.
     """
     mu = vec(*([1] * n))
-    datum = cocharacter_datum(_group("C", n), mu)
+    datum = cocharacter_datum(weyl_group("C", n), mu)
     module = std_weights("C", n)
     eta = hodge_character(module, mu)
     return _CaseData(
@@ -175,7 +171,7 @@ def _case_gl_dualsum(n: int) -> _CaseData:
     Pluecker oracle pins the order values for small n in the tests.
     """
     mu = vec(*([1] * (n - 1) + [0]))
-    datum = cocharacter_datum(_group("A", n - 1), mu)
+    datum = cocharacter_datum(weyl_group("A", n - 1), mu)
     eta = smul(-2, vec(*([1] * (n - 1) + [0])))
     return _CaseData(
         datum=datum,
@@ -189,7 +185,7 @@ def _case_gl4_wedge2(rank: int) -> _CaseData:
     if rank != 4:
         raise ValueError("the wedge-square case is specific to rank 4")
     mu = vec(1, 1, 0, 0)
-    datum = cocharacter_datum(_group("A", 3), mu)
+    datum = cocharacter_datum(weyl_group("A", 3), mu)
     module = wedge(std_weights("A", 3), 2)
     eta = vec(-1, -1, 0, 0)
     return _CaseData(
@@ -201,7 +197,7 @@ def _case_gl4_wedge2(rank: int) -> _CaseData:
 
 
 def _case_gspin(cartan_type: str, m: int) -> _CaseData:
-    datum = cocharacter_datum(_group(cartan_type, m), _e1(m))
+    datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
     module = spin_weights(cartan_type, m)
     eta = hodge_character(module, datum.mu)
     return _CaseData(

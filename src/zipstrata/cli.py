@@ -35,7 +35,7 @@ from .vanishing import (
     family_word_typeD,
     ord_for_word,
 )
-from .weyl import WeylGroup
+from .weyl import WeylGroup, weyl_group
 
 SCHEMA_VERSION = 1
 
@@ -307,7 +307,7 @@ def _check_oracle(seed: int, mutate: bool) -> Tuple[bool, str]:
     checked = 0
     for n in (3, 4):
         system = root_system("A", n - 1)
-        group = WeylGroup(system)
+        group = weyl_group("A", n - 1)
         for lam_ints in _dominant_lambdas(n, seed):
             lam = vec(*lam_ints)
             for w in group.elements():

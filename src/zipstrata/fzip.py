@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .reps import WeightMultiset, mu_profile
-from .rootsys import Vector, dot, vector_key
+from .rootsys import Key, Vector, dot, vector_key
 from .weyl import CocharacterDatum, Perm, compose
 
 
@@ -102,23 +102,27 @@ def _slot_order(module: WeightMultiset, mu: Vector) -> Tuple[Vector, ...]:
 # hashing a large weight multiset on every lookup would cost more than the
 # sort it saves. Entries retain the module, so an id is never recycled
 # while its entry is alive; the `is` check makes the hit unambiguous.
-_SLOT_TABLES: Dict[Tuple[int, Vector], Tuple[WeightMultiset, tuple, dict, ZipType]] = {}
+_SLOT_TABLES: Dict[
+    Tuple[int, Vector], Tuple[WeightMultiset, tuple, tuple, dict, ZipType]
+] = {}
 
 
 def _slot_table(
     module: WeightMultiset, mu: Vector
-) -> Tuple[Tuple[Vector, ...], Dict[Tuple[Tuple[int, int], ...], int], ZipType]:
+) -> Tuple[Tuple[Vector, ...], Tuple[Key, ...], Dict[Key, int], ZipType]:
+    """Slot weights, their keys, slot number by key, and the zip type."""
     key = (id(module), mu)
     hit = _SLOT_TABLES.get(key)
     if hit is not None and hit[0] is module:
-        return hit[1], hit[2], hit[3]
+        return hit[1:]
     slots = _slot_order(module, mu)
-    index_of = {vector_key(weight): k + 1 for k, weight in enumerate(slots)}
+    keys = tuple(vector_key(weight) for weight in slots)
+    index_of = {k: slot for slot, k in enumerate(keys, start=1)}
     ztype = zip_type(module, mu)
     if len(_SLOT_TABLES) > 64:
         _SLOT_TABLES.clear()
-    _SLOT_TABLES[key] = (module, slots, index_of, ztype)
-    return slots, index_of, ztype
+    _SLOT_TABLES[key] = (module, slots, keys, index_of, ztype)
+    return slots, keys, index_of, ztype
 
 
 def build_standard(
@@ -128,18 +132,18 @@ def build_standard(
     conjugate lines permuted by w.
 
     The weights must be multiplicity free, otherwise slots and weights do not
-    determine each other and the permutation model breaks down.
+    determine each other and the permutation model breaks down. Weights move
+    through w as integer keys (``WeylGroup.act_keys``).
     """
     if any(mult != 1 for _, mult in module.entries):
         raise ValueError("the permutation model needs multiplicity-free weights")
-    slots, index_of, ztype = _slot_table(module, datum.mu)
-    group = datum.group
+    slots, keys, index_of, ztype = _slot_table(module, datum.mu)
     images = []
-    for weight in slots:
-        image = group.act(w, weight)
-        slot = index_of.get(vector_key(image))
+    for image in datum.group.act_keys(w, keys):
+        slot = index_of.get(image)
         if slot is None:
-            raise ValueError(f"weights are not stable: {image} is not a slot")
+            weight = tuple(Fraction(num, den) for num, den in image)
+            raise ValueError(f"weights are not stable: {weight} is not a slot")
         images.append(slot)
     return StandardZip(ztype=ztype, slots=slots, sigma=tuple(images))
 

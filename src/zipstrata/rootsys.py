@@ -3,15 +3,27 @@
 Everything is exact: vectors are tuples of ``Fraction`` and no float ever
 appears. Types A, B, C, D are supported; type A_{rank} lives in rank+1
 coordinates (the GL weight lattice), the others in ``rank`` coordinates.
+
+``root_system`` builds each system once per type and rank and hands out the
+same immutable instance afterwards; the derived integer data (simple
+coroots, Cartan matrix, root keys) is computed on first use and kept on it.
+Every simple coroot is an integer vector in these coordinates, so
+``simple_pairings`` scales a weight to integer numerators over the lcm of its
+denominators and pairs on machine integers, building one ``Fraction`` per
+coroot at the end. ``pairing`` and ``reflect`` remain the general Fraction
+formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from functools import cached_property
+from math import lcm
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
+Key = Tuple[Tuple[int, int], ...]
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
 
@@ -49,7 +61,7 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def vector_key(v: Vector) -> Tuple[Tuple[int, int], ...]:
+def vector_key(v: Vector) -> Key:
     """Hash-friendly exact key: hashing integer pairs is far cheaper than
     hashing Fractions, which costs a modular inverse per entry."""
     return tuple((c.numerator, c.denominator) for c in v)
@@ -96,15 +108,61 @@ class RootSystem:
             raise ValueError(f"simple root index {i} out of range for rank {self.rank}")
         return self.simple_roots[i - 1]
 
+    @cached_property
+    def simple_coroots(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Each simple coroot 2 alpha / (alpha, alpha) as its nonzero
+        entries (zero-based coordinate, integer coefficient)."""
+        coroots = []
+        for alpha in self.simple_roots:
+            scale = 2 / dot(alpha, alpha)
+            entries = tuple((k, scale * a) for k, a in enumerate(alpha) if a)
+            if any(c.denominator != 1 for _, c in entries):
+                raise ValueError(f"simple coroot of {alpha} is not integral")
+            coroots.append(tuple((k, int(c)) for k, c in entries))
+        return tuple(coroots)
+
+    @cached_property
+    def cartan(self) -> Tuple[Tuple[int, ...], ...]:
+        """Entry [i][j] = <alpha_j, alpha_i_vee>, 0-indexed rows."""
+        return tuple(
+            tuple(int(sum(c * alpha[k] for k, c in coroot)) for alpha in self.simple_roots)
+            for coroot in self.simple_coroots
+        )
+
+    @cached_property
+    def root_keys(self) -> FrozenSet[Key]:
+        """``vector_key`` of every root, positive and negative."""
+        return frozenset(vector_key(a) for a in self.roots)
+
+
+# One shared system per (type, rank), built on first request. The bound only
+# guards against unbounded rank sweeps; a service sees a few dozen keys. Two
+# threads missing at once may both build a system; the copies are equal and
+# the last one stored is kept.
+_SYSTEMS: Dict[Tuple[str, int], RootSystem] = {}
+_SYSTEMS_MAX = 64
+
 
 def root_system(cartan_type: str, rank: int) -> RootSystem:
-    """Construct a classical root system.
+    """The classical root system of the given type and rank, shared: every
+    call with the same arguments returns the same immutable instance.
 
     A: rank >= 1, simple roots e_i - e_{i+1} in rank+1 coordinates.
     B: rank >= 1, short root e_m at the end.
     C: rank >= 1, long root 2 e_n at the end.
     D: rank >= 2, fork e_{m-1} + e_m at the end.
     """
+    tag = (cartan_type, rank)
+    hit = _SYSTEMS.get(tag)
+    if hit is None:
+        hit = _build_root_system(cartan_type, rank)
+        if len(_SYSTEMS) >= _SYSTEMS_MAX:
+            _SYSTEMS.clear()
+        _SYSTEMS[tag] = hit
+    return hit
+
+
+def _build_root_system(cartan_type: str, rank: int) -> RootSystem:
     if cartan_type not in CLASSICAL_TYPES:
         raise ValueError(f"unknown Cartan type {cartan_type!r}")
     if rank < 1:
@@ -159,21 +217,31 @@ def reflect(lam: Vector, alpha: Vector) -> Vector:
 
 def cartan_matrix(system: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """Matrix with entry[i][j] = <alpha_j, alpha_i_vee> (0-indexed rows)."""
-    rows = []
-    for a_i in system.simple_roots:
-        row = []
-        for a_j in system.simple_roots:
-            val = pairing(a_j, a_i)
-            if val.denominator != 1:
-                raise ValueError("non-integral Cartan pairing")
-            row.append(int(val))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return system.cartan
+
+
+def simple_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:
+    """<lam, alpha_i_vee> for every simple root, in index order.
+
+    lam is scaled once by the lcm of its denominators; the integer
+    numerators are paired with the integer coroots and each result is put
+    back over the common denominator, so the values equal ``pairing``.
+    """
+    if len(lam) != system.ambient_dim:
+        raise ValueError(
+            f"weight has {len(lam)} coordinates, expected {system.ambient_dim}"
+        )
+    scale = lcm(*(c.denominator for c in lam))
+    nums = [c.numerator * (scale // c.denominator) for c in lam]
+    sums = [sum(c * nums[k] for k, c in coroot) for coroot in system.simple_coroots]
+    if scale == 1:
+        return tuple(Fraction(s) for s in sums)
+    return tuple(Fraction(s, scale) for s in sums)
 
 
 def is_dominant(system: RootSystem, lam: Vector) -> bool:
     """True when lam pairs non-negatively with every simple coroot."""
-    return all(pairing(lam, a) >= 0 for a in system.simple_roots)
+    return all(value >= 0 for value in simple_pairings(system, lam))
 
 
 def parse_weight(system: RootSystem, coords: Sequence[int | Fraction]) -> Vector:

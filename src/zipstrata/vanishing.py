@@ -8,25 +8,28 @@ condition on the root sets swept out by the word's suffixes, by a reduced-word
 check, and by dominance of the weight. ``strata_ord_table`` drives the
 formulas over a full set of stratum representatives, and ``d_w0`` is the
 twisted character difference that ties the Hasse weight to its section.
+
+The formulas read the weight's pairings once per call from
+``simple_pairings`` and Cartan entries from the system's cached matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .rootsys import (
     RootSystem,
     Vector,
     add,
-    is_dominant,
-    pairing,
+    simple_pairings,
     smul,
     sub,
     vector_key,
 )
-from .weyl import CocharacterDatum, Perm, WeylGroup, compose
+from .weyl import CocharacterDatum, Perm, compose, weyl_group
 
 Word = Tuple[int, ...]
 
@@ -47,25 +50,13 @@ class ClosednessWitness:
     combination: Vector
 
 
-_ROOT_KEYS: Dict[Tuple[str, int], frozenset] = {}
-
-
-def _root_keys(system: RootSystem) -> frozenset:
-    tag = (system.cartan_type, system.rank)
-    hit = _ROOT_KEYS.get(tag)
-    if hit is None:
-        hit = frozenset(vector_key(a) for a in system.roots)
-        _ROOT_KEYS[tag] = hit
-    return hit
-
-
 def _closure_violation(
     system: RootSystem, subset: Iterable[Vector]
 ) -> Optional[Tuple[Vector, Vector, Vector]]:
     """First pair in the subset whose natural combination escapes it."""
     members = tuple(dict.fromkeys(subset))
     chosen = {vector_key(v) for v in members}
-    all_roots = _root_keys(system)
+    all_roots = system.root_keys
     for alpha, beta in itertools.combinations(members, 2):
         total = add(alpha, beta)
         total_key = vector_key(total)
@@ -96,7 +87,7 @@ def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Vector, ...]
     positive and pairwise distinct; a non-reduced word revisits a root line
     and the sequence picks up repeats or negatives.
     """
-    group = WeylGroup(system)
+    group = weyl_group(system.cartan_type, system.rank)
     prefix = group.identity()
     swept = []
     for letter in word:
@@ -159,20 +150,35 @@ def find_nonclosed_word(
 # -- validation helpers ------------------------------------------------------
 
 
-def _int_pairing(lam: Vector, alpha: Vector) -> int:
-    value = pairing(lam, alpha)
-    if value.denominator != 1:
-        raise ValueError(f"pairing {value} of {lam} against {alpha} is not integral")
-    return int(value)
-
-
-def _require_dominant(system: RootSystem, lam: Vector) -> None:
-    if not is_dominant(system, lam):
+def _dominant_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:
+    """The simple pairings of lam, which must all be non-negative."""
+    values = simple_pairings(system, lam)
+    if any(value < 0 for value in values):
         raise ValueError(f"weight {lam} is not dominant")
+    return values
+
+
+def _int_pairing(pairings: Sequence[Fraction], lam: Vector, i: int) -> int:
+    """The pairing of lam with the i-th simple coroot, which must be an
+    integer."""
+    value = pairings[i - 1]
+    if value.denominator != 1:
+        raise ValueError(
+            f"pairing {value} of {lam} against alpha_{i} is not integral"
+        )
+    return value.numerator
+
+
+def _require_letters(system: RootSystem, letters: Iterable[int]) -> None:
+    for i in letters:
+        if not 1 <= i <= system.rank:
+            raise ValueError(
+                f"simple root index {i} out of range for rank {system.rank}"
+            )
 
 
 def _require_reduced(system: RootSystem, word: Word) -> None:
-    if not WeylGroup(system).is_reduced(word):
+    if not weyl_group(system.cartan_type, system.rank).is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
 
 
@@ -199,10 +205,10 @@ def ord_distinct(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
     the sum of the pairings of lam with the letters' coroots."""
     word = tuple(word)
     _require_distinct([word])
-    _require_dominant(system, lam)
+    pairings = _dominant_pairings(system, lam)
     _require_reduced(system, word)
     _require_condition(system, word)
-    return sum(_int_pairing(lam, system.simple(i)) for i in word)
+    return sum(_int_pairing(pairings, lam, i) for i in word)
 
 
 def ord_aba(system: RootSystem, lam: Vector, alpha: int, beta: int) -> int:
@@ -213,14 +219,13 @@ def ord_aba(system: RootSystem, lam: Vector, alpha: int, beta: int) -> int:
     """
     if alpha == beta:
         raise ValueError("the pattern needs two different letters")
-    _require_dominant(system, lam)
+    pairings = _dominant_pairings(system, lam)
     word = (alpha, beta, alpha)
     _require_reduced(system, word)
     _require_condition(system, word)
-    a_root = system.simple(alpha)
-    b_root = system.simple(beta)
-    cartan = _int_pairing(a_root, b_root)
-    return _int_pairing(lam, b_root) + _int_pairing(lam, a_root) * min(2, -cartan)
+    cartan = system.cartan[beta - 1][alpha - 1]
+    outer = _int_pairing(pairings, lam, alpha)
+    return _int_pairing(pairings, lam, beta) + outer * min(2, -cartan)
 
 
 def e_orders(
@@ -233,13 +238,13 @@ def e_orders(
     a single center letter gamma."""
     betas, alphas = tuple(betas), tuple(alphas)
     _require_distinct([betas, alphas, (gamma,)])
-    gamma_root = system.simple(gamma)
+    _require_letters(system, betas + alphas + (gamma,))
+    cartan = system.cartan
     orders: list[int] = []
     for i, letter in enumerate(alphas):
-        root = system.simple(letter)
-        drop = -_int_pairing(root, gamma_root)
+        drop = -cartan[gamma - 1][letter - 1]
         for j in range(i):
-            drop -= _int_pairing(root, system.simple(alphas[j])) * orders[j]
+            drop -= cartan[alphas[j] - 1][letter - 1] * orders[j]
         orders.append(min(2, drop))
     return tuple(orders)
 
@@ -255,14 +260,13 @@ def f_orders(
     the two-letter center (beta, gamma)."""
     etas, alphas = tuple(etas), tuple(alphas)
     _require_distinct([etas, alphas, (beta,), (gamma,)])
-    beta_root = system.simple(beta)
-    gamma_root = system.simple(gamma)
+    _require_letters(system, etas + alphas + (beta, gamma))
+    cartan = system.cartan
     orders: list[int] = []
     for i, letter in enumerate(alphas):
-        root = system.simple(letter)
-        drop = -_int_pairing(root, beta_root) - _int_pairing(root, gamma_root)
+        drop = -cartan[beta - 1][letter - 1] - cartan[gamma - 1][letter - 1]
         for j in range(i):
-            drop -= _int_pairing(root, system.simple(alphas[j])) * orders[j]
+            drop -= cartan[alphas[j] - 1][letter - 1] * orders[j]
         orders.append(min(2, drop))
     return tuple(orders)
 
@@ -280,15 +284,13 @@ def ord_typeB(
     betas, alphas = tuple(betas), tuple(alphas)
     word = betas + tuple(reversed(alphas)) + (gamma,) + alphas
     _require_distinct([betas, alphas, (gamma,)])
-    _require_dominant(system, lam)
+    pairings = _dominant_pairings(system, lam)
     _require_reduced(system, word)
     _require_condition(system, word)
     orders = e_orders(system, betas, alphas, gamma)
-    total = sum(_int_pairing(lam, system.simple(b)) for b in betas)
-    total += _int_pairing(lam, system.simple(gamma))
-    total += sum(
-        _int_pairing(lam, system.simple(a)) * o for a, o in zip(alphas, orders)
-    )
+    total = sum(_int_pairing(pairings, lam, b) for b in betas)
+    total += _int_pairing(pairings, lam, gamma)
+    total += sum(_int_pairing(pairings, lam, a) * o for a, o in zip(alphas, orders))
     return total
 
 
@@ -306,16 +308,14 @@ def ord_typeD(
     etas, alphas = tuple(etas), tuple(alphas)
     word = etas + tuple(reversed(alphas)) + (beta, gamma) + alphas
     _require_distinct([etas, alphas, (beta,), (gamma,)])
-    _require_dominant(system, lam)
+    pairings = _dominant_pairings(system, lam)
     _require_reduced(system, word)
     _require_condition(system, word)
     orders = f_orders(system, etas, alphas, beta, gamma)
-    total = sum(_int_pairing(lam, system.simple(e)) for e in etas)
-    total += _int_pairing(lam, system.simple(beta))
-    total += _int_pairing(lam, system.simple(gamma))
-    total += sum(
-        _int_pairing(lam, system.simple(a)) * o for a, o in zip(alphas, orders)
-    )
+    total = sum(_int_pairing(pairings, lam, e) for e in etas)
+    total += _int_pairing(pairings, lam, beta)
+    total += _int_pairing(pairings, lam, gamma)
+    total += sum(_int_pairing(pairings, lam, a) * o for a, o in zip(alphas, orders))
     return total
 
 

@@ -19,7 +19,12 @@ root exactly when w(a) > w(b). Each group therefore keeps one integer table
 with a slot pair per positive root, the simple roots first, and reads
 lengths and right descents off it; every other combinatorial method goes
 through those two. The action on coordinate vectors (``act``) serves
-weights only.
+weights only; ``act_keys`` is the same signed coordinate permutation on
+integer ``vector_key`` tuples, for callers that index weights by key.
+
+``weyl_group`` hands out one shared group per type and rank. A group builds
+its simple reflections on first use and memoizes ``min_coset_reps`` per
+parabolic type and ``reduced_word`` per element, both in bounded tables.
 """
 
 from __future__ import annotations
@@ -28,13 +33,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import factorial
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, Vector, dot, neg, parse_weight, unit
+from .rootsys import (
+    Key,
+    RootSystem,
+    Vector,
+    neg,
+    parse_weight,
+    root_system,
+    simple_pairings,
+    vector_key,
+)
 
 Perm = Tuple[int, ...]
 
 ENUMERATION_CAP = 200_000
+
+# Bounds of the per-group memos: coset representative sets per parabolic
+# type, and reduced words per element. A table that fills up is cleared.
+COSET_MEMO_MAX = 64
+WORD_MEMO_MAX = 4096
 
 
 def identity_perm(n: int) -> Perm:
@@ -103,19 +122,29 @@ class WeylGroup:
         rest = [pair for pair in pairs if pair not in simple]
         return tuple((a - 1, b - 1) for a, b in simple + rest)
 
-    # -- slot/weight dictionary -------------------------------------------
-
-    def weight_of_slot(self, k: int) -> Vector:
-        n, dim, t = self.slots, self.system.ambient_dim, self.system.cartan_type
-        if not 1 <= k <= n:
-            raise ValueError(f"slot {k} out of range")
+    @cached_property
+    def _simple_reflections(self) -> Tuple[Perm, ...]:
+        t, m, n = self.system.cartan_type, self.rank, self.slots
         if t == "A":
-            return unit(dim, k)
-        if k <= dim:
-            return unit(dim, k)
-        if t == "B" and k == dim + 1:
-            return tuple(Fraction(0) for _ in range(dim))
-        return neg(unit(dim, n + 1 - k))
+            return tuple(transpositions(n, (i, i + 1)) for i in range(1, m + 1))
+        out = [transpositions(n, (i, i + 1), (n + 1 - i, n - i)) for i in range(1, m)]
+        if t == "B":
+            out.append(transpositions(n, (m, m + 2)))
+        elif t == "C":
+            out.append(transpositions(n, (m, m + 1)))
+        else:
+            out.append(transpositions(n, (m - 1, m + 1), (m, m + 2)))
+        return tuple(out)
+
+    @cached_property
+    def _coset_memo(self) -> Dict[Tuple[int, ...], Tuple[Perm, ...]]:
+        return {}
+
+    @cached_property
+    def _word_memo(self) -> Dict[Perm, Tuple[int, ...]]:
+        return {}
+
+    # -- actions on weights -----------------------------------------------
 
     def act(self, w: Perm, v: Vector) -> Vector:
         """Image of a coordinate vector under the reflection action.
@@ -136,21 +165,34 @@ class WeylGroup:
                     out[n - k] -= c
         return tuple(out)
 
+    def act_keys(self, w: Perm, keys: Iterable[Key]) -> Tuple[Key, ...]:
+        """``act`` on ``vector_key`` tuples, for a group element w.
+
+        A group element moves coordinate i to coordinate w(i), or to the
+        negated coordinate N + 1 - w(i), so each image key is a signed
+        reordering of the source entries and no ``Fraction`` is built.
+        """
+        dim, n = self.system.ambient_dim, self.slots
+        sources = [0] * dim
+        flips = [False] * dim
+        for i, k in enumerate(w[:dim]):
+            if k <= dim:
+                sources[k - 1] = i
+            else:
+                sources[n - k] = i
+                flips[n - k] = True
+        moves = tuple(zip(sources, flips))
+        return tuple(
+            tuple((-key[i][0], key[i][1]) if flip else key[i] for i, flip in moves)
+            for key in keys
+        )
+
     # -- generators and words ---------------------------------------------
 
     def simple_reflection(self, i: int) -> Perm:
-        t, m, n = self.system.cartan_type, self.system.rank, self.slots
-        if not 1 <= i <= m:
+        if not 1 <= i <= self.rank:
             raise ValueError(f"simple reflection index {i} out of range")
-        if t == "A":
-            return transpositions(n, (i, i + 1))
-        if i < m:
-            return transpositions(n, (i, i + 1), (n + 1 - i, n - i))
-        if t == "B":
-            return transpositions(n, (m, m + 2))
-        if t == "C":
-            return transpositions(n, (m, m + 1))
-        return transpositions(n, (m - 1, m + 1), (m, m + 2))
+        return self._simple_reflections[i - 1]
 
     def from_word(self, word: Sequence[int]) -> Perm:
         return compose_all([self.simple_reflection(i) for i in word], self.slots)
@@ -172,6 +214,10 @@ class WeylGroup:
 
     def reduced_word(self, w: Perm) -> Tuple[int, ...]:
         """Reduced word chosen by stripping the smallest left descent."""
+        memo = self._word_memo
+        hit = memo.get(w)
+        if hit is not None:
+            return hit
         word: List[int] = []
         cur = w
         ident = self.identity()
@@ -179,7 +225,10 @@ class WeylGroup:
             i = self.left_descents(cur)[0]
             word.append(i)
             cur = compose(self.simple_reflection(i), cur)
-        return tuple(word)
+        if len(memo) >= WORD_MEMO_MAX:
+            memo.clear()
+        memo[w] = result = tuple(word)
+        return result
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         return self.length(self.from_word(word)) == len(word)
@@ -224,8 +273,13 @@ class WeylGroup:
 
         Every right descent step out of a minimal representative lands on a
         minimal representative, so the upward search from the identity is
-        complete and never leaves the set.
+        complete and never leaves the set. Results are memoized per set I.
         """
+        tag = tuple(sorted(set(I)))
+        memo = self._coset_memo
+        hit = memo.get(tag)
+        if hit is not None:
+            return hit
         seen = {self.identity()}
         frontier = [self.identity()]
         while frontier:
@@ -239,7 +293,11 @@ class WeylGroup:
                             seen.add(v)
                             nxt.append(v)
             frontier = nxt
-        return tuple(sorted(seen, key=lambda u: (self.length(u), self.reduced_word(u))))
+        reps = tuple(sorted(seen, key=lambda u: (self.length(u), self.reduced_word(u))))
+        if len(memo) >= COSET_MEMO_MAX:
+            memo.clear()
+        memo[tag] = reps
+        return reps
 
     def min_double_coset_reps(
         self, I: Sequence[int], J: Sequence[int]
@@ -315,6 +373,25 @@ class WeylGroup:
         return tuple(seen)
 
 
+# One shared group per (type, rank), bounded like the root systems.
+_GROUPS: Dict[Tuple[str, int], WeylGroup] = {}
+_GROUPS_MAX = 64
+
+
+def weyl_group(cartan_type: str, rank: int) -> WeylGroup:
+    """The Weyl group of ``root_system(cartan_type, rank)``, shared: every
+    call with the same arguments returns the same instance, so its memos
+    serve every caller."""
+    tag = (cartan_type, rank)
+    hit = _GROUPS.get(tag)
+    if hit is None:
+        hit = WeylGroup(root_system(cartan_type, rank))
+        if len(_GROUPS) >= _GROUPS_MAX:
+            _GROUPS.clear()
+        _GROUPS[tag] = hit
+    return hit
+
+
 @dataclass(frozen=True)
 class CocharacterDatum:
     """A group with cocharacter: parabolic types I, J and the twist z.
@@ -334,17 +411,19 @@ class CocharacterDatum:
 def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> CocharacterDatum:
     system = group.system
     mu_v = parse_weight(system, mu)
-    I = tuple(i for i in range(1, system.rank + 1) if dot(system.simple(i), mu_v) == 0)
+    pairings = simple_pairings(system, mu_v)
+    I = tuple(i for i, value in enumerate(pairings, start=1) if value == 0)
     w0 = group.longest_element()
+    negated_simple = {
+        vector_key(neg(alpha)): j for j, alpha in enumerate(system.simple_roots, start=1)
+    }
+    images = group.act_keys(w0, [vector_key(system.simple(i)) for i in I])
     J: List[int] = []
-    for i in I:
-        target = neg(group.act(w0, system.simple(i)))
-        for j in range(1, system.rank + 1):
-            if system.simple(j) == target:
-                J.append(j)
-                break
-        else:
+    for i, image in zip(I, images):
+        j = negated_simple.get(image)
+        if j is None:
             raise ValueError(f"-w0(alpha_{i}) is not a simple root")
+        J.append(j)
     z = compose(w0, group.longest_in(J))
     return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), z)
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipstrata.rootsys import (
     add,
@@ -15,11 +17,13 @@ from zipstrata.rootsys import (
     parse_weight,
     reflect,
     root_system,
+    simple_pairings,
     smul,
     sub,
     sum_vectors,
     unit,
     vec,
+    vector_key,
 )
 
 
@@ -181,3 +185,53 @@ def test_rejects_unknown_type_and_bad_rank() -> None:
         root_system("E", 8)
     with pytest.raises(ValueError):
         root_system("D", 1)
+
+
+# -- shared systems and their integer data ---------------------------------
+
+ALL_TYPES = [(t, r) for t in "ABC" for r in range(1, 7)] + [("D", r) for r in range(2, 7)]
+
+
+@pytest.mark.parametrize("cartan_type,rank", ALL_TYPES)
+def test_root_system_is_shared(cartan_type: str, rank: int) -> None:
+    assert root_system(cartan_type, rank) is root_system(cartan_type, rank)
+
+
+@pytest.mark.parametrize("cartan_type,rank", ALL_TYPES)
+def test_integer_data_matches_the_fraction_formulas(cartan_type: str, rank: int) -> None:
+    system = root_system(cartan_type, rank)
+    simple = system.simple_roots
+    assert cartan_matrix(system) == tuple(
+        tuple(pairing(a_j, a_i) for a_j in simple) for a_i in simple
+    )
+    for alpha, coroot in zip(simple, system.simple_coroots):
+        dense = [Fraction(0)] * system.ambient_dim
+        for k, c in coroot:
+            dense[k] = Fraction(c)
+        assert tuple(dense) == smul(Fraction(2) / dot(alpha, alpha), alpha)
+    assert system.root_keys == frozenset(vector_key(a) for a in system.roots)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_simple_pairings_match_pairing(data) -> None:
+    """Random weights with denominators 1, 2 and 3, negative entries too."""
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=2 if cartan_type == "D" else 1, max_value=6))
+    system = root_system(cartan_type, rank)
+    entry = st.builds(
+        Fraction,
+        st.integers(min_value=-7, max_value=7),
+        st.sampled_from((1, 2, 3)),
+    )
+    lam = tuple(data.draw(st.lists(
+        entry, min_size=system.ambient_dim, max_size=system.ambient_dim
+    )))
+    expected = tuple(pairing(lam, alpha) for alpha in system.simple_roots)
+    assert simple_pairings(system, lam) == expected
+    assert is_dominant(system, lam) == all(value >= 0 for value in expected)
+
+
+def test_simple_pairings_check_dimension() -> None:
+    with pytest.raises(ValueError):
+        simple_pairings(root_system("B", 2), vec(1, 0, 0))

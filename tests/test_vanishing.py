@@ -1,5 +1,7 @@
 """Order formulas: closedness guard, the three word shapes, stratum tables."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,20 @@ def test_ord_distinct_rho_on_a2() -> None:
 def test_ord_distinct_rejects_repeated_letters() -> None:
     with pytest.raises(ValueError, match="distinct"):
         ord_distinct(root_system("A", 3), vec(1, 0, 0, -1), (1, 2, 1))
+
+
+def test_ord_distinct_rejects_a_non_integral_pairing() -> None:
+    """A dominant weight whose pairing with a letter is 1/2."""
+    lam = vec(Fraction(1, 2), 0, Fraction(-1, 2))
+    with pytest.raises(ValueError, match="not integral"):
+        ord_distinct(root_system("A", 2), lam, (1,))
+
+
+def test_e_and_f_orders_reject_letters_out_of_range() -> None:
+    with pytest.raises(ValueError, match="out of range"):
+        e_orders(root_system("B", 3), (), (0,), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        f_orders(root_system("D", 4), (), (1,), 3, 5)
 
 
 def test_ord_distinct_rejects_nondominant_weight() -> None:

@@ -2,12 +2,23 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipstrata.rootsys import first_nonzero_sign, pairing, root_system, unit, vec
+from zipstrata import weyl
+from zipstrata.rootsys import (
+    dot,
+    first_nonzero_sign,
+    neg,
+    pairing,
+    root_system,
+    unit,
+    vec,
+    vector_key,
+)
 from zipstrata.weyl import (
     CocharacterDatum,
     WeylGroup,
@@ -18,6 +29,7 @@ from zipstrata.weyl import (
     eo_same_stratum,
     identity_perm,
     inverse,
+    weyl_group,
 )
 
 GROUPS = [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("D", 5)]
@@ -459,3 +471,78 @@ def test_length_counts_inversions_of_positive_roots() -> None:
     z = g.from_word((1, 2, 3, 1))
     assert g.length(z) == 4
     assert g.length(g.identity()) == 0
+
+
+# -- shared groups, memos and the key action ----------------------------------
+
+
+@pytest.mark.parametrize("cartan_type,rank", SMALL_GROUPS)
+def test_weyl_group_is_shared(cartan_type: str, rank: int) -> None:
+    g = weyl_group(cartan_type, rank)
+    assert g is weyl_group(cartan_type, rank)
+    assert g.system is root_system(cartan_type, rank)
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_memoized_words_and_cosets_match_a_fresh_group(cartan_type: str, rank: int) -> None:
+    shared = weyl_group(cartan_type, rank)
+    for _ in range(2):  # the second pass reads the memos
+        fresh = wg(cartan_type, rank)
+        for w in fresh.elements():
+            assert shared.reduced_word(w) == fresh.reduced_word(w)
+        for size in range(rank + 1):
+            for I in itertools.combinations(range(1, rank + 1), size):
+                assert shared.min_coset_reps(I) == fresh.min_coset_reps(I)
+                assert shared.min_coset_reps(I[::-1] + I) == fresh.min_coset_reps(I)
+
+
+def test_reduced_word_memo_is_bounded(monkeypatch) -> None:
+    monkeypatch.setattr(weyl, "WORD_MEMO_MAX", 8)
+    g = wg("B", 3)
+    elements = g.elements()
+    words = [g.reduced_word(w) for w in elements]
+    assert len(g._word_memo) <= 8
+    for w, word in zip(elements, words):
+        assert g.from_word(word) == w and len(word) == g.length(w)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_act_keys_matches_act(data) -> None:
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=2 if cartan_type == "D" else 1, max_value=6))
+    g = weyl_group(cartan_type, rank)
+    word = data.draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=12))
+    w = g.from_word(word)
+    entry = st.builds(
+        Fraction,
+        st.integers(min_value=-5, max_value=5),
+        st.sampled_from((1, 2, 3)),
+    )
+    dim = g.system.ambient_dim
+    weights = data.draw(st.lists(
+        st.lists(entry, min_size=dim, max_size=dim).map(tuple), min_size=1, max_size=4
+    ))
+    images = g.act_keys(w, [vector_key(v) for v in weights])
+    assert images == tuple(vector_key(g.act(w, v)) for v in weights)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_cocharacter_datum_matches_the_root_definitions(data) -> None:
+    """I: simple roots orthogonal to mu; J: the indices of -w0(alpha_i)."""
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=2 if cartan_type == "D" else 1, max_value=6))
+    g = weyl_group(cartan_type, rank)
+    system = g.system
+    dim = system.ambient_dim
+    mu = data.draw(st.lists(
+        st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim
+    ))
+    datum = cocharacter_datum(g, mu)
+    simple = system.simple_roots
+    I = tuple(i for i, a in enumerate(simple, start=1) if dot(a, vec(*mu)) == 0)
+    w0 = g.longest_element()
+    J = sorted(simple.index(neg(g.act(w0, simple[i - 1]))) + 1 for i in I)
+    assert datum.I == I
+    assert datum.J == tuple(J)

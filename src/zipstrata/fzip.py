@@ -8,17 +8,25 @@ element acts as a permutation of slots. ``clp`` locates the top Hodge line
 inside the conjugate filtration; on the open stratum it lands in the bottom
 step and the Hasse section is invertible, which is what ``hasse_nonzero``
 reports.
+
+The slot permutation of an element is found by moving integer keys, not
+Fraction weights: each key is its weight times the lcm of the module's
+denominators, and the Weyl action, a signed permutation of coordinates,
+moves keys and weights alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Tuple
 
 from .reps import WeightMultiset, mu_profile
-from .rootsys import Key, Vector, dot, vector_key
+from .rootsys import Vector, dot
 from .weyl import CocharacterDatum, Perm, compose
+
+IntVector = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -109,14 +117,20 @@ _SLOT_TABLES: Dict[
 
 def _slot_table(
     module: WeightMultiset, mu: Vector
-) -> Tuple[Tuple[Vector, ...], Tuple[Key, ...], Dict[Key, int], ZipType]:
-    """Slot weights, their keys, slot number by key, and the zip type."""
+) -> Tuple[Tuple[Vector, ...], Tuple[IntVector, ...], Dict[IntVector, int], ZipType]:
+    """Slot weights, their integer keys, slot number by key, and the zip
+    type. A weight's key is the weight times the lcm of the module's
+    denominators (2 for the spin modules), so keys are integer vectors
+    that the Weyl action moves like the weights themselves."""
     key = (id(module), mu)
     hit = _SLOT_TABLES.get(key)
     if hit is not None and hit[0] is module:
         return hit[1:]
     slots = _slot_order(module, mu)
-    keys = tuple(vector_key(weight) for weight in slots)
+    scale = lcm(*(c.denominator for weight in slots for c in weight))
+    keys = tuple(
+        tuple(c.numerator * (scale // c.denominator) for c in weight) for weight in slots
+    )
     index_of = {k: slot for slot, k in enumerate(keys, start=1)}
     ztype = zip_type(module, mu)
     if len(_SLOT_TABLES) > 64:
@@ -133,17 +147,17 @@ def build_standard(
 
     The weights must be multiplicity free, otherwise slots and weights do not
     determine each other and the permutation model breaks down. Weights move
-    through w as integer keys (``WeylGroup.act_keys``).
+    through w as their integer slot keys.
     """
     if any(mult != 1 for _, mult in module.entries):
         raise ValueError("the permutation model needs multiplicity-free weights")
     slots, keys, index_of, ztype = _slot_table(module, datum.mu)
     images = []
-    for image in datum.group.act_keys(w, keys):
+    for weight, image in zip(slots, datum.group._act_all(w, keys)):
         slot = index_of.get(image)
         if slot is None:
-            weight = tuple(Fraction(num, den) for num, den in image)
-            raise ValueError(f"weights are not stable: {weight} is not a slot")
+            moved = datum.group.act(w, weight)
+            raise ValueError(f"weights are not stable: {moved} is not a slot")
         images.append(slot)
     return StandardZip(ztype=ztype, slots=slots, sigma=tuple(images))
 

@@ -1,17 +1,19 @@
 """Classical root systems in their standard coordinate realizations.
 
-Everything is exact: vectors are tuples of ``Fraction`` and no float ever
-appears. Types A, B, C, D are supported; type A_{rank} lives in rank+1
-coordinates (the GL weight lattice), the others in ``rank`` coordinates.
+Everything is exact and no float ever appears. Weights are tuples of
+``Fraction``; every root of these types is an integer vector in the standard
+coordinates, so roots are plain int tuples (``Root``). Types A, B, C, D are
+supported; type A_{rank} lives in rank+1 coordinates (the GL weight lattice),
+the others in ``rank`` coordinates.
 
 ``root_system`` builds each system once per type and rank and hands out the
 same immutable instance afterwards; the derived integer data (simple
-coroots, Cartan matrix, root keys) is computed on first use and kept on it.
-Every simple coroot is an integer vector in these coordinates, so
-``simple_pairings`` scales a weight to integer numerators over the lcm of its
-denominators and pairs on machine integers, building one ``Fraction`` per
-coroot at the end. ``pairing`` and ``reflect`` remain the general Fraction
-formulas.
+coroots, Cartan matrix, the root set) is computed on first use and kept on
+it. Every simple coroot is an integer vector too, so ``simple_pairings``
+scales a weight to integer numerators over the lcm of its denominators and
+pairs on machine integers, building one ``Fraction`` per coroot at the end.
+``pairing`` and ``reflect`` remain the general formulas and accept either
+kind of vector.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import lcm
 from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
-Key = Tuple[Tuple[int, int], ...]
+Root = Tuple[int, ...]
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
 
@@ -61,12 +63,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def vector_key(v: Vector) -> Key:
-    """Hash-friendly exact key: hashing integer pairs is far cheaper than
-    hashing Fractions, which costs a modular inverse per entry."""
-    return tuple((c.numerator, c.denominator) for c in v)
-
-
 def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -95,14 +91,14 @@ class RootSystem:
     cartan_type: str
     rank: int
     ambient_dim: int
-    simple_roots: Tuple[Vector, ...]
-    positive_roots: Tuple[Vector, ...]
+    simple_roots: Tuple[Root, ...]
+    positive_roots: Tuple[Root, ...]
 
     @property
-    def roots(self) -> Tuple[Vector, ...]:
+    def roots(self) -> Tuple[Root, ...]:
         return self.positive_roots + tuple(neg(a) for a in self.positive_roots)
 
-    def simple(self, i: int) -> Vector:
+    def simple(self, i: int) -> Root:
         """The i-th simple root, 1-indexed."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple root index {i} out of range for rank {self.rank}")
@@ -114,25 +110,25 @@ class RootSystem:
         entries (zero-based coordinate, integer coefficient)."""
         coroots = []
         for alpha in self.simple_roots:
-            scale = 2 / dot(alpha, alpha)
-            entries = tuple((k, scale * a) for k, a in enumerate(alpha) if a)
-            if any(c.denominator != 1 for _, c in entries):
+            norm = sum(a * a for a in alpha)
+            entries = tuple((k, 2 * a) for k, a in enumerate(alpha) if a)
+            if any(c % norm for _, c in entries):
                 raise ValueError(f"simple coroot of {alpha} is not integral")
-            coroots.append(tuple((k, int(c)) for k, c in entries))
+            coroots.append(tuple((k, c // norm) for k, c in entries))
         return tuple(coroots)
 
     @cached_property
     def cartan(self) -> Tuple[Tuple[int, ...], ...]:
         """Entry [i][j] = <alpha_j, alpha_i_vee>, 0-indexed rows."""
         return tuple(
-            tuple(int(sum(c * alpha[k] for k, c in coroot)) for alpha in self.simple_roots)
+            tuple(sum(c * alpha[k] for k, c in coroot) for alpha in self.simple_roots)
             for coroot in self.simple_coroots
         )
 
     @cached_property
-    def root_keys(self) -> FrozenSet[Key]:
-        """``vector_key`` of every root, positive and negative."""
-        return frozenset(vector_key(a) for a in self.roots)
+    def root_keys(self) -> FrozenSet[Root]:
+        """Every root, positive and negative, for membership tests."""
+        return frozenset(self.roots)
 
 
 # One shared system per (type, rank), built on first request. The bound only
@@ -170,39 +166,35 @@ def _build_root_system(cartan_type: str, rank: int) -> RootSystem:
     if cartan_type == "D" and rank < 2:
         raise ValueError("type D needs rank >= 2")
 
+    dim = rank + 1 if cartan_type == "A" else rank
+    e = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     if cartan_type == "A":
-        dim = rank + 1
-        simple = [sub(unit(dim, i), unit(dim, i + 1)) for i in range(1, rank + 1)]
-        positive = [
-            sub(unit(dim, i), unit(dim, j))
-            for i in range(1, dim + 1)
-            for j in range(i + 1, dim + 1)
-        ]
+        simple = [sub(e[i], e[i + 1]) for i in range(rank)]
+        positive = [sub(e[i], e[j]) for i in range(dim) for j in range(i + 1, dim)]
         return RootSystem("A", rank, dim, tuple(simple), tuple(positive))
 
     m = rank
-    dim = m
-    simple = [sub(unit(dim, i), unit(dim, i + 1)) for i in range(1, m)]
+    simple = [sub(e[i], e[i + 1]) for i in range(m - 1)]
     if cartan_type == "B":
-        simple.append(unit(dim, m))
+        simple.append(e[m - 1])
     elif cartan_type == "C":
-        simple.append(smul(2, unit(dim, m)))
+        simple.append(add(e[m - 1], e[m - 1]))
     else:
-        simple.append(add(unit(dim, m - 1), unit(dim, m)))
+        simple.append(add(e[m - 2], e[m - 1]))
 
-    positive: list[Vector] = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            positive.append(sub(unit(dim, i), unit(dim, j)))
-            positive.append(add(unit(dim, i), unit(dim, j)))
+    positive: list[Root] = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            positive.append(sub(e[i], e[j]))
+            positive.append(add(e[i], e[j]))
     if cartan_type == "B":
-        positive.extend(unit(dim, i) for i in range(1, m + 1))
+        positive.extend(e)
     elif cartan_type == "C":
-        positive.extend(smul(2, unit(dim, i)) for i in range(1, m + 1))
+        positive.extend(add(u, u) for u in e)
     return RootSystem(cartan_type, rank, dim, tuple(simple), tuple(positive))
 
 
-def pairing(lam: Vector, alpha: Vector) -> Fraction:
+def pairing(lam: Vector, alpha: Vector | Root) -> Fraction:
     """<lam, alpha_vee> = 2 (lam, alpha) / (alpha, alpha)."""
     denom = dot(alpha, alpha)
     if denom == 0:
@@ -210,7 +202,7 @@ def pairing(lam: Vector, alpha: Vector) -> Fraction:
     return 2 * dot(lam, alpha) / denom
 
 
-def reflect(lam: Vector, alpha: Vector) -> Vector:
+def reflect(lam: Vector, alpha: Vector | Root) -> Vector:
     """Reflection of lam in the hyperplane orthogonal to alpha."""
     return sub(lam, smul(pairing(lam, alpha), alpha))
 

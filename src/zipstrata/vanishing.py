@@ -11,6 +11,9 @@ twisted character difference that ties the Hasse weight to its section.
 
 The formulas read the weight's pairings once per call from
 ``simple_pairings`` and Cartan entries from the system's cached matrix.
+Roots are integer tuples: ``root_sequence`` pushes the integer simple roots
+through the Weyl action, and the closedness test adds them and looks the
+sums up in the system's root set directly.
 """
 
 from __future__ import annotations
@@ -20,15 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .rootsys import (
-    RootSystem,
-    Vector,
-    add,
-    simple_pairings,
-    smul,
-    sub,
-    vector_key,
-)
+from .rootsys import Root, RootSystem, Vector, simple_pairings
 from .weyl import CocharacterDatum, Perm, compose, weyl_group
 
 Word = Tuple[int, ...]
@@ -45,40 +40,38 @@ class ClosednessWitness:
     combination = a*alpha + b*beta is a root outside it."""
 
     stage: int
-    alpha: Vector
-    beta: Vector
-    combination: Vector
+    alpha: Root
+    beta: Root
+    combination: Root
 
 
 def _closure_violation(
-    system: RootSystem, subset: Iterable[Vector]
-) -> Optional[Tuple[Vector, Vector, Vector]]:
+    system: RootSystem, subset: Iterable[Root]
+) -> Optional[Tuple[Root, Root, Root]]:
     """First pair in the subset whose natural combination escapes it."""
     members = tuple(dict.fromkeys(subset))
-    chosen = {vector_key(v) for v in members}
+    chosen = set(members)
     all_roots = system.root_keys
     for alpha, beta in itertools.combinations(members, 2):
-        total = add(alpha, beta)
-        total_key = vector_key(total)
-        if total_key not in all_roots:
+        total = tuple(x + y for x, y in zip(alpha, beta))
+        if total not in all_roots:
             continue
-        if total_key not in chosen:
+        if total not in chosen:
             return alpha, beta, total
         for a, b in _EXTRA_COEFFS:
-            combo = add(smul(a, alpha), smul(b, beta))
-            combo_key = vector_key(combo)
-            if combo_key in all_roots and combo_key not in chosen:
+            combo = tuple(a * x + b * y for x, y in zip(alpha, beta))
+            if combo in all_roots and combo not in chosen:
                 return alpha, beta, combo
     return None
 
 
-def is_closed(system: RootSystem, subset: Iterable[Vector]) -> bool:
+def is_closed(system: RootSystem, subset: Iterable[Root]) -> bool:
     """Whether every root of the form a*alpha + b*beta (a, b natural, alpha
     and beta in the subset) again lies in the subset."""
     return _closure_violation(system, subset) is None
 
 
-def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Vector, ...]:
+def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
     """Roots swept out by the word: alpha_{i_1}, s_{i_1} alpha_{i_2}, and so
     on, each letter's simple root pushed once through the product of the
     letters before it, which is then extended by that letter.
@@ -407,7 +400,7 @@ def d_w0(lam: Vector, p: int, datum: CocharacterDatum) -> Vector:
     """
     group = datum.group
     twisted = group.act(compose(datum.z, group.longest_element()), lam)
-    return sub(lam, smul(p, twisted))
+    return tuple(a - p * b for a, b in zip(lam, twisted, strict=True))
 
 
 def strata_ord_table(datum: CocharacterDatum, lam: Vector) -> Dict[Perm, int]:

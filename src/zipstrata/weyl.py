@@ -18,9 +18,9 @@ positivity: w sends the root weight(a) - weight(b), a < b, to a negative
 root exactly when w(a) > w(b). Each group therefore keeps one integer table
 with a slot pair per positive root, the simple roots first, and reads
 lengths and right descents off it; every other combinatorial method goes
-through those two. The action on coordinate vectors (``act``) serves
-weights only; ``act_keys`` is the same signed coordinate permutation on
-integer ``vector_key`` tuples, for callers that index weights by key.
+through those two. The action on coordinate vectors (``act``) is a signed
+permutation of coordinates; it serves Fraction weights and integer roots
+alike and keeps the entry type.
 
 ``weyl_group`` hands out one shared group per type and rank. A group builds
 its simple reflections on first use and memoizes ``min_coset_reps`` per
@@ -33,20 +33,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .rootsys import (
-    Key,
     RootSystem,
     Vector,
     neg,
     parse_weight,
     root_system,
     simple_pairings,
-    vector_key,
 )
 
 Perm = Tuple[int, ...]
+T = TypeVar("T")
 
 ENUMERATION_CAP = 200_000
 
@@ -144,47 +143,33 @@ class WeylGroup:
     def _word_memo(self) -> Dict[Perm, Tuple[int, ...]]:
         return {}
 
-    # -- actions on weights -----------------------------------------------
+    # -- the action on coordinate vectors ---------------------------------
 
-    def act(self, w: Perm, v: Vector) -> Vector:
+    def act(self, w: Perm, v: Sequence[T]) -> Tuple[T, ...]:
         """Image of a coordinate vector under the reflection action.
 
-        Each source coordinate lands in one slot, so the image is assembled
-        entry by entry; the cutoff n + 1 - dim skips the zero-weight middle
-        slot of the odd orthogonal groups.
+        The action is a signed permutation of the coordinates, so the image
+        keeps the entry type: Fraction weights stay Fraction and integer
+        roots stay integer.
         """
-        dim = self.system.ambient_dim
-        n = self.slots
-        out = [Fraction(0)] * dim
-        for i, c in enumerate(v):
-            if c:
-                k = w[i]
-                if k <= dim:
-                    out[k - 1] += c
-                elif k >= n + 1 - dim:
-                    out[n - k] -= c
-        return tuple(out)
+        return self._act_all(w, (v,))[0]
 
-    def act_keys(self, w: Perm, keys: Iterable[Key]) -> Tuple[Key, ...]:
-        """``act`` on ``vector_key`` tuples, for a group element w.
-
-        A group element moves coordinate i to coordinate w(i), or to the
-        negated coordinate N + 1 - w(i), so each image key is a signed
-        reordering of the source entries and no ``Fraction`` is built.
-        """
+    def _act_all(
+        self, w: Perm, vectors: Iterable[Sequence[T]]
+    ) -> Tuple[Tuple[T, ...], ...]:
+        """``act`` of one element on many vectors, which share the table of
+        where each coordinate lands. Coordinate i goes to coordinate w(i),
+        or, when w(i) lies past the coordinate slots, to coordinate
+        N + 1 - w(i) with its sign flipped."""
         dim, n = self.system.ambient_dim, self.slots
-        sources = [0] * dim
-        flips = [False] * dim
+        sources = [(0, False)] * dim
         for i, k in enumerate(w[:dim]):
             if k <= dim:
-                sources[k - 1] = i
+                sources[k - 1] = (i, False)
             else:
-                sources[n - k] = i
-                flips[n - k] = True
-        moves = tuple(zip(sources, flips))
+                sources[n - k] = (i, True)
         return tuple(
-            tuple((-key[i][0], key[i][1]) if flip else key[i] for i, flip in moves)
-            for key in keys
+            tuple(-v[i] if flip else v[i] for i, flip in sources) for v in vectors
         )
 
     # -- generators and words ---------------------------------------------
@@ -414,10 +399,8 @@ def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> Cochara
     pairings = simple_pairings(system, mu_v)
     I = tuple(i for i, value in enumerate(pairings, start=1) if value == 0)
     w0 = group.longest_element()
-    negated_simple = {
-        vector_key(neg(alpha)): j for j, alpha in enumerate(system.simple_roots, start=1)
-    }
-    images = group.act_keys(w0, [vector_key(system.simple(i)) for i in I])
+    negated_simple = {neg(alpha): j for j, alpha in enumerate(system.simple_roots, start=1)}
+    images = group._act_all(w0, [system.simple(i) for i in I])
     J: List[int] = []
     for i, image in zip(I, images):
         j = negated_simple.get(image)

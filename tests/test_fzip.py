@@ -1,5 +1,8 @@
 """Standard zips: slot order, induced permutations, line positions."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from zipstrata.fzip import (
@@ -13,7 +16,7 @@ from zipstrata.fzip import (
     w0ij_perm,
     zip_type,
 )
-from zipstrata.reps import dsum, spin_weights, std_weights, wedge
+from zipstrata.reps import WeightMultiset, dsum, spin_weights, std_weights, wedge
 from zipstrata.rootsys import root_system, unit, vec
 from zipstrata.weyl import WeylGroup, cocharacter_datum, compose
 
@@ -69,6 +72,17 @@ def test_build_rejects_repeated_weights() -> None:
     doubled = dsum(std_weights("B", 2), std_weights("B", 2))
     with pytest.raises(ValueError, match="multiplicity-free"):
         build_standard(datum, doubled, datum.group.identity())
+
+
+def test_build_names_the_weight_that_leaves_the_slots() -> None:
+    """s2 of B2 sends (1/2, 1/2) to (1/2, -1/2), which is not a weight of the
+    module; the error names that image in the module's own coordinates."""
+    datum = datum_for("B", 2, e1(2))
+    half = Fraction(1, 2)
+    module = WeightMultiset.from_weights([vec(half, half)])
+    image = str(vec(half, -half))
+    with pytest.raises(ValueError, match=re.escape(f"{image} is not a slot")):
+        build_standard(datum, module, datum.group.simple_reflection(2))
 
 
 def test_sigma_of_the_open_label_swaps_the_extreme_slots() -> None:

@@ -23,7 +23,6 @@ from zipstrata.rootsys import (
     sum_vectors,
     unit,
     vec,
-    vector_key,
 )
 
 
@@ -209,7 +208,33 @@ def test_integer_data_matches_the_fraction_formulas(cartan_type: str, rank: int)
         for k, c in coroot:
             dense[k] = Fraction(c)
         assert tuple(dense) == smul(Fraction(2) / dot(alpha, alpha), alpha)
-    assert system.root_keys == frozenset(vector_key(a) for a in system.roots)
+    dim = system.ambient_dim
+    e = [unit(dim, i) for i in range(1, dim + 1)]
+    if cartan_type == "A":
+        simple_formulas = [sub(e[i], e[i + 1]) for i in range(rank)]
+        positive_formulas = [sub(e[i], e[j]) for i in range(dim) for j in range(i + 1, dim)]
+    else:
+        simple_formulas = [sub(e[i], e[i + 1]) for i in range(rank - 1)]
+        if cartan_type == "B":
+            simple_formulas.append(e[-1])
+        elif cartan_type == "C":
+            simple_formulas.append(smul(2, e[-1]))
+        else:
+            simple_formulas.append(add(e[-2], e[-1]))
+        positive_formulas = [
+            root
+            for i in range(rank)
+            for j in range(i + 1, rank)
+            for root in (sub(e[i], e[j]), add(e[i], e[j]))
+        ]
+        if cartan_type == "B":
+            positive_formulas += e
+        elif cartan_type == "C":
+            positive_formulas += [smul(2, u) for u in e]
+    assert system.simple_roots == tuple(simple_formulas)
+    assert system.positive_roots == tuple(positive_formulas)
+    assert all(type(c) is int for root in system.roots for c in root)
+    assert system.root_keys == frozenset(positive_formulas + [neg(a) for a in positive_formulas])
 
 
 @given(data=st.data())

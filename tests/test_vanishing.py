@@ -1,5 +1,6 @@
 """Order formulas: closedness guard, the three word shapes, stratum tables."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from zipstrata.rootsys import add, neg, reflect, root_system, smul, unit, vec
 from zipstrata.oracle import gl_cell_order
+from zipstrata import vanishing
 from zipstrata.vanishing import (
     ClosednessWitness,
     condition_closed,
@@ -155,6 +157,62 @@ def test_nonclosed_words_exist_in_every_rank(cartan_type: str, rank: int) -> Non
 
 def test_shortest_nonclosed_word_in_a2() -> None:
     assert find_nonclosed_word(root_system("A", 2)) == (1, 1, 2)
+
+
+def _reference_violation(system, subset):
+    """Closedness on Fraction vectors: add and smul, then plain membership."""
+    roots = {vec(*a) for a in system.roots}
+    members = list(dict.fromkeys(vec(*a) for a in subset))
+    chosen = set(members)
+    for alpha, beta in itertools.combinations(members, 2):
+        total = add(alpha, beta)
+        if total not in roots:
+            continue
+        if total not in chosen:
+            return alpha, beta, total
+        for a, b in ((2, 1), (1, 2)):
+            combo = add(smul(a, alpha), smul(b, beta))
+            if combo in roots and combo not in chosen:
+                return alpha, beta, combo
+    return None
+
+
+def _reference_condition(system, word):
+    """The suffix condition with each suffix swept by the reflect chain."""
+    for start in range(len(word)):
+        suffix = word[start:]
+        swept = []
+        for pos, letter in enumerate(suffix):
+            image = vec(*system.simple(letter))
+            for j in range(pos - 1, -1, -1):
+                image = reflect(image, system.simple(suffix[j]))
+            swept.append(image)
+        violation = _reference_violation(system, swept)
+        if violation is not None:
+            return (start,) + violation
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_closedness_matches_the_fraction_reference(data) -> None:
+    """Random root subsets (repeats and both signs allowed) and random words,
+    non-reduced ones included: same verdict, same witness."""
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=2 if cartan_type == "D" else 1, max_value=6))
+    system = root_system(cartan_type, rank)
+    subset = data.draw(st.lists(st.sampled_from(system.roots), max_size=16))
+    expected = _reference_violation(system, subset)
+    assert vanishing._closure_violation(system, subset) == expected
+    assert is_closed(system, subset) == (expected is None)
+
+    word = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=8)))
+    ok, witness = condition_closed(system, word)
+    expected = _reference_condition(system, word)
+    assert ok == (expected is None)
+    if witness is not None:
+        assert (witness.stage, witness.alpha, witness.beta, witness.combination) == expected
+        assert all(type(c) is int for c in witness.combination)
 
 
 # -- distinct-letter words ---------------------------------------------------

@@ -12,6 +12,7 @@ minimal stratum while the inequality still holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Dict, List, Tuple
 
 from .fzip import build_standard, clp, clp_exterior_top
@@ -220,10 +221,17 @@ _MIN_RANK = {
 }
 
 
+# Largest working prime accepted: trial division then stops within 10^6
+# divisors, and no invariant computed here depends on the size of p.
+PRIME_MAX = 10**12
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
+    """Primality by trial division; p above ``PRIME_MAX`` is rejected with
+    ``ValueError`` before any division."""
+    if p > PRIME_MAX:
+        raise ValueError(f"the prime must be at most {PRIME_MAX}")
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _build_case(spec: CaseSpec) -> _CaseData:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cases import (
+    PRIME_MAX,
     CaseSpec,
     StratumReport,
     functoriality_check_A3_D3,
@@ -410,6 +411,17 @@ def cmd_clp(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+def _prime(text: str) -> int:
+    """argparse type of ``--prime``: a prime at most ``PRIME_MAX``."""
+    try:
+        p = int(text)
+        if is_prime(p):
+            return p
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+    raise argparse.ArgumentTypeError(f"{p} is not a prime")
+
+
 def _add_case_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--case", required=True, choices=sorted(CASE_BY_FLAG),
@@ -418,7 +430,10 @@ def _add_case_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--m", dest="rank", type=int, help="rank (orthogonal/spin naming)")
     group.add_argument("--n", dest="rank", type=int, help="rank (linear/symplectic naming)")
-    sub.add_argument("--prime", type=int, default=3, help="working prime (default 3)")
+    sub.add_argument(
+        "--prime", type=_prime, default=3,
+        help=f"working prime, at most {PRIME_MAX} (default 3)",
+    )
 
 
 def _config_from(
@@ -429,8 +444,6 @@ def _config_from(
         rank = _FIXED_RANK.get(args.case)
         if rank is None:
             parser.error(f"case {args.case} needs --m or --n")
-    if not is_prime(args.prime):
-        parser.error(f"{args.prime} is not a prime")
     return RunConfig(
         case=args.case,
         rank=rank,
@@ -479,7 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--m", dest="rank", type=int)
     group.add_argument("--n", dest="rank", type=int)
-    verify.add_argument("--prime", type=int, action="append")
+    verify.add_argument(
+        "--prime", type=_prime, action="append",
+        help=f"prime to verify at, at most {PRIME_MAX}; repeatable (default 2, 3, 5)",
+    )
     verify.add_argument("--seed", type=int, default=0)
 
     order = commands.add_parser(
@@ -519,8 +535,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(str(err), file=sys.stderr)
             return 2
     if args.command == "verify":
-        if args.prime and not all(is_prime(p) for p in args.prime):
-            parser.error("every --prime must be prime")
         return cmd_verify(args)
     if args.command == "ord":
         try:

@@ -12,13 +12,16 @@ reports.
 The slot permutation of an element is found by moving integer keys, not
 Fraction weights: each key is its weight times the lcm of the module's
 denominators, and the Weyl action, a signed permutation of coordinates,
-moves keys and weights alike.
+moves keys and weights alike. The slot weights, keys and zip type of a
+(module, cocharacter) pair come from an ``lru_cache`` keyed by content, so
+equal modules built by separate calls share one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Dict, Tuple
 
@@ -106,15 +109,7 @@ def _slot_order(module: WeightMultiset, mu: Vector) -> Tuple[Vector, ...]:
     )
 
 
-# Memo for the per-module slot bookkeeping, keyed by identity because
-# hashing a large weight multiset on every lookup would cost more than the
-# sort it saves. Entries retain the module, so an id is never recycled
-# while its entry is alive; the `is` check makes the hit unambiguous.
-_SLOT_TABLES: Dict[
-    Tuple[int, Vector], Tuple[WeightMultiset, tuple, tuple, dict, ZipType]
-] = {}
-
-
+@lru_cache(maxsize=64)
 def _slot_table(
     module: WeightMultiset, mu: Vector
 ) -> Tuple[Tuple[Vector, ...], Tuple[IntVector, ...], Dict[IntVector, int], ZipType]:
@@ -122,21 +117,13 @@ def _slot_table(
     type. A weight's key is the weight times the lcm of the module's
     denominators (2 for the spin modules), so keys are integer vectors
     that the Weyl action moves like the weights themselves."""
-    key = (id(module), mu)
-    hit = _SLOT_TABLES.get(key)
-    if hit is not None and hit[0] is module:
-        return hit[1:]
     slots = _slot_order(module, mu)
     scale = lcm(*(c.denominator for weight in slots for c in weight))
     keys = tuple(
         tuple(c.numerator * (scale // c.denominator) for c in weight) for weight in slots
     )
     index_of = {k: slot for slot, k in enumerate(keys, start=1)}
-    ztype = zip_type(module, mu)
-    if len(_SLOT_TABLES) > 64:
-        _SLOT_TABLES.clear()
-    _SLOT_TABLES[key] = (module, slots, keys, index_of, ztype)
-    return slots, keys, index_of, ztype
+    return slots, keys, index_of, zip_type(module, mu)
 
 
 def build_standard(

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, Tuple
 
 from .rootsys import Vector, dot, neg, smul, sum_vectors, vec
@@ -26,9 +27,17 @@ WEDGE_CAP = 10_000_000
 @dataclass(frozen=True)
 class WeightMultiset:
     """Torus weights of a representation, with multiplicities, canonically
-    sorted so that equal multisets compare equal."""
+    sorted so that equal multisets compare equal. The hash is computed once
+    per instance, since multisets key the slot-table cache."""
 
     entries: Tuple[Tuple[Vector, int], ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.entries)
 
     @staticmethod
     def from_weights(weights: Iterable[Vector]) -> "WeightMultiset":

@@ -6,23 +6,25 @@ coordinates, so roots are plain int tuples (``Root``). Types A, B, C, D are
 supported; type A_{rank} lives in rank+1 coordinates (the GL weight lattice),
 the others in ``rank`` coordinates.
 
-``root_system`` builds each system once per type and rank and hands out the
-same immutable instance afterwards; the derived integer data (simple
-coroots, Cartan matrix, the root set) is computed on first use and kept on
-it. Every simple coroot is an integer vector too, so ``simple_pairings``
-scales a weight to integer numerators over the lcm of its denominators and
-pairs on machine integers, building one ``Fraction`` per coroot at the end.
+``root_system`` is an ``lru_cache``: it builds each system once per type and
+rank and hands out the same immutable instance afterwards. A system hashes
+on its type and rank alone, so it is a cheap cache key downstream; the
+derived integer data (simple coroots, Cartan matrix, the root set) is
+computed on first use and kept on it. Every simple coroot is an integer
+vector too, so ``simple_pairings`` scales a weight to integer numerators
+over the lcm of its denominators and pairs on machine integers, building
+one ``Fraction`` per coroot at the end.
 ``pairing`` and ``reflect`` remain the general formulas and accept either
 kind of vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Root = Tuple[int, ...]
@@ -67,32 +69,21 @@ def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def first_nonzero_sign(v: Vector) -> int:
-    """Sign of the first nonzero coordinate, or 0 for the zero vector.
-
-    In the coordinate realizations used here a root is positive exactly when
-    this sign is +1. Weyl-group lengths and descents do not test it: they
-    read the same order off slot positions (see ``zipstrata.weyl``).
-    """
-    for a in v:
-        if a != 0:
-            return 1 if a > 0 else -1
-    return 0
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """A root system with its chosen simple roots.
 
     ``positive_roots`` is the full set of positive roots; ``roots`` adds the
     negatives. ``ambient_dim`` is the number of coordinates (rank+1 for A).
+    Type and rank determine the rest, so the hash reads only those two;
+    equality still compares every field.
     """
 
     cartan_type: str
     rank: int
-    ambient_dim: int
-    simple_roots: Tuple[Root, ...]
-    positive_roots: Tuple[Root, ...]
+    ambient_dim: int = field(hash=False)
+    simple_roots: Tuple[Root, ...] = field(hash=False)
+    positive_roots: Tuple[Root, ...] = field(hash=False)
 
     @property
     def roots(self) -> Tuple[Root, ...]:
@@ -131,34 +122,17 @@ class RootSystem:
         return frozenset(self.roots)
 
 
-# One shared system per (type, rank), built on first request. The bound only
-# guards against unbounded rank sweeps; a service sees a few dozen keys. Two
-# threads missing at once may both build a system; the copies are equal and
-# the last one stored is kept.
-_SYSTEMS: Dict[Tuple[str, int], RootSystem] = {}
-_SYSTEMS_MAX = 64
-
-
+@lru_cache(maxsize=64)
 def root_system(cartan_type: str, rank: int) -> RootSystem:
     """The classical root system of the given type and rank, shared: every
-    call with the same arguments returns the same immutable instance.
+    call with the same positional arguments returns the same immutable
+    instance (a keyword call is its own cache entry and gets an equal one).
 
     A: rank >= 1, simple roots e_i - e_{i+1} in rank+1 coordinates.
     B: rank >= 1, short root e_m at the end.
     C: rank >= 1, long root 2 e_n at the end.
     D: rank >= 2, fork e_{m-1} + e_m at the end.
     """
-    tag = (cartan_type, rank)
-    hit = _SYSTEMS.get(tag)
-    if hit is None:
-        hit = _build_root_system(cartan_type, rank)
-        if len(_SYSTEMS) >= _SYSTEMS_MAX:
-            _SYSTEMS.clear()
-        _SYSTEMS[tag] = hit
-    return hit
-
-
-def _build_root_system(cartan_type: str, rank: int) -> RootSystem:
     if cartan_type not in CLASSICAL_TYPES:
         raise ValueError(f"unknown Cartan type {cartan_type!r}")
     if rank < 1:
@@ -205,11 +179,6 @@ def pairing(lam: Vector, alpha: Vector | Root) -> Fraction:
 def reflect(lam: Vector, alpha: Vector | Root) -> Vector:
     """Reflection of lam in the hyperplane orthogonal to alpha."""
     return sub(lam, smul(pairing(lam, alpha), alpha))
-
-
-def cartan_matrix(system: RootSystem) -> Tuple[Tuple[int, ...], ...]:
-    """Matrix with entry[i][j] = <alpha_j, alpha_i_vee> (0-indexed rows)."""
-    return system.cartan
 
 
 def simple_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:

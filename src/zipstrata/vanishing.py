@@ -1,13 +1,13 @@
 """Vanishing orders of highest-weight sections on translated Bruhat cells.
 
 Three closed-form order formulas are implemented, one per word shape: pairwise
-distinct letters, the three-letter pattern s_a s_b s_a, and the two mirrored
-shapes betas / etas + reversed(alphas) + center + alphas that cover the
-orthogonal stratum families. Each formula is guarded by the closedness
-condition on the root sets swept out by the word's suffixes, by a reduced-word
-check, and by dominance of the weight. ``strata_ord_table`` drives the
-formulas over a full set of stratum representatives, and ``d_w0`` is the
-twisted character difference that ties the Hasse weight to its section.
+distinct letters, and the two mirrored shapes betas / etas + reversed(alphas) +
+center + alphas that cover the orthogonal stratum families (the pattern
+s_a s_b s_a is the single-center shape with no betas). Each formula is guarded
+by the closedness condition on the root sets swept out by the word's suffixes,
+by a reduced-word check, and by dominance of the weight. ``strata_ord_table``
+drives the formulas over a full set of stratum representatives, and ``d_w0`` is
+the twisted character difference that ties the Hasse weight to its section.
 
 The formulas read the weight's pairings once per call from
 ``simple_pairings`` and Cartan entries from the system's cached matrix.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .rootsys import Root, RootSystem, Vector, simple_pairings
@@ -89,11 +90,6 @@ def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
     return tuple(swept)
 
 
-_CONDITION_CACHE: Dict[
-    Tuple[str, int, Word], Tuple[bool, Optional[ClosednessWitness]]
-] = {}
-
-
 def condition_closed(
     system: RootSystem, word: Sequence[int]
 ) -> Tuple[bool, Optional[ClosednessWitness]]:
@@ -101,26 +97,24 @@ def condition_closed(
 
     Reduced words always pass (each suffix sweeps an inversion set). The
     returned witness names the suffix start together with the two roots and
-    the escaping combination. Results are cached per word: the same cell
-    words come back for every weight a case is run against.
+    the escaping combination. Verdicts come from an ``lru_cache`` keyed by
+    the system and the word: the same cell words come back for every weight
+    a case is run against.
     """
-    word = tuple(word)
-    tag = (system.cartan_type, system.rank, word)
-    hit = _CONDITION_CACHE.get(tag)
-    if hit is not None:
-        return hit
-    result: Tuple[bool, Optional[ClosednessWitness]] = (True, None)
+    return _condition_closed(system, tuple(word))
+
+
+@lru_cache(maxsize=50_000)
+def _condition_closed(
+    system: RootSystem, word: Word
+) -> Tuple[bool, Optional[ClosednessWitness]]:
     for start in range(len(word)):
         swept = root_sequence(system, word[start:])
         violation = _closure_violation(system, swept)
         if violation is not None:
             alpha, beta, combo = violation
-            result = (False, ClosednessWitness(start, alpha, beta, combo))
-            break
-    if len(_CONDITION_CACHE) > 50_000:
-        _CONDITION_CACHE.clear()
-    _CONDITION_CACHE[tag] = result
-    return result
+            return False, ClosednessWitness(start, alpha, beta, combo)
+    return True, None
 
 
 def find_nonclosed_word(
@@ -202,23 +196,6 @@ def ord_distinct(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
     _require_reduced(system, word)
     _require_condition(system, word)
     return sum(_int_pairing(pairings, lam, i) for i in word)
-
-
-def ord_aba(system: RootSystem, lam: Vector, alpha: int, beta: int) -> int:
-    """Order of f_lam on the cell of s_alpha s_beta s_alpha.
-
-    The outer letter contributes twice unless the Cartan pairing is -1, in
-    which case the two visits share a coordinate and one visit is absorbed.
-    """
-    if alpha == beta:
-        raise ValueError("the pattern needs two different letters")
-    pairings = _dominant_pairings(system, lam)
-    word = (alpha, beta, alpha)
-    _require_reduced(system, word)
-    _require_condition(system, word)
-    cartan = system.cartan[beta - 1][alpha - 1]
-    outer = _int_pairing(pairings, lam, alpha)
-    return _int_pairing(pairings, lam, beta) + outer * min(2, -cartan)
 
 
 def e_orders(

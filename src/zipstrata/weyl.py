@@ -23,17 +23,19 @@ permutation of coordinates; it serves Fraction weights and integer roots
 alike and keeps the entry type.
 
 ``weyl_group`` hands out one shared group per type and rank. A group builds
-its simple reflections on first use and memoizes ``min_coset_reps`` per
-parabolic type and ``reduced_word`` per element, both in bounded tables.
+its simple reflections on first use. ``reduced_word`` per element and
+``min_coset_reps`` per parabolic type are served by module-level
+``lru_cache`` functions keyed by the group, which hashes on its type and
+rank, so every group of the same type and rank shares their entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterable, List, Sequence, Tuple, TypeVar
 
 from .rootsys import (
     RootSystem,
@@ -48,11 +50,6 @@ Perm = Tuple[int, ...]
 T = TypeVar("T")
 
 ENUMERATION_CAP = 200_000
-
-# Bounds of the per-group memos: coset representative sets per parabolic
-# type, and reduced words per element. A table that fills up is cleared.
-COSET_MEMO_MAX = 64
-WORD_MEMO_MAX = 4096
 
 
 def identity_perm(n: int) -> Perm:
@@ -135,14 +132,6 @@ class WeylGroup:
             out.append(transpositions(n, (m - 1, m + 1), (m, m + 2)))
         return tuple(out)
 
-    @cached_property
-    def _coset_memo(self) -> Dict[Tuple[int, ...], Tuple[Perm, ...]]:
-        return {}
-
-    @cached_property
-    def _word_memo(self) -> Dict[Perm, Tuple[int, ...]]:
-        return {}
-
     # -- the action on coordinate vectors ---------------------------------
 
     def act(self, w: Perm, v: Sequence[T]) -> Tuple[T, ...]:
@@ -199,21 +188,7 @@ class WeylGroup:
 
     def reduced_word(self, w: Perm) -> Tuple[int, ...]:
         """Reduced word chosen by stripping the smallest left descent."""
-        memo = self._word_memo
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
-        word: List[int] = []
-        cur = w
-        ident = self.identity()
-        while cur != ident:
-            i = self.left_descents(cur)[0]
-            word.append(i)
-            cur = compose(self.simple_reflection(i), cur)
-        if len(memo) >= WORD_MEMO_MAX:
-            memo.clear()
-        memo[w] = result = tuple(word)
-        return result
+        return _reduced_word(self, w)
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         return self.length(self.from_word(word)) == len(word)
@@ -254,35 +229,9 @@ class WeylGroup:
         return set(I).isdisjoint(self.left_descents(w))
 
     def min_coset_reps(self, I: Sequence[int]) -> Tuple[Perm, ...]:
-        """All minimal-length representatives of W_I \\ W, by BFS.
-
-        Every right descent step out of a minimal representative lands on a
-        minimal representative, so the upward search from the identity is
-        complete and never leaves the set. Results are memoized per set I.
-        """
-        tag = tuple(sorted(set(I)))
-        memo = self._coset_memo
-        hit = memo.get(tag)
-        if hit is not None:
-            return hit
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt: List[Perm] = []
-            for u in frontier:
-                descents = self.right_descents(u)
-                for j in range(1, self.rank + 1):
-                    if j not in descents:
-                        v = compose(u, self.simple_reflection(j))
-                        if v not in seen and self.in_min_coset_reps(v, I):
-                            seen.add(v)
-                            nxt.append(v)
-            frontier = nxt
-        reps = tuple(sorted(seen, key=lambda u: (self.length(u), self.reduced_word(u))))
-        if len(memo) >= COSET_MEMO_MAX:
-            memo.clear()
-        memo[tag] = reps
-        return reps
+        """All minimal-length representatives of W_I \\ W, sorted by length
+        and then by reduced word."""
+        return _min_coset_reps(self, tuple(sorted(set(I))))
 
     def min_double_coset_reps(
         self, I: Sequence[int], J: Sequence[int]
@@ -358,23 +307,48 @@ class WeylGroup:
         return tuple(seen)
 
 
-# One shared group per (type, rank), bounded like the root systems.
-_GROUPS: Dict[Tuple[str, int], WeylGroup] = {}
-_GROUPS_MAX = 64
+@lru_cache(maxsize=4096)
+def _reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
+    word: List[int] = []
+    cur = w
+    ident = group.identity()
+    while cur != ident:
+        i = group.left_descents(cur)[0]
+        word.append(i)
+        cur = compose(group.simple_reflection(i), cur)
+    return tuple(word)
 
 
+@lru_cache(maxsize=64)
+def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Tuple[Perm, ...]:
+    """Minimal coset representatives by BFS over the sorted letter set I.
+
+    Every right descent step out of a minimal representative lands on a
+    minimal representative, so the upward search from the identity is
+    complete and never leaves the set.
+    """
+    seen = {group.identity()}
+    frontier = [group.identity()]
+    while frontier:
+        nxt: List[Perm] = []
+        for u in frontier:
+            descents = group.right_descents(u)
+            for j in range(1, group.rank + 1):
+                if j not in descents:
+                    v = compose(u, group.simple_reflection(j))
+                    if v not in seen and group.in_min_coset_reps(v, I):
+                        seen.add(v)
+                        nxt.append(v)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda u: (group.length(u), group.reduced_word(u))))
+
+
+@lru_cache(maxsize=64)
 def weyl_group(cartan_type: str, rank: int) -> WeylGroup:
-    """The Weyl group of ``root_system(cartan_type, rank)``, shared: every
-    call with the same arguments returns the same instance, so its memos
-    serve every caller."""
-    tag = (cartan_type, rank)
-    hit = _GROUPS.get(tag)
-    if hit is None:
-        hit = WeylGroup(root_system(cartan_type, rank))
-        if len(_GROUPS) >= _GROUPS_MAX:
-            _GROUPS.clear()
-        _GROUPS[tag] = hit
-    return hit
+    """The Weyl group of ``root_system(cartan_type, rank)``, shared like the
+    root system: every call with the same positional arguments returns the
+    same instance."""
+    return WeylGroup(root_system(cartan_type, rank))
 
 
 @dataclass(frozen=True)
@@ -411,34 +385,18 @@ def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> Cochara
     return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), z)
 
 
-def element_z(datum: CocharacterDatum) -> Perm:
-    """The twist z = w0 * w_{0,J}, recomputed from the datum's group and J.
-
-    This is the longest element among the minimal coset representatives W^J,
-    so it is also the label of the open stratum.
-    """
-    g = datum.group
-    return compose(g.longest_element(), g.longest_in(datum.J))
-
-
 def eo_same_stratum(
     w: Perm,
     w_prime: Perm,
     datum: CocharacterDatum,
-    frobenius: Optional[object] = None,
     cap: int = ENUMERATION_CAP,
 ) -> bool:
     """Whether w and w_prime are related by y . w' . z . y^-1 . z over y in W_I.
 
     This is the zip-stack equivalence in a frame where z is an involution
     (all the orthogonal, symplectic and spin data here). The Frobenius twist
-    on the Weyl group is trivial for these split groups; anything else is
-    rejected rather than silently mishandled.
+    on the Weyl group is trivial for these split groups.
     """
-    if frobenius is not None:
-        raise NotImplementedError(
-            "nontrivial Frobenius action on characters (non-split group) is not supported"
-        )
     g = datum.group
     z = datum.z
     for y in g.subgroup_elements(datum.I, cap=cap):

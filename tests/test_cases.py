@@ -2,10 +2,13 @@
 
 import pytest
 
+from zipstrata import cache_stats
 from zipstrata.cases import (
     CASE_IDENTIFIERS,
+    PRIME_MAX,
     CaseSpec,
     functoriality_check_A3_D3,
+    is_prime,
     run_case,
     siegel_cross_check,
 )
@@ -39,6 +42,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not a prime"):
             run_case(CaseSpec("SO_odd_std", 3, 1))
 
+    @pytest.mark.parametrize("prime", [10**400, 1000000000000000003])
+    def test_prime_above_the_ceiling_is_rejected_before_trial_division(self, prime):
+        with pytest.raises(ValueError, match="at most"):
+            run_case(CaseSpec("SO_odd_std", 3, prime))
+
+    def test_largest_prime_below_the_ceiling_is_accepted(self):
+        assert 999999999989 <= PRIME_MAX
+        assert is_prime(999999999989)
+        assert not is_prime(PRIME_MAX)
+
     def test_every_identifier_runs_at_its_minimal_rank(self):
         for identifier in CASE_IDENTIFIERS:
             rank = {"SO_even_std": 3, "GSpin_spin_even": 3, "GL4_wedge2": 4,
@@ -46,6 +59,18 @@ class TestSpecValidation:
                     "SO_odd_std": 2}.get(identifier, 1)
             result = run_case(CaseSpec(identifier, rank, 2))
             assert result.reports
+
+
+def test_rerunning_a_case_hits_the_slot_tables():
+    """The slot-table cache is keyed by the module's content, so a second
+    run of a case, which builds an equal but new module, only hits."""
+    spec = CaseSpec("GSpin_spin_odd", 4, 3)
+    run_case(spec)
+    before = cache_stats()["fzip._slot_table"]
+    run_case(spec)
+    after = cache_stats()["fzip._slot_table"]
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 class TestReportShape:

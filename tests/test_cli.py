@@ -133,6 +133,13 @@ class TestStrataOptions:
             main(["strata", "--case", "so-odd", "--m", "3", "--prime", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("prime", [str(10**400), "1000000000000000003"])
+    def test_prime_above_the_ceiling_is_a_usage_error(self, capsys, prime):
+        with pytest.raises(SystemExit) as exc:
+            main(["strata", "--case", "so-odd", "--m", "3", "--prime", prime])
+        assert exc.value.code == 2
+        assert "at most 1000000000000" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys):

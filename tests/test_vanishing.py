@@ -20,7 +20,6 @@ from zipstrata.vanishing import (
     family_word_typeD,
     find_nonclosed_word,
     is_closed,
-    ord_aba,
     ord_distinct,
     ord_for_word,
     ord_typeB,
@@ -277,31 +276,33 @@ def test_ord_distinct_ignores_letter_order(data) -> None:
     assert orders[0] == orders[1]
 
 
-# -- the three-letter pattern ------------------------------------------------
+# -- the three-letter pattern s_a s_b s_a ------------------------------------
+# The word a b a is the mirrored single shape with no betas, alphas = (a,)
+# and center b.
 
 
 def test_ord_aba_rho_on_a2() -> None:
-    assert ord_aba(root_system("A", 2), vec(1, 0, -1), 1, 2) == 2
+    assert ord_for_word(root_system("A", 2), vec(1, 0, -1), (1, 2, 1)) == 2
 
 
 def test_ord_aba_standard_weight_on_b2() -> None:
     """The doubled Cartan pairing of B2 makes the outer letter count twice."""
-    assert ord_aba(root_system("B", 2), vec(1, 0), 1, 2) == 2
+    assert ord_for_word(root_system("B", 2), vec(1, 0), (1, 2, 1)) == 2
 
 
 def test_ord_aba_degenerate_outer_pairing() -> None:
     """With the outer letter orthogonal to the weight only gamma contributes."""
-    assert ord_aba(root_system("A", 2), vec(1, 1, 0), 1, 2) == 1
+    assert ord_typeB(root_system("A", 2), vec(1, 1, 0), (), (1,), 2) == 1
 
 
 def test_ord_aba_rejects_orthogonal_letters() -> None:
     with pytest.raises(ValueError, match="not reduced"):
-        ord_aba(root_system("A", 3), vec(1, 0, 0, -1), 1, 3)
+        ord_typeB(root_system("A", 3), vec(1, 0, 0, -1), (), (1,), 3)
 
 
 def test_ord_aba_rejects_equal_letters() -> None:
-    with pytest.raises(ValueError, match="different"):
-        ord_aba(root_system("A", 2), vec(1, 0, -1), 2, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        ord_typeB(root_system("A", 2), vec(1, 0, -1), (), (2,), 2)
 
 
 # -- coordinate order recursions ---------------------------------------------

@@ -6,6 +6,17 @@ Pluecker coordinates, and the order of vanishing is read off the exponents
 of monomials. No structure theory enters, which is the point: the results
 cross-check the closed formulas computed elsewhere in the package.
 
+A generic point of a GL(n) chart is the product of a permutation matrix,
+one elementary factor X_ij(a) per coordinate and a diagonal torus. It is
+built by the column operations those factors perform (right-multiplying by
+X_ij(a) adds a times column i to column j), which gives the same matrix as
+the product without multiplying the mostly-zero factors. Everything stays
+brute force: the orders are read off the expanded polynomials.
+
+The GL(n) oracles reject, before building anything, n above
+``ORACLE_N_CAP`` and, for cell orders, lambda_1 - lambda_n above
+``WEIGHT_SPREAD_CAP``.
+
 Matrices are tuples of tuples. Polynomials are sparse maps from exponent
 tuples to integer coefficients over a fixed variable list, so all
 arithmetic is exact.
@@ -17,6 +28,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
+
+# Ceilings on the GL(n) oracles, checked before any matrix is built. The
+# worst accepted cell order, GL(7) at w0 with lambda = (3, 3, 3, 3, 3, 0, 0),
+# takes about 0.5 s and 26 MB on a 2-vCPU Intel Xeon; a spread of 4 already
+# takes 8 s and 143 MB there, and the work grows with n as well.
+ORACLE_N_CAP = 7
+WEIGHT_SPREAD_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -89,12 +107,6 @@ def poly_matrix(rows: Sequence[Sequence[SparsePoly]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def const_matrix(nvars: int, entries: Sequence[Sequence[int]]) -> Matrix:
-    return poly_matrix(
-        [[SparsePoly.const(nvars, int(x)) for x in row] for row in entries]
-    )
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, mid, m = len(a), len(b), len(b[0])
     out: List[List[SparsePoly]] = []
@@ -155,12 +167,39 @@ def order_at_zero(f: SparsePoly, vanishing_vars: Iterable[int]) -> int:
 # -- GL(n): Schubert cells in the flag variety -------------------------------
 
 
-def _perm_matrix(nvars: int, w: Sequence[int]) -> Matrix:
+def _frame_anchor(n: int, w: Sequence[int]) -> Tuple[int, ...]:
+    """w as a tuple, once n is within the oracle's ceiling and w is a
+    permutation of 1..n; every GL(n) frame starts here."""
+    if not 1 <= n <= ORACLE_N_CAP:
+        raise ValueError(f"GL(n) oracle needs 1 <= n <= {ORACLE_N_CAP}, got n = {n}")
+    if sorted(w) != list(range(1, n + 1)):
+        raise ValueError("w must be a permutation of 1..n")
+    return tuple(w)
+
+
+def _moving_frame(
+    nvars: int, w: Sequence[int], positions: Sequence[Tuple[int, int]]
+) -> Matrix:
+    """The matrix w * X_{p_0}(a_0) * ... * X_{p_k}(a_k) * diag(t), as polynomials.
+
+    Starts from the permutation matrix of w, whose column i has its 1 in
+    row w(i). Right-multiplying by X_ij(a_k) adds a_k times column i to
+    column j; the torus then scales column b by t_b. Variable k is a_k and
+    variable len(positions) + b is t_b.
+    """
     n = len(w)
-    entries = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        entries[w[i - 1] - 1][i - 1] = 1
-    return const_matrix(nvars, entries)
+    zero, one = SparsePoly.zero(nvars), SparsePoly.const(nvars, 1)
+    cols = [[one if r == w[c] - 1 else zero for r in range(n)] for c in range(n)]
+    for k, (i, j) in enumerate(positions):
+        a = SparsePoly.variable(nvars, k)
+        src, dst = cols[i - 1], cols[j - 1]
+        for r in range(n):
+            if not src[r].is_zero():
+                dst[r] = dst[r] + src[r] * a
+    for b, col in enumerate(cols):
+        t = SparsePoly.variable(nvars, len(positions) + b)
+        cols[b] = [e if e.is_zero() else e * t for e in col]
+    return poly_matrix(list(zip(*cols)))
 
 
 def _gl_inversions(w: Sequence[int]) -> List[Tuple[int, int]]:
@@ -176,12 +215,14 @@ def _gl_inversions(w: Sequence[int]) -> List[Tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CellPoint:
-    """Coordinates for a point of the cell w U B inside GL(n).
+    """Coordinates for a generic point w * prod X_{ij}(a) * t inside GL(n).
 
-    The unipotent coordinates are listed with the non-inversion positions
-    of w first and the inversion positions last, so the distinguished
-    point of the cell is cut out by the vanishing of the trailing l(w)
-    coordinates. Torus coordinates follow the unipotent block.
+    The unipotent coordinates are listed so that the locus of interest is
+    cut out by the vanishing of the trailing l(w) of them. For the cell
+    w U B these are the inversions (i, j) of w; for the lower chart of
+    ``gl_plucker_order`` they are the positions i > j with w(i) < w(j),
+    the same pairs transposed. Torus coordinates follow the unipotent
+    block.
     """
 
     n: int
@@ -201,29 +242,16 @@ def gl_cell_point(n: int, w: Sequence[int]) -> Tuple[CellPoint, Matrix]:
     One coordinate per positive root (i, j), i < j, inversions of w last,
     followed by n generic torus coordinates. The torus entries are kept as
     variables so semi-invariance is visible in the output rather than
-    assumed.
+    assumed. The matrix is built by column operations, not by multiplying
+    the factors; the result is the same polynomial matrix.
     """
+    w = _frame_anchor(n, w)
     inversions = _gl_inversions(w)
     inv_set = set(inversions)
     others = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in inv_set]
     positions = tuple(others + inversions)
     nvars = len(positions) + n
-    factors: List[Matrix] = [_perm_matrix(nvars, w)]
-    for k, (i, j) in enumerate(positions):
-        entries = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        x = [[SparsePoly.const(nvars, v) for v in row] for row in entries]
-        x[i - 1][j - 1] = SparsePoly.variable(nvars, k)
-        factors.append(poly_matrix(x))
-    torus = [
-        [
-            SparsePoly.variable(nvars, len(positions) + a) if a == b else SparsePoly.zero(nvars)
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    factors.append(poly_matrix(torus))
-    point = CellPoint(n, tuple(w), positions, nvars)
-    return point, mat_mul_all(factors)
+    return CellPoint(n, w, positions, nvars), _moving_frame(nvars, w, positions)
 
 
 def gl_flambda(n: int, lam: Sequence[int]) -> "MinorProduct":
@@ -280,10 +308,16 @@ def gl_cell_order(n: int, lam: Sequence[int], w: Sequence[int]) -> int:
     the minimal degree in the cell's distinguished coordinates. Powers of
     det are invertible on the whole group, so lambda is first shifted to
     end in zero; this changes the section by a nonvanishing factor only.
+    The shifted section multiplies lambda_1 - lambda_n minors, so that
+    spread is capped, like n, before anything is expanded.
     """
     lam = list(lam)
     if len(lam) != n:
         raise ValueError("weight length must equal n")
+    if lam and lam[0] - lam[-1] > WEIGHT_SPREAD_CAP:
+        raise ValueError(
+            f"weight spread {lam[0] - lam[-1]} exceeds {WEIGHT_SPREAD_CAP}"
+        )
     shifted = [x - lam[n - 1] for x in lam]
     point, matrix = gl_cell_point(n, w)
     f = gl_flambda(n, shifted).evaluate(matrix)
@@ -421,32 +455,21 @@ def gl_plucker_order(n: int, w: Sequence[int]) -> int:
     by actual polynomial expansion of the minor. Cross-checked in tests
     against the closed form 2 * [w(1) != n].
     """
-    if sorted(w) != list(range(1, n + 1)):
-        raise ValueError("w must be a permutation of 1..n")
-    v = tuple(w[n - i] for i in range(1, n + 1))
+    point, matrix = _plucker_point(n, w)
+    top = minor_det(matrix, list(range(n - 1)), list(range(n - 1)))
+    return order_at_zero(top * top, point.distinguished_vars)
+
+
+def _plucker_point(n: int, w: Sequence[int]) -> Tuple[CellPoint, Matrix]:
+    """The lower-unipotent chart v * prod X_{ij}(a) * t anchored at v = w * w0.
+
+    One coordinate per position (i, j), i > j; the positions with
+    v(i) < v(j) come last, and they cut out the stratum.
+    """
+    v = _frame_anchor(n, w)[::-1]
     lower = [(i, j) for i in range(1, n + 1) for j in range(1, i)]
     vanishing = [(i, j) for (i, j) in lower if v[i - 1] < v[j - 1]]
-    free = [(i, j) for (i, j) in lower if (i, j) not in set(vanishing)]
-    positions = free + vanishing
+    free = [(i, j) for (i, j) in lower if v[i - 1] > v[j - 1]]
+    positions = tuple(free + vanishing)
     nvars = len(positions) + n
-    factors: List[Matrix] = [_perm_matrix(nvars, v)]
-    for k, (i, j) in enumerate(positions):
-        x = [
-            [SparsePoly.const(nvars, 1 if a == b else 0) for b in range(n)]
-            for a in range(n)
-        ]
-        x[i - 1][j - 1] = SparsePoly.variable(nvars, k)
-        factors.append(poly_matrix(x))
-    torus = [
-        [
-            SparsePoly.variable(nvars, len(positions) + a) if a == b else SparsePoly.zero(nvars)
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    factors.append(poly_matrix(torus))
-    matrix = mat_mul_all(factors)
-    top = minor_det(matrix, list(range(n - 1)), list(range(n - 1)))
-    section = top * top
-    distinguished = range(len(free), len(positions))
-    return order_at_zero(section, distinguished)
+    return CellPoint(n, v, positions, nvars), _moving_frame(nvars, v, positions)

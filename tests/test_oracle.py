@@ -6,9 +6,11 @@ import random
 import pytest
 
 from zipstrata.oracle import (
+    ORACLE_N_CAP,
+    WEIGHT_SPREAD_CAP,
     CellPoint,
     SparsePoly,
-    const_matrix,
+    _plucker_point,
     determinant,
     gl_cell_order,
     gl_cell_point,
@@ -30,6 +32,12 @@ from zipstrata.oracle import (
 
 def var(nvars: int, k: int) -> SparsePoly:
     return SparsePoly.variable(nvars, k)
+
+
+def const_matrix(nvars: int, entries) -> tuple:
+    return poly_matrix(
+        [[SparsePoly.const(nvars, int(x)) for x in row] for row in entries]
+    )
 
 
 # -- sparse polynomials -------------------------------------------------------
@@ -147,6 +155,40 @@ def test_gl_flambda_torus_weight() -> None:
 # -- GL(n) cell orders ----------------------------------------------------------
 
 
+def _reference_frame(point: CellPoint) -> tuple:
+    """The chart matrix as the literal product of the permutation matrix,
+    one elementary factor per coordinate and the diagonal torus."""
+    n, nvars, positions = point.n, point.nvars, point.unipotent_positions
+    perm = [[1 if r == point.w[c] - 1 else 0 for c in range(n)] for r in range(n)]
+    factors = [const_matrix(nvars, perm)]
+    for k, (i, j) in enumerate(positions):
+        x = [[SparsePoly.const(nvars, int(a == b)) for b in range(n)] for a in range(n)]
+        x[i - 1][j - 1] = var(nvars, k)
+        factors.append(poly_matrix(x))
+    torus = [
+        [var(nvars, len(positions) + a) if a == b else SparsePoly.zero(nvars) for b in range(n)]
+        for a in range(n)
+    ]
+    factors.append(poly_matrix(torus))
+    return mat_mul_all(factors)
+
+
+def _frame_perms() -> list:
+    perms = [w for n in range(1, 6) for w in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(11)
+    for n in (6, 7):
+        for _ in range(5):
+            perms.append(tuple(rng.sample(range(1, n + 1), n)))
+    return perms
+
+
+@pytest.mark.parametrize("frame", [gl_cell_point, _plucker_point])
+def test_frames_equal_the_product_of_elementary_factors(frame) -> None:
+    for w in _frame_perms():
+        point, matrix = frame(len(w), w)
+        assert matrix == _reference_frame(point), w
+
+
 def test_cell_point_distinguished_count() -> None:
     for w in itertools.permutations((1, 2, 3, 4)):
         point, _ = gl_cell_point(4, w)
@@ -211,6 +253,50 @@ def test_gl_cell_order_longer_words() -> None:
 def test_gl_cell_order_checks_weight_length() -> None:
     with pytest.raises(ValueError):
         gl_cell_order(3, (1, 0), (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "n, lam, w",
+    [
+        (2, (1, 0), (1, 2, 3)),
+        (3, (1, 0, 0), (1, 2)),
+        (3, (1, 0, 0), (2, 3, 4)),
+        (3, (1, 0, 0), (1, 1, 2)),
+    ],
+)
+def test_gl_cell_order_rejects_non_permutations(n, lam, w) -> None:
+    with pytest.raises(ValueError, match="w must be a permutation of 1..n"):
+        gl_cell_order(n, lam, w)
+    with pytest.raises(ValueError, match="w must be a permutation of 1..n"):
+        gl_cell_point(n, w)
+
+
+def test_gl_oracles_reject_n_above_the_ceiling() -> None:
+    n = ORACLE_N_CAP + 1
+    w0 = tuple(range(n, 0, -1))
+    with pytest.raises(ValueError, match="n <= "):
+        gl_cell_order(n, (1,) + (0,) * (n - 1), w0)
+    with pytest.raises(ValueError, match="n <= "):
+        gl_plucker_order(n, w0)
+    with pytest.raises(ValueError, match="n <= "):
+        gl_cell_order(0, (), ())
+
+
+def test_gl_cell_order_rejects_a_wide_weight() -> None:
+    n = ORACLE_N_CAP
+    w0 = tuple(range(n, 0, -1))
+    wide = (WEIGHT_SPREAD_CAP + 1,) + (0,) * (n - 1)
+    with pytest.raises(ValueError, match="weight spread"):
+        gl_cell_order(n, wide, w0)
+    shifted = tuple(x - 5 for x in wide)
+    with pytest.raises(ValueError, match="weight spread"):
+        gl_cell_order(n, shifted, w0)
+
+
+def test_gl_cell_order_accepts_the_ceilings() -> None:
+    """The widest accepted weight on the largest accepted n."""
+    lam = (WEIGHT_SPREAD_CAP,) + (0,) * (ORACLE_N_CAP - 1)
+    assert gl_cell_order(ORACLE_N_CAP, lam, tuple(range(ORACLE_N_CAP, 0, -1))) == WEIGHT_SPREAD_CAP
 
 
 # -- Pluecker coordinate orders ---------------------------------------------------

@@ -221,6 +221,28 @@ _MIN_RANK = {
 }
 
 
+# Ceilings on the module dimension and on the number of strata |W^I|,
+# checked before a case builds anything. At the ceilings a cold table takes
+# at most about 4 s on a 2-vCPU Xeon: 3.3 to 3.6 s for the standard cases at
+# rank 32 (64 strata), 0.5 s for a spin module of dimension 4096, 0.3 s for
+# GLn_wedge_dualsum at rank 64. Siegel stops at rank 6 (2^6 strata).
+MODULE_DIM_CAP = 4096
+STRATA_CAP = 64
+
+
+# Module dimension and |W^I| of each case at rank r, from closed forms.
+_CASE_SIZE: Dict[str, Callable[[int], Tuple[int, int]]] = {
+    "SO_odd_std": lambda r: (2 * r + 1, 2 * r),
+    "SO_even_std": lambda r: (2 * r, 2 * r),
+    "Sp2n_std_Cn": lambda r: (2 * r, 2 * r),
+    "GSp2n_wedge_dual": lambda r: (2 * r, 2**r),
+    "GLn_wedge_dualsum": lambda r: (2 * r, r),
+    "GL4_wedge2": lambda r: (6, 6),
+    "GSpin_spin_odd": lambda r: (2**r, 2 * r),
+    "GSpin_spin_even": lambda r: (2 ** (r - 1), 2 * r),
+}
+
+
 # Largest working prime accepted: trial division then stops within 10^6
 # divisors, and no invariant computed here depends on the size of p.
 PRIME_MAX = 10**12
@@ -241,6 +263,19 @@ def _build_case(spec: CaseSpec) -> _CaseData:
         raise ValueError(
             f"case {spec.identifier} needs rank at least "
             f"{_MIN_RANK[spec.identifier]}"
+        )
+    # Both sizes grow with the rank and every case has at least rank strata,
+    # so clamping the rank keeps the verdict and bounds the powers of two.
+    dim, strata = _CASE_SIZE[spec.identifier](min(spec.rank, STRATA_CAP + 1))
+    if strata > STRATA_CAP:
+        raise ValueError(
+            f"case {spec.identifier} at rank {spec.rank} has at least {strata} "
+            f"strata, above the ceiling of {STRATA_CAP}"
+        )
+    if dim > MODULE_DIM_CAP:
+        raise ValueError(
+            f"case {spec.identifier} at rank {spec.rank} needs a module of "
+            f"dimension {dim}, above the ceiling of {MODULE_DIM_CAP}"
         )
     if not is_prime(spec.prime):
         raise ValueError(f"{spec.prime} is not a prime")

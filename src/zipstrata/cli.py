@@ -17,6 +17,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cases import (
@@ -453,7 +454,11 @@ def _config_from(
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` in the process. argparse keeps no state between parses:
+    each parse fills a fresh namespace and copies ``append`` defaults."""
     parser = argparse.ArgumentParser(
         prog="zipstrata",
         description=(
@@ -527,22 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "strata":
-        config = _config_from(args, parser)
-        try:
-            return cmd_strata(config, args.output)
-        except ValueError as err:
-            print(str(err), file=sys.stderr)
-            return 2
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "ord":
-        try:
-            return cmd_ord(args, parser)
-        except ValueError as err:
-            print(str(err), file=sys.stderr)
-            return 2
     try:
+        if args.command == "strata":
+            return cmd_strata(_config_from(args, parser), args.output)
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "ord":
+            return cmd_ord(args, parser)
         return cmd_clp(args, parser)
     except ValueError as err:
         print(str(err), file=sys.stderr)

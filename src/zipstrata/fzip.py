@@ -10,11 +10,13 @@ step and the Hasse section is invertible, which is what ``hasse_nonzero``
 reports.
 
 The slot permutation of an element is found by moving integer keys, not
-Fraction weights: each key is its weight times the lcm of the module's
-denominators, and the Weyl action, a signed permutation of coordinates,
-moves keys and weights alike. The slot weights, keys and zip type of a
-(module, cocharacter) pair come from an ``lru_cache`` keyed by content, so
-equal modules built by separate calls share one entry.
+Fraction weights: the keys are the rows of the module's integer image (each
+weight times the lcm of the module's denominators), and the Weyl action, a
+signed permutation of coordinates, moves keys and weights alike. Slots are
+sorted by the integer pairing of their keys with the scaled cocharacter,
+which orders them as the exact pairing does. The slot weights, keys and zip
+type of a (module, cocharacter) pair come from an ``lru_cache`` keyed by
+content, so equal modules built by separate calls share one entry.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Dict, Tuple
 
 from .reps import WeightMultiset, mu_profile
-from .rootsys import Vector, dot
+from .rootsys import IntVector, Vector
 from .weyl import CocharacterDatum, Perm, compose
-
-IntVector = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -103,26 +102,23 @@ def w0ij_perm(ztype: ZipType) -> Perm:
     return tuple(images)
 
 
-def _slot_order(module: WeightMultiset, mu: Vector) -> Tuple[Vector, ...]:
-    return tuple(
-        sorted(module.expanded(), key=lambda w: (dot(w, mu), w), reverse=True)
-    )
-
-
 @lru_cache(maxsize=64)
 def _slot_table(
     module: WeightMultiset, mu: Vector
 ) -> Tuple[Tuple[Vector, ...], Tuple[IntVector, ...], Dict[IntVector, int], ZipType]:
     """Slot weights, their integer keys, slot number by key, and the zip
-    type. A weight's key is the weight times the lcm of the module's
-    denominators (2 for the spin modules), so keys are integer vectors
-    that the Weyl action moves like the weights themselves."""
-    slots = _slot_order(module, mu)
-    scale = lcm(*(c.denominator for weight in slots for c in weight))
-    keys = tuple(
-        tuple(c.numerator * (scale // c.denominator) for c in weight) for weight in slots
-    )
+    type. Slots run through the weights by pairing with mu and then by the
+    weight, highest first; both orders are read off the integer image."""
+    values, _ = module._pairings(mu)
+    _, image = module._int_image
+    order = [
+        k
+        for k in sorted(range(len(image)), key=lambda k: (values[k], image[k]), reverse=True)
+        for _ in range(module.entries[k][1])
+    ]
+    keys = tuple(image[k] for k in order)
     index_of = {k: slot for slot, k in enumerate(keys, start=1)}
+    slots = tuple(module.entries[k][0] for k in order)
     return slots, keys, index_of, zip_type(module, mu)
 
 

@@ -456,6 +456,8 @@ def gl_plucker_order(n: int, w: Sequence[int]) -> int:
     against the closed form 2 * [w(1) != n].
     """
     point, matrix = _plucker_point(n, w)
+    if n == 1:
+        return 0  # the top minor is 0 x 0: the constant 1, which never vanishes
     top = minor_det(matrix, list(range(n - 1)), list(range(n - 1)))
     return order_at_zero(top * top, point.distinguished_vars)
 

@@ -7,6 +7,13 @@ list: exterior powers, duals and direct sums. ``mu_profile`` slices a multiset
 along a cocharacter, ``is_cy`` recognizes the profiles whose top slice is a
 line, and ``hodge_character`` extracts the weight eta of the Hodge line from
 a two-slice profile.
+
+Pairings with the cocharacter mu run on integers. A multiset keeps, computed
+once, its integer image: the lcm L of its coordinate denominators (2 for the
+spin modules, 1 otherwise) and each entry's weight times L. Scaling mu by the
+lcm M of its own denominators, the integer pairing is the exact one times
+L * M > 0, so it groups and orders the weights identically; each exact slice
+value is built as one ``Fraction`` per slice.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Tuple
+from operator import mul
+from typing import Dict, Iterable, List, Tuple
 
-from .rootsys import Vector, dot, neg, smul, sum_vectors, vec
+from .rootsys import IntVector, Vector, _to_ints, neg, sum_vectors, vec
 
 # Ceiling on the subset enumeration behind exterior powers.
 WEDGE_CAP = 10_000_000
@@ -58,6 +66,24 @@ class WeightMultiset:
 
     def multiplicity(self, weight: Vector) -> int:
         return dict(self.entries).get(weight, 0)
+
+    @cached_property
+    def _int_image(self) -> Tuple[int, Tuple[IntVector, ...]]:
+        """L and each entry's weight times L, for L the lcm of the
+        coordinate denominators."""
+        return _to_ints(weight for weight, _ in self.entries)
+
+    def _pairings(self, mu: Vector) -> Tuple[List[int], int]:
+        """Each entry's pairing with mu times a positive integer d, and d:
+        entry k pairs to ``values[k] / d`` exactly."""
+        scale, image = self._int_image
+        mu_scale, (mu_ints,) = _to_ints((mu,))
+        if image and len(image[0]) != len(mu_ints):
+            raise ValueError(
+                f"a cocharacter of length {len(mu_ints)} does not pair with "
+                f"weights of length {len(image[0])}"
+            )
+        return [sum(map(mul, key, mu_ints)) for key in image], scale * mu_scale
 
 
 def std_weights(cartan_type: str, rank: int) -> WeightMultiset:
@@ -125,11 +151,14 @@ def mu_profile(
 ) -> Tuple[Tuple[Fraction, int], ...]:
     """Pairings of the weights against the cocharacter mu, highest first,
     each with the dimension of its slice."""
-    slices: Dict[Fraction, int] = {}
-    for weight, mult in module.entries:
-        value = dot(weight, mu)
+    values, denominator = module._pairings(mu)
+    slices: Dict[int, int] = {}
+    for value, (_, mult) in zip(values, module.entries):
         slices[value] = slices.get(value, 0) + mult
-    return tuple(sorted(slices.items(), key=lambda kv: kv[0], reverse=True))
+    return tuple(
+        (Fraction(value, denominator), dim)
+        for value, dim in sorted(slices.items(), reverse=True)
+    )
 
 
 def is_cy(module: WeightMultiset, mu: Vector) -> bool:
@@ -144,18 +173,17 @@ def hodge_character(module: WeightMultiset, mu: Vector) -> Vector:
     Modules whose weights spread over three or more pairing values have no
     single Hodge line in this sense and are rejected.
     """
-    profile = mu_profile(module, mu)
-    if len(profile) != 2:
-        raise ValueError(
-            f"expected exactly two mu-slices, found {len(profile)}"
-        )
-    low = profile[-1][0]
-    parts = [
-        smul(mult, weight)
-        for weight, mult in module.entries
-        if dot(weight, mu) == low
-    ]
-    return sum_vectors(parts, _width(module))
+    values, _ = module._pairings(mu)
+    slices = set(values)
+    if len(slices) != 2:
+        raise ValueError(f"expected exactly two mu-slices, found {len(slices)}")
+    low = min(slices)
+    scale, image = module._int_image
+    total = [0] * len(mu)
+    for value, key, (_, mult) in zip(values, image, module.entries):
+        if value == low:
+            total = [t + mult * c for t, c in zip(total, key)]
+    return tuple(Fraction(t, scale) for t in total)
 
 
 def _unit(dim: int, index: int) -> Vector:

@@ -28,6 +28,7 @@ from typing import FrozenSet, Iterable, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Root = Tuple[int, ...]
+IntVector = Tuple[int, ...]
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
 
@@ -67,6 +68,16 @@ def dot(u: Vector, v: Vector) -> Fraction:
 
 def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
+
+
+def _to_ints(vectors: Iterable[Vector]) -> Tuple[int, Tuple[IntVector, ...]]:
+    """The lcm L of the denominators of every coordinate, and each vector
+    times L as integers."""
+    vectors = tuple(vectors)
+    scale = lcm(*(c.denominator for v in vectors for c in v))
+    return scale, tuple(
+        tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors
+    )
 
 
 @dataclass(frozen=True)
@@ -192,8 +203,7 @@ def simple_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:
         raise ValueError(
             f"weight has {len(lam)} coordinates, expected {system.ambient_dim}"
         )
-    scale = lcm(*(c.denominator for c in lam))
-    nums = [c.numerator * (scale // c.denominator) for c in lam]
+    scale, (nums,) = _to_ints((lam,))
     sums = [sum(c * nums[k] for k, c in coroot) for coroot in system.simple_coroots]
     if scale == 1:
         return tuple(Fraction(s) for s in sums)

@@ -3,9 +3,12 @@
 import pytest
 
 from zipstrata import cache_stats
+from zipstrata import cases
 from zipstrata.cases import (
     CASE_IDENTIFIERS,
+    MODULE_DIM_CAP,
     PRIME_MAX,
+    STRATA_CAP,
     CaseSpec,
     functoriality_check_A3_D3,
     is_prime,
@@ -13,6 +16,7 @@ from zipstrata.cases import (
     siegel_cross_check,
 )
 from zipstrata.oracle import gl_plucker_order
+from zipstrata.reps import dsum, dual, spin_weights, std_weights, wedge
 from zipstrata.rootsys import vec
 from zipstrata.weyl import compose
 
@@ -59,6 +63,68 @@ class TestSpecValidation:
                     "SO_odd_std": 2}.get(identifier, 1)
             result = run_case(CaseSpec(identifier, rank, 2))
             assert result.reports
+
+
+def _case_module(identifier, rank):
+    """The module each case pairs with its cocharacter, built in full."""
+    if identifier == "SO_odd_std":
+        return std_weights("B", rank)
+    if identifier == "SO_even_std":
+        return std_weights("D", rank)
+    if identifier in ("Sp2n_std_Cn", "GSp2n_wedge_dual"):
+        return std_weights("C", rank)
+    if identifier == "GLn_wedge_dualsum":
+        top = wedge(std_weights("A", rank - 1), rank - 1)
+        return dsum(top, dual(top))
+    if identifier == "GL4_wedge2":
+        return wedge(std_weights("A", 3), 2)
+    return spin_weights("B" if identifier == "GSpin_spin_odd" else "D", rank)
+
+
+class TestSizeCeilings:
+    @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
+    def test_closed_forms_match_the_built_case(self, identifier):
+        low = cases._MIN_RANK[identifier]
+        for rank in ([4] if identifier == "GL4_wedge2" else range(low, low + 3)):
+            dim, strata = cases._CASE_SIZE[identifier](rank)
+            assert dim == _case_module(identifier, rank).dimension
+            assert strata == len(run_case(CaseSpec(identifier, rank, 3)).reports)
+
+    @pytest.mark.parametrize("identifier,rank", [
+        ("SO_odd_std", 7), ("SO_even_std", 7), ("Sp2n_std_Cn", 7),
+        ("GSp2n_wedge_dual", 6), ("GLn_wedge_dualsum", 11), ("GL4_wedge2", 4),
+        ("GSpin_spin_odd", 7), ("GSpin_spin_even", 7),
+        ("SO_odd_std", 32), ("GLn_wedge_dualsum", 64),
+        ("GSpin_spin_odd", 12), ("GSpin_spin_even", 13),
+    ])
+    def test_used_and_largest_ranks_are_within_the_ceilings(self, identifier, rank):
+        dim, strata = cases._CASE_SIZE[identifier](rank)
+        assert dim <= MODULE_DIM_CAP and strata <= STRATA_CAP
+
+    def test_the_largest_siegel_table_runs(self):
+        assert len(run_case(CaseSpec("GSp2n_wedge_dual", 6, 3)).reports) == 64
+
+    @pytest.mark.parametrize("identifier,rank,reason", [
+        ("GSpin_spin_odd", 13, "module of dimension 8192"),
+        ("GSpin_spin_even", 14, "module of dimension 8192"),
+        ("GSpin_spin_odd", 40, "80 strata"),
+        ("GSp2n_wedge_dual", 7, "128 strata"),
+        ("SO_odd_std", 33, "66 strata"),
+        ("SO_even_std", 33, "66 strata"),
+        ("Sp2n_std_Cn", 33, "66 strata"),
+        ("GLn_wedge_dualsum", 65, "65 strata"),
+        ("GSpin_spin_even", 10**30, "130 strata"),
+    ])
+    def test_oversized_cases_are_rejected_before_anything_is_built(
+        self, monkeypatch, identifier, rank, reason
+    ):
+        def refuse(*args):
+            raise AssertionError("built something for an oversized case")
+
+        for name in ("weyl_group", "cocharacter_datum", "std_weights", "spin_weights"):
+            monkeypatch.setattr(cases, name, refuse)
+        with pytest.raises(ValueError, match=f"{reason}, above the ceiling"):
+            run_case(CaseSpec(identifier, rank, 3))
 
 
 def test_rerunning_a_case_hits_the_slot_tables():

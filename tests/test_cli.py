@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from zipstrata import cache_stats
 from zipstrata.cli import (
     CASE_BY_FLAG,
     _parse_word,
@@ -118,6 +119,12 @@ class TestStrataOptions:
         assert code == 2
         assert "rank at least" in err
 
+    def test_oversized_case_exits_with_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "strata", "--case", "gspin-odd", "--m", "40")
+        assert code == 2
+        assert out == ""
+        assert "above the ceiling" in err
+
     def test_unknown_case_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["strata", "--case", "nonsense", "--m", "3"])
@@ -139,6 +146,21 @@ class TestStrataOptions:
             main(["strata", "--case", "so-odd", "--m", "3", "--prime", prime])
         assert exc.value.code == 2
         assert "at most 1000000000000" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    def test_repeated_calls_share_one_stateless_parser(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--siegel", "--prime", "2")
+        assert code == 0
+        assert "p in [2]" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--siegel", "--prime", "4"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "verify", "--siegel")
+        assert code == 0
+        assert "p in [2, 3, 5]" in out
+        assert cache_stats()["cli.build_parser"].currsize == 1
 
 
 class TestVerify:
@@ -179,6 +201,11 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--siegel", "--prime", "6"])
         assert exc.value.code == 2
+
+    def test_oversized_siegel_rank_exits_with_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--siegel", "--n", "7")
+        assert code == 2
+        assert "above the ceiling" in err
 
 
 class TestOrd:

@@ -302,8 +302,9 @@ def test_gl_cell_order_accepts_the_ceilings() -> None:
 # -- Pluecker coordinate orders ---------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gl_plucker_order_matches_closed_form(n: int) -> None:
+    """n = 1 has the empty 0 x 0 top minor, the constant 1."""
     for w in itertools.permutations(range(1, n + 1)):
         expected = 0 if w[0] == n else 2
         assert gl_plucker_order(n, w) == expected
@@ -312,6 +313,8 @@ def test_gl_plucker_order_matches_closed_form(n: int) -> None:
 def test_gl_plucker_order_rejects_non_permutations() -> None:
     with pytest.raises(ValueError):
         gl_plucker_order(3, (1, 1, 2))
+    with pytest.raises(ValueError):
+        gl_plucker_order(1, (2,))
 
 
 # -- GSp(2n) ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Weight multisets: constructors, tensor operations, mu-slices."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zipstrata.fzip import ZipType, _slot_table
 from zipstrata.reps import (
     WeightMultiset,
     dsum,
@@ -177,3 +181,90 @@ def test_hodge_character_rejects_three_slice_profiles() -> None:
         hodge_character(std_weights("B", 3), e1(3))
     with pytest.raises(ValueError, match="two mu-slices"):
         hodge_character(wedge(std_weights("A", 3), 2), vec(1, 1, 0, 0))
+
+
+# -- integer pairings against an exact reference ------------------------------
+
+
+def _dot(u, v) -> Fraction:
+    return sum((Fraction(a) * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def _ref_profile(module, mu):
+    slices = {}
+    for weight, mult in module.entries:
+        value = _dot(weight, mu)
+        slices[value] = slices.get(value, 0) + mult
+    return tuple(sorted(slices.items(), reverse=True))
+
+
+def _ref_hodge(module, mu):
+    low = min(_dot(weight, mu) for weight, _ in module.entries)
+    total = [Fraction(0)] * len(mu)
+    for weight, mult in module.entries:
+        if _dot(weight, mu) == low:
+            total = [t + mult * c for t, c in zip(total, weight)]
+    return tuple(total)
+
+
+def _ref_slot_table(module, mu):
+    slots = tuple(sorted(module.expanded(), key=lambda w: (_dot(w, mu), w), reverse=True))
+    scale = lcm(*(c.denominator for weight in slots for c in weight))
+    keys = tuple(tuple(int(c * scale) for c in weight) for weight in slots)
+    profile = _ref_profile(module, mu)
+    ztype = ZipType(
+        supports=tuple(value for value, _ in profile),
+        dims=tuple(dim for _, dim in profile),
+    )
+    return slots, keys, {k: slot for slot, k in enumerate(keys, start=1)}, ztype
+
+
+def _pairing_modules(cartan_type: str, rank: int):
+    """Standard, wedge and dual modules of every type; spin (B), half-spin
+    (D), their duals and their sums with the standard module, which mix
+    denominators 1 and 2."""
+    std = std_weights(cartan_type, rank)
+    modules = [std, wedge(std, 2), dual(wedge(std, 2))]
+    if cartan_type in ("B", "D"):
+        spin = spin_weights(cartan_type, rank)
+        modules += [spin, dual(spin), dsum(std, spin)]
+    return modules
+
+
+_coords = st.builds(
+    Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3))
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_pairings_match_the_exact_pairing(data) -> None:
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(2, 4))
+    module = data.draw(st.sampled_from(_pairing_modules(cartan_type, rank)))
+    width = len(module.entries[0][0])
+    mu = data.draw(st.one_of(
+        st.lists(_coords, min_size=width, max_size=width).map(tuple),
+        st.builds(
+            lambda c, i: tuple(c if k == i else Fraction(0) for k in range(width)),
+            _coords.filter(bool), st.integers(0, width - 1),
+        ),
+    ))
+    profile = mu_profile(module, mu)
+    assert profile == _ref_profile(module, mu)
+    assert all(type(value) is Fraction for value, _ in profile)
+    if len(profile) == 2:
+        assert hodge_character(module, mu) == _ref_hodge(module, mu)
+    else:
+        with pytest.raises(ValueError, match="two mu-slices"):
+            hodge_character(module, mu)
+    assert _slot_table(module, mu) == _ref_slot_table(module, mu)
+
+
+@pytest.mark.parametrize("module", [std_weights("B", 3), spin_weights("D", 4)])
+def test_a_cocharacter_of_the_wrong_length_is_rejected(module) -> None:
+    width = len(module.entries[0][0])
+    for mu in (e1(width - 1), e1(width + 1)):
+        for pairing in (mu_profile, hodge_character, _slot_table):
+            with pytest.raises(ValueError):
+                pairing(module, mu)

@@ -7,13 +7,23 @@ words leave the supported shapes) and the conjugate line position through the
 zip permutation model. Ogus' principle is the assertion that the two agree;
 the symplectic standard case is the known exception, failing exactly on the
 minimal stratum while the inequality still holds.
+
+A case's datum, Hodge character, weight module and closed-form orders do
+not depend on the working prime, which only enters the twist check
+``d_w0``. They are built once per (identifier, rank) by ``_case_data``, an
+``lru_cache`` reported by ``cache_stats()``; ``run_case`` checks the spec
+and the prime on every call before the lookup, so a rejected spec adds no
+entry. Every zip of a case sees one module instance, which the slot-table
+cache compares by identity. The order table from the word formulas is
+still computed on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .fzip import build_standard, clp, clp_exterior_top
 from .oracle import gsp_point_order, gsp_psi_curve_point, gsp_witness
@@ -85,19 +95,23 @@ class CaseResult:
 
 @dataclass(frozen=True)
 class _CaseData:
+    """The prime-independent part of a case, shared by every ``run_case`` of
+    its (identifier, rank).
+
+    ``ord_of`` is None when the orders come from the order table of the
+    Hasse weight -eta, which ``run_case`` computes on every call; the
+    closed forms are kept as functions. ``clp_of`` holds the case's weight
+    module, so every zip of the case reuses one module instance.
+    """
+
     datum: CocharacterDatum
     eta: Vector
-    ord_of: Callable[[Perm], int]
+    ord_of: Optional[Callable[[Perm], int]]
     clp_of: Callable[[Perm], int]
 
 
 def _e1(dim: int) -> Vector:
     return unit(dim, 1)
-
-
-def _table_ord(datum: CocharacterDatum, lam: Vector) -> Callable[[Perm], int]:
-    table = strata_ord_table(datum, lam)
-    return table.__getitem__
 
 
 def _zip_clp(
@@ -119,26 +133,14 @@ def _sign_flips(datum: CocharacterDatum, label: Perm) -> int:
     return sum(1 for k in label[:rank] if k > rank)
 
 
-def _case_orthogonal_std(cartan_type: str, m: int) -> _CaseData:
+def _case_standard(cartan_type: str, m: int) -> _CaseData:
+    """Standard module of type B, C or D with the cocharacter e_1."""
     datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
     module = std_weights(cartan_type, m)
-    eta = neg(_e1(m))
     return _CaseData(
         datum=datum,
-        eta=eta,
-        ord_of=_table_ord(datum, neg(eta)),
-        clp_of=_zip_clp(datum, module),
-    )
-
-
-def _case_symplectic_std(n: int) -> _CaseData:
-    datum = cocharacter_datum(weyl_group("C", n), _e1(n))
-    module = std_weights("C", n)
-    eta = neg(_e1(n))
-    return _CaseData(
-        datum=datum,
-        eta=eta,
-        ord_of=_table_ord(datum, neg(eta)),
+        eta=neg(_e1(m)),
+        ord_of=None,
         clp_of=_zip_clp(datum, module),
     )
 
@@ -188,11 +190,10 @@ def _case_gl4_wedge2(rank: int) -> _CaseData:
     mu = vec(1, 1, 0, 0)
     datum = cocharacter_datum(weyl_group("A", 3), mu)
     module = wedge(std_weights("A", 3), 2)
-    eta = vec(-1, -1, 0, 0)
     return _CaseData(
         datum=datum,
-        eta=eta,
-        ord_of=_table_ord(datum, neg(eta)),
+        eta=vec(-1, -1, 0, 0),
+        ord_of=None,
         clp_of=_zip_clp(datum, module),
     )
 
@@ -200,13 +201,24 @@ def _case_gl4_wedge2(rank: int) -> _CaseData:
 def _case_gspin(cartan_type: str, m: int) -> _CaseData:
     datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
     module = spin_weights(cartan_type, m)
-    eta = hodge_character(module, datum.mu)
     return _CaseData(
         datum=datum,
-        eta=eta,
-        ord_of=_table_ord(datum, neg(eta)),
+        eta=hodge_character(module, datum.mu),
+        ord_of=None,
         clp_of=_zip_clp_exterior(datum, module),
     )
+
+
+_BUILDERS: Dict[str, Callable[[int], _CaseData]] = {
+    "SO_odd_std": lambda r: _case_standard("B", r),
+    "SO_even_std": lambda r: _case_standard("D", r),
+    "Sp2n_std_Cn": lambda r: _case_standard("C", r),
+    "GSp2n_wedge_dual": _case_siegel,
+    "GLn_wedge_dualsum": _case_gl_dualsum,
+    "GL4_wedge2": _case_gl4_wedge2,
+    "GSpin_spin_odd": lambda r: _case_gspin("B", r),
+    "GSpin_spin_even": lambda r: _case_gspin("D", r),
+}
 
 
 _MIN_RANK = {
@@ -279,21 +291,14 @@ def _build_case(spec: CaseSpec) -> _CaseData:
         )
     if not is_prime(spec.prime):
         raise ValueError(f"{spec.prime} is not a prime")
-    if spec.identifier == "SO_odd_std":
-        return _case_orthogonal_std("B", spec.rank)
-    if spec.identifier == "SO_even_std":
-        return _case_orthogonal_std("D", spec.rank)
-    if spec.identifier == "Sp2n_std_Cn":
-        return _case_symplectic_std(spec.rank)
-    if spec.identifier == "GSp2n_wedge_dual":
-        return _case_siegel(spec.rank)
-    if spec.identifier == "GLn_wedge_dualsum":
-        return _case_gl_dualsum(spec.rank)
-    if spec.identifier == "GL4_wedge2":
-        return _case_gl4_wedge2(spec.rank)
-    if spec.identifier == "GSpin_spin_odd":
-        return _case_gspin("B", spec.rank)
-    return _case_gspin("D", spec.rank)
+    return _case_data(spec.identifier, spec.rank)
+
+
+@lru_cache(maxsize=64)
+def _case_data(identifier: str, rank: int) -> _CaseData:
+    """The datum, Hodge character and invariant functions of a validated
+    case, built once per (identifier, rank)."""
+    return _BUILDERS[identifier](rank)
 
 
 def run_case(spec: CaseSpec) -> CaseResult:
@@ -313,13 +318,14 @@ def run_case(spec: CaseSpec) -> CaseResult:
             f"case {spec.identifier}: the Hodge character {data.eta} does "
             f"not satisfy the twist identity"
         )
+    ord_of = data.ord_of or strata_ord_table(datum, lam).__getitem__
     labels = sorted(
         group.min_coset_reps(datum.I),
         key=lambda w: (-group.length(w), group.reduced_word(w)),
     )
     reports: List[StratumReport] = []
     for label in labels:
-        order = data.ord_of(label)
+        order = ord_of(label)
         position = data.clp_of(label)
         reports.append(
             StratumReport(

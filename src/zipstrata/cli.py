@@ -240,9 +240,19 @@ def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
+# Largest rank ``verify --closedness`` sweeps, checked before any root system
+# is built: the family words of B_24 take about 3.6 s on a 2-vCPU Xeon.
+CLOSEDNESS_RANK_CAP = 24
+
+
 def _check_closedness(
     types: Sequence[str], ranks: Optional[Sequence[int]]
 ) -> Tuple[bool, str]:
+    if ranks is not None and max(ranks) > CLOSEDNESS_RANK_CAP:
+        raise ValueError(
+            f"closedness rank {max(ranks)} is above the ceiling of "
+            f"{CLOSEDNESS_RANK_CAP}"
+        )
     checked = 0
     for cartan_type in types:
         builder = family_word_typeB if cartan_type == "B" else family_word_typeD

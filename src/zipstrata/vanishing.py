@@ -97,7 +97,9 @@ def condition_closed(
 
     Reduced words always pass (each suffix sweeps an inversion set). The
     returned witness names the suffix start together with the two roots and
-    the escaping combination. Verdicts come from an ``lru_cache`` keyed by
+    the escaping combination. The word's root sequence is computed once:
+    the sequence of the suffix after a letter s is s applied to the rest of
+    the current sequence. Verdicts come from an ``lru_cache`` keyed by
     the system and the word: the same cell words come back for every weight
     a case is run against.
     """
@@ -108,12 +110,16 @@ def condition_closed(
 def _condition_closed(
     system: RootSystem, word: Word
 ) -> Tuple[bool, Optional[ClosednessWitness]]:
-    for start in range(len(word)):
-        swept = root_sequence(system, word[start:])
+    if not word:
+        return True, None
+    group = weyl_group(system.cartan_type, system.rank)
+    swept = root_sequence(system, word)
+    for start, letter in enumerate(word):
         violation = _closure_violation(system, swept)
         if violation is not None:
             alpha, beta, combo = violation
             return False, ClosednessWitness(start, alpha, beta, combo)
+        swept = group._act_all(group.simple_reflection(letter), swept[1:])
     return True, None
 
 

@@ -128,8 +128,8 @@ class TestSizeCeilings:
 
 
 def test_rerunning_a_case_hits_the_slot_tables():
-    """The slot-table cache is keyed by the module's content, so a second
-    run of a case, which builds an equal but new module, only hits."""
+    """A second run of a case reuses the module of the first, cached with
+    the case data, so its slot tables only hit."""
     spec = CaseSpec("GSpin_spin_odd", 4, 3)
     run_case(spec)
     before = cache_stats()["fzip._slot_table"]
@@ -137,6 +137,57 @@ def test_rerunning_a_case_hits_the_slot_tables():
     after = cache_stats()["fzip._slot_table"]
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+class TestCaseDataCache:
+    @pytest.mark.parametrize("identifier,rank", [
+        ("SO_odd_std", 4), ("GSp2n_wedge_dual", 3), ("GSpin_spin_even", 4),
+    ])
+    def test_later_primes_reuse_the_datum(self, identifier, rank):
+        first, *later = [
+            run_case(CaseSpec(identifier, rank, p)) for p in (3, 5, 7)
+        ]
+        for result in later:
+            assert result.datum is first.datum
+            assert result.reports == first.reports
+            assert result.eta == first.eta
+
+    @pytest.mark.parametrize("identifier,rank,tables", [
+        ("SO_even_std", 4, 1), ("GL4_wedge2", 4, 1), ("GSpin_spin_odd", 3, 1),
+        ("GSp2n_wedge_dual", 3, 0), ("GLn_wedge_dualsum", 5, 0),
+    ])
+    def test_a_rerun_builds_only_the_order_table(
+        self, monkeypatch, identifier, rank, tables
+    ):
+        first = run_case(CaseSpec(identifier, rank, 3))
+
+        def refuse(*args):
+            raise AssertionError("rebuilt the data of a cached case")
+
+        for name in ("weyl_group", "cocharacter_datum", "std_weights", "spin_weights"):
+            monkeypatch.setattr(cases, name, refuse)
+        calls = []
+        table = cases.strata_ord_table
+
+        def counted(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(cases, "strata_ord_table", counted)
+        for prime in (5, 7):
+            assert run_case(CaseSpec(identifier, rank, prime)).reports == first.reports
+        assert len(calls) == 2 * tables
+
+    def test_a_non_prime_on_a_cached_case_is_rejected(self):
+        run_case(CaseSpec("SO_odd_std", 3, 3))
+        with pytest.raises(ValueError, match="not a prime"):
+            run_case(CaseSpec("SO_odd_std", 3, 9))
+
+    def test_a_rejected_case_adds_no_entry(self):
+        before = cache_stats()["cases._case_data"]
+        with pytest.raises(ValueError, match="above the ceiling"):
+            run_case(CaseSpec("GSpin_spin_odd", 13, 3))
+        assert cache_stats()["cases._case_data"] == before
 
 
 class TestReportShape:

@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from zipstrata import cache_stats
+from zipstrata import cache_stats, cli, rootsys
 from zipstrata.cli import (
     CASE_BY_FLAG,
+    CLOSEDNESS_RANK_CAP,
     _parse_word,
     fundamental_weights,
     main,
@@ -207,6 +208,30 @@ class TestVerify:
         assert code == 2
         assert "above the ceiling" in err
 
+    @pytest.mark.parametrize("rank", [CLOSEDNESS_RANK_CAP + 1, 40, 10**6])
+    def test_closedness_rank_above_the_ceiling_exits_with_usage_error(
+        self, capsys, monkeypatch, rank
+    ):
+        def refuse(*args):
+            raise AssertionError("built a root system above the ceiling")
+
+        monkeypatch.setattr(cli, "root_system", refuse)
+        code, out, err = run_cli(
+            capsys, "verify", "--closedness", "--type", "B", "--m", str(rank),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"closedness rank {rank} is above the ceiling of 24" in err
+
+    def test_closedness_at_the_ceiling_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "condition_closed", lambda system, word: (True, None))
+        code, out, _ = run_cli(
+            capsys, "verify", "--closedness", "--type", "D",
+            "--m", str(CLOSEDNESS_RANK_CAP),
+        )
+        assert code == 0
+        assert out == "PASS closedness: 300 family words closed\n"
+
 
 class TestOrd:
     def test_mirrored_word_with_unit_weight(self, capsys):
@@ -251,6 +276,25 @@ class TestOrd:
         code, _, err = run_cli(capsys, "ord", "--word", "sx 2")
         assert code == 2
         assert "simple reflection" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--type", "A", "--n", "1500", "--word", "s1"),
+        ("--type", "B", "--m", "65", "--word", "s1"),
+        ("--word", "s65"),
+    ])
+    def test_rank_above_the_ceiling_exits_with_usage_error(
+        self, capsys, monkeypatch, argv
+    ):
+        def refuse(*args):
+            raise AssertionError("built roots above the rank ceiling")
+
+        monkeypatch.setattr(rootsys, "add", refuse)
+        monkeypatch.setattr(rootsys, "sub", refuse)
+        monkeypatch.setattr(cli, "ord_for_word", refuse)
+        code, out, err = run_cli(capsys, "ord", *argv)
+        assert code == 2
+        assert out == ""
+        assert "above the ceiling of 64" in err
 
     def test_wrong_coordinate_count_is_a_usage_error(self, capsys):
         code, _, err = run_cli(

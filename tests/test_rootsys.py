@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zipstrata import rootsys
 from zipstrata.rootsys import (
+    ROOT_RANK_CAP,
     add,
     dot,
     is_dominant,
@@ -191,6 +193,29 @@ def test_rejects_unknown_type_and_bad_rank() -> None:
         root_system("E", 8)
     with pytest.raises(ValueError):
         root_system("D", 1)
+
+
+@pytest.mark.parametrize("cartan_type", "ABCD")
+def test_ranks_above_the_ceiling_are_rejected_before_anything_is_built(
+    monkeypatch, cartan_type: str
+) -> None:
+    def refuse(*args):
+        raise AssertionError("built roots above the rank ceiling")
+
+    monkeypatch.setattr(rootsys, "add", refuse)
+    monkeypatch.setattr(rootsys, "sub", refuse)
+    before = root_system.cache_info()
+    for rank in (ROOT_RANK_CAP + 1, 1500, 10**30):
+        with pytest.raises(ValueError, match="above the ceiling of 64"):
+            root_system(cartan_type, rank)
+    assert root_system.cache_info().currsize == before.currsize
+
+
+def test_the_rank_ceiling_admits_every_case() -> None:
+    """GLn_wedge_dualsum at rank 64 needs A_63; the standard cases stop at
+    rank 32 and the spin cases at 13."""
+    assert len(root_system("A", 63).positive_roots) == 63 * 64 // 2
+    assert root_system("D", ROOT_RANK_CAP).rank == ROOT_RANK_CAP
 
 
 # -- shared systems and their integer data ---------------------------------

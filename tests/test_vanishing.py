@@ -214,6 +214,36 @@ def test_closedness_matches_the_fraction_reference(data) -> None:
         assert all(type(c) is int for c in witness.combination)
 
 
+def _per_suffix_condition(system, word):
+    """The suffix condition with a fresh root sequence for every suffix."""
+    for start in range(len(word)):
+        swept = root_sequence(system, word[start:])
+        violation = vanishing._closure_violation(system, swept)
+        if violation is not None:
+            return False, ClosednessWitness(start, *violation)
+    return True, None
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_root_sequence_matches_one_per_suffix(data) -> None:
+    """Sweeping the suffixes off one root sequence gives the verdict and
+    the witness of computing each suffix's sequence on its own."""
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=2 if cartan_type == "D" else 1, max_value=6))
+    system = root_system(cartan_type, rank)
+    word = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=12)))
+    assert condition_closed(system, word) == _per_suffix_condition(system, word)
+
+
+def test_empty_word_is_closed_without_a_root_sequence(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("swept roots for the empty word")
+
+    monkeypatch.setattr(vanishing, "root_sequence", refuse)
+    assert vanishing._condition_closed.__wrapped__(root_system("B", 3), ()) == (True, None)
+
+
 # -- distinct-letter words ---------------------------------------------------
 
 

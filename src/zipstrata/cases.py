@@ -12,21 +12,26 @@ A case's datum, Hodge character, weight module and closed-form orders do
 not depend on the working prime, which only enters the twist check
 ``d_w0``. They are built once per (identifier, rank) by ``_case_data``, an
 ``lru_cache`` reported by ``cache_stats()``; ``run_case`` checks the spec
-and the prime on every call before the lookup, so a rejected spec adds no
-entry. Every zip of a case sees one module instance, which the slot-table
-cache compares by identity. The order table from the word formulas is
-still computed on every call.
+and the prime with ``check_spec`` on every call before the lookup, so a
+rejected spec adds no entry. Every zip of a case sees one module
+instance, which the slot-table cache compares by identity. The order table
+from the word formulas is still computed on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .fzip import build_standard, clp, clp_exterior_top
-from .oracle import gsp_point_order, gsp_psi_curve_point, gsp_witness
+from .oracle import (
+    PRIME_MAX,
+    gsp_point_order,
+    gsp_psi_curve_point,
+    gsp_witness,
+    is_prime,
+)
 from .reps import (
     WeightMultiset,
     hodge_character,
@@ -255,20 +260,10 @@ _CASE_SIZE: Dict[str, Callable[[int], Tuple[int, int]]] = {
 }
 
 
-# Largest working prime accepted: trial division then stops within 10^6
-# divisors, and no invariant computed here depends on the size of p.
-PRIME_MAX = 10**12
-
-
-def is_prime(p: int) -> bool:
-    """Primality by trial division; p above ``PRIME_MAX`` is rejected with
-    ``ValueError`` before any division."""
-    if p > PRIME_MAX:
-        raise ValueError(f"the prime must be at most {PRIME_MAX}")
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
-
-
-def _build_case(spec: CaseSpec) -> _CaseData:
+def check_spec(spec: CaseSpec) -> None:
+    """Raise ``ValueError`` unless ``run_case`` accepts the spec: a known
+    identifier, at least its minimum rank, within ``STRATA_CAP`` and
+    ``MODULE_DIM_CAP``, and a prime. Builds nothing."""
     if spec.identifier not in CASE_IDENTIFIERS:
         raise ValueError(f"unknown case {spec.identifier!r}")
     if spec.rank < _MIN_RANK[spec.identifier]:
@@ -291,7 +286,6 @@ def _build_case(spec: CaseSpec) -> _CaseData:
         )
     if not is_prime(spec.prime):
         raise ValueError(f"{spec.prime} is not a prime")
-    return _case_data(spec.identifier, spec.rank)
 
 
 @lru_cache(maxsize=64)
@@ -308,7 +302,8 @@ def run_case(spec: CaseSpec) -> CaseResult:
     twisted difference identity d_w0(-eta) = (p - 1) eta, which ties the
     stored weight to the datum.
     """
-    data = _build_case(spec)
+    check_spec(spec)
+    data = _case_data(spec.identifier, spec.rank)
     datum = data.datum
     group = datum.group
     lam = neg(data.eta)

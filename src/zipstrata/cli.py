@@ -24,6 +24,7 @@ from .cases import (
     PRIME_MAX,
     CaseSpec,
     StratumReport,
+    check_spec,
     functoriality_check_A3_D3,
     is_prime,
     run_case,
@@ -248,11 +249,6 @@ CLOSEDNESS_RANK_CAP = 24
 def _check_closedness(
     types: Sequence[str], ranks: Optional[Sequence[int]]
 ) -> Tuple[bool, str]:
-    if ranks is not None and max(ranks) > CLOSEDNESS_RANK_CAP:
-        raise ValueError(
-            f"closedness rank {max(ranks)} is above the ceiling of "
-            f"{CLOSEDNESS_RANK_CAP}"
-        )
     checked = 0
     for cartan_type in types:
         builder = family_word_typeB if cartan_type == "B" else family_word_typeD
@@ -359,6 +355,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     types = [args.cartan_type] if args.cartan_type else ["B", "D"]
     ranks = [args.rank] if args.rank is not None else None
     ns = [args.rank] if args.rank is not None else [1, 2, 3]
+    # Every selected suite's ceiling is checked before the first one runs,
+    # so a usage error prints no partial results.
+    if "closedness" in selected and ranks is not None and max(ranks) > CLOSEDNESS_RANK_CAP:
+        raise ValueError(
+            f"closedness rank {max(ranks)} is above the ceiling of "
+            f"{CLOSEDNESS_RANK_CAP}"
+        )
+    if "siegel" in selected:
+        for n in ns:
+            for p in primes:
+                check_spec(CaseSpec("GSp2n_wedge_dual", n, p))
     failures = 0
     for name in ("closedness", "functoriality", "siegel", "oracle"):
         if name not in selected:

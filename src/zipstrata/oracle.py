@@ -10,12 +10,22 @@ A generic point of a GL(n) chart is the product of a permutation matrix,
 one elementary factor X_ij(a) per coordinate and a diagonal torus. It is
 built by the column operations those factors perform (right-multiplying by
 X_ij(a) adds a times column i to column j), which gives the same matrix as
-the product without multiplying the mostly-zero factors. Everything stays
-brute force: the orders are read off the expanded polynomials.
+the product without multiplying the mostly-zero factors. Each of those
+steps multiplies by a single variable, a one-term product that shifts the
+exponents without re-sorting.
+
+Determinants are Laplace expansions along the top row in which each minor
+of the bottom rows on a given set of columns is expanded once per call. A
+weight section shares one such table across all its trailing principal
+minors, since each trailing minor is a bottom-row minor of the next larger
+one. Everything stays brute force: every order is read off a fully
+expanded polynomial, never added up from the orders of factors, so the
+oracle checks the word formulas instead of repeating their reasoning.
 
 The GL(n) oracles reject, before building anything, n above
 ``ORACLE_N_CAP`` and, for cell orders, lambda_1 - lambda_n above
-``WEIGHT_SPREAD_CAP``.
+``WEIGHT_SPREAD_CAP``. The GSp(2n) point order rejects n above
+``GSP_N_CAP`` and any p that ``is_prime`` refuses.
 
 Matrices are tuples of tuples. Polynomials are sparse maps from exponent
 tuples to integer coefficients over a fixed variable list, so all
@@ -25,14 +35,17 @@ arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from operator import add, mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
 # Ceilings on the GL(n) oracles, checked before any matrix is built. The
 # worst accepted cell order, GL(7) at w0 with lambda = (3, 3, 3, 3, 3, 0, 0),
-# takes about 0.5 s and 26 MB on a 2-vCPU Intel Xeon; a spread of 4 already
-# takes 8 s and 143 MB there, and the work grows with n as well.
+# takes about 0.3 s and a peak RSS of 23 MB (15 MB of it the interpreter and
+# package) on a 2-vCPU Intel Xeon; a spread of 4 already takes 3 s and
+# 85 MB there, and the work grows with n as well.
 ORACLE_N_CAP = 7
 WEIGHT_SPREAD_CAP = 3
 
@@ -80,10 +93,20 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        if len(self.coeffs) == 1:
+            self, other = other, self
+        if len(other.coeffs) == 1:
+            # Shifting every monomial by one fixed monomial keeps them sorted
+            # and distinct, and products of nonzero integers stay nonzero.
+            ((m2, c2),) = other.coeffs
+            return SparsePoly(
+                self.nvars,
+                tuple((tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in self.coeffs),
+            )
         terms: Dict[Monomial, int] = {}
         for m1, c1 in self.coeffs:
             for m2, c2 in other.coeffs:
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 terms[m] = terms.get(m, 0) + c1 * c2
         return SparsePoly.build(self.nvars, terms)
 
@@ -130,19 +153,38 @@ def mat_mul_all(ms: Sequence[Matrix]) -> Matrix:
 
 
 def determinant(m: Matrix) -> SparsePoly:
-    """Cofactor expansion; fine for the small minors used here."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    nvars = m[0][0].nvars
-    acc = SparsePoly.zero(nvars)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = poly_matrix([[m[i][k] for k in range(n) if k != j] for i in range(1, n)])
-        term = m[0][j] * determinant(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    """Laplace expansion along the top row, recursively.
+
+    Each minor of the bottom r rows on a given set of columns turns up in
+    many branches of the expansion; it is expanded once and kept in a table
+    local to the call, so an n x n determinant expands at most 2^n minors
+    instead of n! products. Every entry is still a fully expanded
+    polynomial, which is what the oracle reads its orders from.
+    """
+    return _bottom_minor(m, tuple(range(len(m))), {})
+
+
+def _bottom_minor(
+    m: Matrix, cols: Tuple[int, ...], memo: Dict[Tuple[int, ...], SparsePoly]
+) -> SparsePoly:
+    """Determinant of the bottom len(cols) rows of m on the columns cols,
+    expanded along its top row; ``memo`` maps column tuples to the minors
+    already expanded on the same matrix."""
+    found = memo.get(cols)
+    if found is not None:
+        return found
+    row = m[len(m) - len(cols)]
+    if len(cols) == 1:
+        result = row[cols[0]]
+    else:
+        result = SparsePoly.zero(row[0].nvars)
+        for k, c in enumerate(cols):
+            if row[c].is_zero():
+                continue
+            term = row[c] * _bottom_minor(m, cols[:k] + cols[k + 1:], memo)
+            result = result + (term if k % 2 == 0 else -term)
+    memo[cols] = result
+    return result
 
 
 def minor_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> SparsePoly:
@@ -281,21 +323,24 @@ class MinorProduct:
     det_exponent: int
 
     def evaluate(self, m: Matrix) -> SparsePoly:
+        """The product on m. Each trailing k-minor is the minor of the bottom
+        k rows on the last k columns, so one table of bottom-row minors
+        serves every factor and the determinant."""
         nvars = m[0][0].nvars
         acc = SparsePoly.const(nvars, 1)
+        minors: Dict[Tuple[int, ...], SparsePoly] = {}
         for k, e in sorted(self.trailing_exponents.items()):
             if e < 0:
                 raise ValueError("negative exponent on a non-det minor")
             if e == 0:
                 continue
-            rows = list(range(self.n - k, self.n))
-            mk = minor_det(m, rows, rows)
+            mk = _bottom_minor(m, tuple(range(self.n - k, self.n)), minors)
             for _ in range(e):
                 acc = acc * mk
         if self.det_exponent < 0:
             raise ValueError("cannot evaluate a negative det power on a polynomial point")
         if self.det_exponent:
-            d = determinant(m)
+            d = _bottom_minor(m, tuple(range(self.n)), minors)
             for _ in range(self.det_exponent):
                 acc = acc * d
         return acc
@@ -327,6 +372,25 @@ def gl_cell_order(n: int, lam: Sequence[int], w: Sequence[int]) -> int:
 # -- GSp(2n): the Hasse determinant on symplectic similitudes -----------------
 
 
+# Largest working prime accepted: trial division then stops within 10^6
+# divisors, and no invariant computed here depends on the size of p.
+PRIME_MAX = 10**12
+
+# Largest n for ``gsp_point_order``, checked before the matrix is read. The
+# similitude check takes (2n)^3 products and the rank n^3 more: a dense
+# similitude at n = 80 mod the largest accepted prime takes about 0.8 s on a
+# 2-vCPU Xeon (n = 96 takes 1.3 to 1.5 s), and sparse witnesses far less.
+GSP_N_CAP = 80
+
+
+def is_prime(p: int) -> bool:
+    """Primality by trial division; p above ``PRIME_MAX`` is rejected with
+    ``ValueError`` before any division."""
+    if p > PRIME_MAX:
+        raise ValueError(f"the prime must be at most {PRIME_MAX}")
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 def _antidiag_j(n: int) -> List[List[int]]:
     return [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
 
@@ -340,26 +404,32 @@ def gsp_form(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def is_symplectic_similitude(x: Sequence[Sequence[int]], p: int) -> bool:
-    """Whether x preserves the antidiagonal form up to a nonzero scalar mod p."""
+    """Whether x preserves the antidiagonal form up to a nonzero scalar mod p.
+
+    The form psi is antidiagonal with entries -1 then 1, so entry (i, j) of
+    x psi x^T is the sum over a of x[i][a] psi[a][m-1-a] x[j][m-1-a]: m^3
+    products in all. It must vanish off the antidiagonal and equal c times
+    psi on it, for one c nonzero mod p; psi is its own inverse there.
+    """
     m = len(x)
-    n = m // 2
-    psi = gsp_form(n)
-    lhs = [
-        [sum(x[i][a] * psi[a][b] * x[j][b] for a in range(m) for b in range(m)) % p for j in range(m)]
-        for i in range(m)
-    ]
+    psi = gsp_form(m // 2)
+    sign = [psi[a][m - 1 - a] for a in range(m)]
+    rows = [[v % p for v in row] for row in x]
+    signed = [list(map(mul, row, sign)) for row in rows]
+    reversed_rows = [row[::-1] for row in rows]
     scalar = None
     for i in range(m):
         for j in range(m):
-            if psi[i][j] % p != 0:
-                ratio = (lhs[i][j] * pow(psi[i][j], -1, p)) % p
+            value = sum(map(mul, signed[i], reversed_rows[j])) % p
+            if i + j == m - 1:
+                ratio = value * sign[i] % p
                 if scalar is None:
                     scalar = ratio
                 elif ratio != scalar:
                     return False
-            elif lhs[i][j] % p != 0:
+            elif value:
                 return False
-    return scalar is not None and scalar % p != 0
+    return scalar is not None and scalar != 0
 
 
 def gsp_hasse(n: int) -> SparsePoly:
@@ -405,9 +475,14 @@ def gsp_point_order(n: int, p: int, x: Sequence[Sequence[int]]) -> int:
     """Corank of the upper-left block of a symplectic similitude mod p.
 
     This is the multiplicity with which the Hasse determinant vanishes at
-    the point, stratum by stratum. Rejects matrices that do not preserve
-    the form up to scalar.
+    the point, stratum by stratum. Rejects, before any arithmetic, n outside
+    1..``GSP_N_CAP`` and p that ``is_prime`` refuses; then matrices that do
+    not preserve the form up to scalar.
     """
+    if not 1 <= n <= GSP_N_CAP:
+        raise ValueError(f"GSp(2n) oracle needs 1 <= n <= {GSP_N_CAP}, got n = {n}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     if len(x) != 2 * n or any(len(row) != 2 * n for row in x):
         raise ValueError("matrix must be 2n x 2n")
     if not is_symplectic_similitude(x, p):

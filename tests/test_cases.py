@@ -10,6 +10,7 @@ from zipstrata.cases import (
     PRIME_MAX,
     STRATA_CAP,
     CaseSpec,
+    check_spec,
     functoriality_check_A3_D3,
     is_prime,
     run_case,
@@ -50,6 +51,13 @@ class TestSpecValidation:
     def test_prime_above_the_ceiling_is_rejected_before_trial_division(self, prime):
         with pytest.raises(ValueError, match="at most"):
             run_case(CaseSpec("SO_odd_std", 3, prime))
+
+    def test_check_spec_builds_nothing(self):
+        before = cache_stats()["cases._case_data"]
+        check_spec(CaseSpec("GSp2n_wedge_dual", 6, 999999999989))
+        with pytest.raises(ValueError, match="above the ceiling"):
+            check_spec(CaseSpec("GSp2n_wedge_dual", 7, 3))
+        assert cache_stats()["cases._case_data"] == before
 
     def test_largest_prime_below_the_ceiling_is_accepted(self):
         assert 999999999989 <= PRIME_MAX

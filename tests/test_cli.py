@@ -208,6 +208,28 @@ class TestVerify:
         assert code == 2
         assert "above the ceiling" in err
 
+    @pytest.mark.parametrize(
+        "suites, rank",
+        [
+            (("--functoriality", "--siegel"), "40"),
+            (("--closedness", "--siegel"), "8"),
+            (("--closedness", "--siegel"), "0"),
+            (("--functoriality", "--closedness"), str(CLOSEDNESS_RANK_CAP + 1)),
+        ],
+    )
+    def test_every_selected_rank_is_checked_before_any_suite_runs(
+        self, capsys, monkeypatch, suites, rank
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran before the rank was checked")
+
+        for suite in ("_check_closedness", "_check_functoriality", "_check_siegel"):
+            monkeypatch.setattr(cli, suite, refuse)
+        code, out, err = run_cli(capsys, "verify", *suites, "--m", rank)
+        assert code == 2
+        assert out == ""
+        assert "ceiling" in err or "rank at least" in err
+
     @pytest.mark.parametrize("rank", [CLOSEDNESS_RANK_CAP + 1, 40, 10**6])
     def test_closedness_rank_above_the_ceiling_exits_with_usage_error(
         self, capsys, monkeypatch, rank

@@ -4,9 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zipstrata import oracle
 from zipstrata.oracle import (
+    GSP_N_CAP,
     ORACLE_N_CAP,
+    PRIME_MAX,
     WEIGHT_SPREAD_CAP,
     CellPoint,
     SparsePoly,
@@ -85,6 +90,91 @@ def test_determinant_small_cases() -> None:
     assert minor_det(m3, [0, 1], [0, 1]).eval_int(()) == 2
 
 
+def _reference_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """Every pair of terms, summed in a dict and normalised by ``build``."""
+    terms = {}
+    for m1, c1 in f.coeffs:
+        for m2, c2 in g.coeffs:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return SparsePoly.build(f.nvars, terms)
+
+
+def _leibniz(m) -> SparsePoly:
+    """Sum over permutations of signed products of entries."""
+    n, nvars = len(m), m[0][0].nvars
+    acc = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = SparsePoly.const(nvars, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = _reference_mul(term, m[i][j])
+        for mono, c in term.coeffs:
+            acc[mono] = acc.get(mono, 0) + c
+    return SparsePoly.build(nvars, acc)
+
+
+_NVARS = 3
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * _NVARS),
+    st.integers(min_value=-3, max_value=3),
+    max_size=3,
+).map(lambda terms: SparsePoly.build(_NVARS, terms))
+
+
+def _poly_matrices(rows: int, cols: int):
+    return st.lists(
+        st.lists(_polys, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(poly_matrix)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_determinant_matches_the_leibniz_formula(data) -> None:
+    """Sparse matrices up to 5 x 5, zero entries included."""
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    m = data.draw(_poly_matrices(n, n))
+    assert determinant(m) == _leibniz(m)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_minor_det_matches_the_leibniz_formula(data) -> None:
+    m = data.draw(_poly_matrices(5, 5))
+    k = data.draw(st.integers(min_value=1, max_value=5))
+    rows = data.draw(st.permutations(range(5)))[:k]
+    cols = data.draw(st.permutations(range(5)))[:k]
+    sub = poly_matrix([[m[i][j] for j in cols] for i in rows])
+    assert minor_det(m, rows, cols) == _leibniz(sub)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_term_products_equal_the_general_product(data) -> None:
+    f = data.draw(_polys)
+    mono = data.draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * _NVARS))
+    c = data.draw(st.integers(min_value=-3, max_value=3).filter(bool))
+    g = SparsePoly.build(_NVARS, {mono: c})
+    assert f * g == _reference_mul(f, g)
+    assert g * f == _reference_mul(g, f)
+
+
+def test_one_term_products_with_signs_and_mixed_monomials() -> None:
+    x, y, z = var(3, 0), var(3, 1), var(3, 2)
+    f = x * x - y.scale(2) + z * y + SparsePoly.const(3, 5)
+    for g in (
+        SparsePoly.build(3, {(0, 0, 0): -1}),
+        SparsePoly.build(3, {(1, 2, 0): -1}),
+        SparsePoly.build(3, {(2, 1, 1): 4}),
+        x,
+    ):
+        assert f * g == _reference_mul(f, g)
+        assert g * f == _reference_mul(g, f)
+        assert g * g == _reference_mul(g, g)
+    assert (f * SparsePoly.zero(3)).is_zero()
+    assert (SparsePoly.build(3, {(1, 0, 0): -1}) * SparsePoly.zero(3)).is_zero()
+
+
 def test_matrix_multiplication() -> None:
     a = const_matrix(0, [[1, 2], [0, 1]])
     b = const_matrix(0, [[1, 0], [3, 1]])
@@ -150,6 +240,26 @@ def test_gl_flambda_torus_weight() -> None:
     lhs = f.evaluate(mat_mul(t, g))
     rhs = f.evaluate(g).scale(5 * (3 * 5))
     assert lhs == rhs
+
+
+def test_minor_product_matches_the_product_of_minor_powers() -> None:
+    """One table of bottom-row minors gives the same section as expanding
+    every trailing minor and the determinant on its own."""
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for w in rng.sample(perms, min(len(perms), 4)) + [tuple(range(n, 0, -1))]:
+            _, matrix = gl_cell_point(n, w)
+            lam = tuple(sorted((rng.randrange(0, 3) for _ in range(n)), reverse=True))
+            section = gl_flambda(n, lam)
+            expected = SparsePoly.const(matrix[0][0].nvars, 1)
+            for k, e in section.trailing_exponents.items():
+                rows = list(range(n - k, n))
+                for _ in range(e):
+                    expected = _reference_mul(expected, minor_det(matrix, rows, rows))
+            for _ in range(section.det_exponent):
+                expected = _reference_mul(expected, determinant(matrix))
+            assert section.evaluate(matrix) == expected, (w, lam)
 
 
 # -- GL(n) cell orders ----------------------------------------------------------
@@ -363,6 +473,78 @@ def test_gsp_psi_curve_symbolic_order() -> None:
     pulled = determinant(poly_matrix(diag))
     for subset in ([0], [1, 2], [0, 1, 2]):
         assert order_at_zero(pulled, subset) == len(subset)
+
+
+def _reference_is_similitude(x, p: int) -> bool:
+    """The full product x psi x^T, m^4 terms, compared entrywise with c psi."""
+    m = len(x)
+    psi = gsp_form(m // 2)
+    lhs = [
+        [sum(x[i][a] * psi[a][b] * x[j][b] for a in range(m) for b in range(m)) % p
+         for j in range(m)]
+        for i in range(m)
+    ]
+    scalar = None
+    for i in range(m):
+        for j in range(m):
+            if psi[i][j] % p != 0:
+                ratio = (lhs[i][j] * pow(psi[i][j], -1, p)) % p
+                if scalar is None:
+                    scalar = ratio
+                elif ratio != scalar:
+                    return False
+            elif lhs[i][j] % p != 0:
+                return False
+    return scalar is not None and scalar % p != 0
+
+
+def test_similitude_check_matches_the_full_product() -> None:
+    rng = random.Random(17)
+    seen = {True: 0, False: 0}
+    for n in (1, 2, 3, 4):
+        for p in (2, 3, 5, 7):
+            candidates = [[list(r) for r in gsp_witness(n, i)] for i in range(n + 1)]
+            for _ in range(3):
+                a = [rng.randrange(-p, 2 * p) for _ in range(n)]
+                candidates.append([list(r) for r in gsp_psi_curve_point(n, a)])
+            candidates += [_random_levi_similitude(n, p, rng) for _ in range(3)]
+            candidates += [
+                [[rng.randrange(p) for _ in range(2 * n)] for _ in range(2 * n)] for _ in range(3)
+            ]
+            for x in list(candidates):
+                scaled = [[rng.randrange(1, p) * v for v in row] for row in x]
+                nudged = [row[:] for row in x]
+                nudged[rng.randrange(2 * n)][rng.randrange(2 * n)] += rng.randrange(1, p)
+                candidates += [scaled, nudged]
+            for x in candidates:
+                expected = _reference_is_similitude(x, p)
+                assert is_symplectic_similitude(x, p) == expected, (x, p)
+                seen[expected] += 1
+    assert min(seen.values()) > 50
+
+
+@pytest.mark.parametrize("n", [0, -1, GSP_N_CAP + 1, 10**6])
+def test_gsp_point_order_rejects_n_outside_the_ceiling(n, monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("checked a matrix outside the ceiling")
+
+    monkeypatch.setattr(oracle, "is_symplectic_similitude", refuse)
+    monkeypatch.setattr(oracle, "is_prime", refuse)
+    with pytest.raises(ValueError, match=f"n <= {GSP_N_CAP}"):
+        gsp_point_order(n, 3, [])
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3, 9, PRIME_MAX + 1])
+def test_gsp_point_order_rejects_non_primes(p) -> None:
+    with pytest.raises(ValueError):
+        gsp_point_order(2, p, gsp_witness(2, 1))
+
+
+def test_gsp_point_order_accepts_the_ceiling() -> None:
+    n = GSP_N_CAP
+    assert gsp_point_order(n, 999999999989, gsp_witness(n, 5)) == n - 5
+    point = gsp_psi_curve_point(n, [k % 3 for k in range(n)])
+    assert gsp_point_order(n, 3, point) == sum(1 for k in range(n) if k % 3 == 0)
 
 
 def test_gsp_point_order_rejects_non_similitudes() -> None:

@@ -409,9 +409,12 @@ def is_symplectic_similitude(x: Sequence[Sequence[int]], p: int) -> bool:
     The form psi is antidiagonal with entries -1 then 1, so entry (i, j) of
     x psi x^T is the sum over a of x[i][a] psi[a][m-1-a] x[j][m-1-a]: m^3
     products in all. It must vanish off the antidiagonal and equal c times
-    psi on it, for one c nonzero mod p; psi is its own inverse there.
+    psi on it, for one c nonzero mod p; psi is its own inverse there. A
+    matrix that is not square of even size preserves no such form.
     """
     m = len(x)
+    if m % 2 or any(len(row) != m for row in x):
+        return False
     psi = gsp_form(m // 2)
     sign = [psi[a][m - 1 - a] for a in range(m)]
     rows = [[v % p for v in row] for row in x]
@@ -430,19 +433,6 @@ def is_symplectic_similitude(x: Sequence[Sequence[int]], p: int) -> bool:
             elif value:
                 return False
     return scalar is not None and scalar != 0
-
-
-def gsp_hasse(n: int) -> SparsePoly:
-    """Determinant of the upper-left n x n block, on symbolic 2n x 2n input.
-
-    Variables are the 4 n^2 matrix entries in row-major order; the section
-    only involves the first block.
-    """
-    nvars = (2 * n) ** 2
-    block = poly_matrix(
-        [[SparsePoly.variable(nvars, (2 * n) * i + j) for j in range(n)] for i in range(n)]
-    )
-    return determinant(block)
 
 
 def _rank_mod_p(rows: List[List[int]], p: int) -> int:

@@ -1,15 +1,17 @@
 """Vanishing orders of highest-weight sections on translated Bruhat cells.
 
-Three closed-form order formulas are implemented, one per word shape: pairwise
-distinct letters, and the two mirrored shapes betas / etas + reversed(alphas) +
-center + alphas that cover the orthogonal stratum families (the pattern
-s_a s_b s_a is the single-center shape with no betas). Each formula is guarded
-by the closedness condition on the root sets swept out by the word's suffixes,
-by a reduced-word check, and by dominance of the weight. ``strata_ord_table``
-drives the formulas over a full set of stratum representatives, and ``d_w0`` is
-the twisted character difference that ties the Hasse weight to its section.
+One closed-form order formula covers every supported word: the mirrored
+shape prefix + reversed(alphas) + center + alphas with pairwise distinct
+letters and a center of one or two letters. A word of distinct letters is
+the shape with no alphas, s_a s_b s_a is the one-letter center with no
+prefix, and the two centers cover the odd and even orthogonal stratum
+families. The formula is guarded by the closedness condition on the root
+sets swept out by the word's suffixes, by a reduced-word check, and by
+dominance of the weight. ``strata_ord_table`` drives it over a full set of
+stratum representatives, and ``d_w0`` is the twisted character difference
+that ties the Hasse weight to its section.
 
-The formulas read the weight's pairings once per call from
+The formula reads the weight's pairings once per call from
 ``simple_pairings`` and Cartan entries from the system's cached matrix.
 Roots are integer tuples: ``root_sequence`` pushes the integer simple roots
 through the Weyl action, and the closedness test adds them and looks the
@@ -123,23 +125,6 @@ def _condition_closed(
     return True, None
 
 
-def find_nonclosed_word(
-    system: RootSystem, max_length: int = 6
-) -> Optional[Word]:
-    """Shortest word failing the closedness condition, scanning exhaustively.
-
-    Serves as the negative control for ``condition_closed``: reduced words
-    cannot fail, so the scan has to wander through non-reduced territory.
-    """
-    letters = range(1, system.rank + 1)
-    for length in range(1, max_length + 1):
-        for word in itertools.product(letters, repeat=length):
-            ok, _ = condition_closed(system, word)
-            if not ok:
-                return word
-    return None
-
-
 # -- validation helpers ------------------------------------------------------
 
 
@@ -190,107 +175,48 @@ def _require_distinct(groups: Sequence[Sequence[int]]) -> None:
         raise ValueError(f"letters {letters} are not pairwise distinct")
 
 
-# -- the three order formulas ------------------------------------------------
+# -- the mirrored order formula ---------------------------------------------
 
 
-def ord_distinct(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
-    """Order of f_lam on the cell of a product of distinct simple reflections:
-    the sum of the pairings of lam with the letters' coroots."""
-    word = tuple(word)
-    _require_distinct([word])
-    pairings = _dominant_pairings(system, lam)
-    _require_reduced(system, word)
-    _require_condition(system, word)
-    return sum(_int_pairing(pairings, lam, i) for i in word)
-
-
-def e_orders(
-    system: RootSystem,
-    betas: Sequence[int],
-    alphas: Sequence[int],
-    gamma: int,
+def mirror_orders(
+    system: RootSystem, alphas: Sequence[int], center: Sequence[int]
 ) -> Tuple[int, ...]:
-    """Orders of the coordinate functions E_1..E_n of the mirrored shape with
-    a single center letter gamma."""
-    betas, alphas = tuple(betas), tuple(alphas)
-    _require_distinct([betas, alphas, (gamma,)])
-    _require_letters(system, betas + alphas + (gamma,))
+    """Orders of the coordinate functions attached to alphas in the mirrored
+    shape with the given center: the E orders for a one-letter center, the
+    F orders for a two-letter one."""
+    alphas, center = tuple(alphas), tuple(center)
+    _require_distinct([alphas, center])
+    _require_letters(system, alphas + center)
     cartan = system.cartan
     orders: list[int] = []
     for i, letter in enumerate(alphas):
-        drop = -cartan[gamma - 1][letter - 1]
+        drop = -sum(cartan[c - 1][letter - 1] for c in center)
         for j in range(i):
             drop -= cartan[alphas[j] - 1][letter - 1] * orders[j]
         orders.append(min(2, drop))
     return tuple(orders)
 
 
-def f_orders(
-    system: RootSystem,
-    etas: Sequence[int],
-    alphas: Sequence[int],
-    beta: int,
-    gamma: int,
-) -> Tuple[int, ...]:
-    """Orders of the coordinate functions F_1..F_n of the mirrored shape with
-    the two-letter center (beta, gamma)."""
-    etas, alphas = tuple(etas), tuple(alphas)
-    _require_distinct([etas, alphas, (beta,), (gamma,)])
-    _require_letters(system, etas + alphas + (beta, gamma))
-    cartan = system.cartan
-    orders: list[int] = []
-    for i, letter in enumerate(alphas):
-        drop = -cartan[beta - 1][letter - 1] - cartan[gamma - 1][letter - 1]
-        for j in range(i):
-            drop -= cartan[alphas[j] - 1][letter - 1] * orders[j]
-        orders.append(min(2, drop))
-    return tuple(orders)
-
-
-def ord_typeB(
+def ord_mirrored(
     system: RootSystem,
     lam: Vector,
-    betas: Sequence[int],
+    prefix: Sequence[int],
     alphas: Sequence[int],
-    gamma: int,
+    center: Sequence[int],
 ) -> int:
-    """Order of f_lam on the cell of
-    s_{beta_1}..s_{beta_l} s_{alpha_n}..s_{alpha_1} s_gamma s_{alpha_1}..s_{alpha_n}.
+    """Order of f_lam on the cell of prefix + reversed(alphas) + center + alphas,
+    all letters pairwise distinct: the pairings of lam with the prefix and
+    center letters, plus each alpha's pairing times its ``mirror_orders``
+    value. A word of distinct letters is the shape with no alphas.
     """
-    betas, alphas = tuple(betas), tuple(alphas)
-    word = betas + tuple(reversed(alphas)) + (gamma,) + alphas
-    _require_distinct([betas, alphas, (gamma,)])
+    prefix, alphas, center = tuple(prefix), tuple(alphas), tuple(center)
+    word = prefix + alphas[::-1] + center + alphas
+    _require_distinct([prefix, alphas, center])
     pairings = _dominant_pairings(system, lam)
     _require_reduced(system, word)
     _require_condition(system, word)
-    orders = e_orders(system, betas, alphas, gamma)
-    total = sum(_int_pairing(pairings, lam, b) for b in betas)
-    total += _int_pairing(pairings, lam, gamma)
-    total += sum(_int_pairing(pairings, lam, a) * o for a, o in zip(alphas, orders))
-    return total
-
-
-def ord_typeD(
-    system: RootSystem,
-    lam: Vector,
-    etas: Sequence[int],
-    alphas: Sequence[int],
-    beta: int,
-    gamma: int,
-) -> int:
-    """Order of f_lam on the cell of
-    s_{eta_1}..s_{eta_l} s_{alpha_n}..s_{alpha_1} s_beta s_gamma s_{alpha_1}..s_{alpha_n}.
-    """
-    etas, alphas = tuple(etas), tuple(alphas)
-    word = etas + tuple(reversed(alphas)) + (beta, gamma) + alphas
-    _require_distinct([etas, alphas, (beta,), (gamma,)])
-    pairings = _dominant_pairings(system, lam)
-    _require_reduced(system, word)
-    _require_condition(system, word)
-    orders = f_orders(system, etas, alphas, beta, gamma)
-    total = sum(_int_pairing(pairings, lam, e) for e in etas)
-    total += _int_pairing(pairings, lam, beta)
-    total += _int_pairing(pairings, lam, gamma)
+    orders = mirror_orders(system, alphas, center)
+    total = sum(_int_pairing(pairings, lam, i) for i in prefix + center)
     total += sum(_int_pairing(pairings, lam, a) * o for a, o in zip(alphas, orders))
     return total
 
@@ -320,56 +246,35 @@ def family_word_typeD(m: int, j: int, l: int) -> Word:
 # -- word-shape dispatch -----------------------------------------------------
 
 
-def _parse_mirrored_single(word: Word) -> Optional[Tuple[Word, Word, int]]:
-    """Split as betas + reversed(alphas) + (gamma,) + alphas, longest alphas
-    first; None when no split has pairwise distinct letters."""
+def _parse_mirrored(word: Word) -> Optional[Tuple[Word, Word, Word]]:
+    """Split as (prefix, alphas, center) with pairwise distinct letters: a
+    word of distinct letters is its own prefix, otherwise a one-letter
+    center is tried before a two-letter one, each with the longest alphas
+    first; None when no split fits."""
+    if len(set(word)) == len(word):
+        return word, (), ()
     length = len(word)
-    for k in range((length - 1) // 2, 0, -1):
-        alphas = word[length - k :]
-        gamma = word[length - k - 1]
-        mirror = word[length - 2 * k - 1 : length - k - 1]
-        if mirror != tuple(reversed(alphas)):
-            continue
-        betas = word[: length - 2 * k - 1]
-        letters = betas + alphas + (gamma,)
-        if len(set(letters)) == len(letters):
-            return betas, alphas, gamma
-    return None
-
-
-def _parse_mirrored_double(word: Word) -> Optional[Tuple[Word, Word, int, int]]:
-    """Split as etas + reversed(alphas) + (beta, gamma) + alphas."""
-    length = len(word)
-    for k in range((length - 2) // 2, 0, -1):
-        alphas = word[length - k :]
-        gamma = word[length - k - 1]
-        beta = word[length - k - 2]
-        mirror = word[length - 2 * k - 2 : length - k - 2]
-        if mirror != tuple(reversed(alphas)):
-            continue
-        etas = word[: length - 2 * k - 2]
-        letters = etas + alphas + (beta, gamma)
-        if len(set(letters)) == len(letters):
-            return etas, alphas, beta, gamma
+    for size in (1, 2):
+        for k in range((length - size) // 2, 0, -1):
+            alphas = word[length - k :]
+            start = length - 2 * k - size
+            if word[start : start + k] != alphas[::-1]:
+                continue
+            prefix, center = word[:start], word[start + k : length - k]
+            letters = prefix + alphas + center
+            if len(set(letters)) == len(letters):
+                return prefix, alphas, center
     return None
 
 
 def ord_for_word(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
-    """Order of f_lam on the cell of the given reduced word, dispatching on
-    the word's shape; words outside the three supported shapes are an error.
-    """
+    """Order of f_lam on the cell of the given reduced word, through
+    ``ord_mirrored``; words with no mirrored split are an error."""
     word = tuple(word)
-    if len(set(word)) == len(word):
-        return ord_distinct(system, lam, word)
-    single = _parse_mirrored_single(word)
-    if single is not None:
-        betas, alphas, gamma = single
-        return ord_typeB(system, lam, betas, alphas, gamma)
-    double = _parse_mirrored_double(word)
-    if double is not None:
-        etas, alphas, beta, gamma = double
-        return ord_typeD(system, lam, etas, alphas, beta, gamma)
-    raise ValueError(f"word {word} matches no supported shape")
+    parsed = _parse_mirrored(word)
+    if parsed is None:
+        raise ValueError(f"word {word} matches no supported shape")
+    return ord_mirrored(system, lam, *parsed)
 
 
 # -- stratum tables and the twisted character --------------------------------

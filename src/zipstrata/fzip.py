@@ -28,7 +28,7 @@ from typing import Dict, Tuple
 
 from .reps import WeightMultiset, mu_profile
 from .rootsys import IntVector, Vector
-from .weyl import CocharacterDatum, Perm, compose
+from .weyl import CocharacterDatum, Perm
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,6 @@ def build_standard(
             raise ValueError(f"weights are not stable: {moved} is not a slot")
         images.append(slot)
     return StandardZip(ztype=ztype, slots=slots, sigma=tuple(images))
-
-
-def ordinary_slot_perm(datum: CocharacterDatum, module: WeightMultiset) -> Perm:
-    """Slot permutation of the element w0 w_{0,I}, the frame of the ordinary
-    zip: it reverses the order of the slices while fixing each slice's
-    internal order."""
-    group = datum.group
-    frame = compose(group.longest_element(), group.longest_in(datum.I))
-    return build_standard(datum, module, frame).sigma
 
 
 def clp(z: StandardZip) -> int:

@@ -221,11 +221,6 @@ def simple_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:
     return tuple(Fraction(s, scale) for s in sums)
 
 
-def is_dominant(system: RootSystem, lam: Vector) -> bool:
-    """True when lam pairs non-negatively with every simple coroot."""
-    return all(value >= 0 for value in simple_pairings(system, lam))
-
-
 def parse_weight(system: RootSystem, coords: Sequence[int | Fraction]) -> Vector:
     """Validate a coordinate sequence as a weight of this system."""
     v = tuple(Fraction(c) for c in coords)

@@ -14,8 +14,8 @@ that ties the Hasse weight to its section.
 The formula reads the weight's pairings once per call from
 ``simple_pairings`` and Cartan entries from the system's cached matrix.
 Roots are integer tuples: ``root_sequence`` pushes the integer simple roots
-through the Weyl action, and the closedness test adds them and looks the
-sums up in the system's root set directly.
+through the Weyl action, and the closedness test adds them in one backward
+pass (closedness is W-invariant) and looks the sums up in the root set.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .rootsys import Root, RootSystem, Vector, simple_pairings
@@ -68,12 +69,6 @@ def _closure_violation(
     return None
 
 
-def is_closed(system: RootSystem, subset: Iterable[Root]) -> bool:
-    """Whether every root of the form a*alpha + b*beta (a, b natural, alpha
-    and beta in the subset) again lies in the subset."""
-    return _closure_violation(system, subset) is None
-
-
 def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
     """Roots swept out by the word: alpha_{i_1}, s_{i_1} alpha_{i_2}, and so
     on, each letter's simple root pushed once through the product of the
@@ -98,12 +93,14 @@ def condition_closed(
     """Check the root sets swept by every suffix of the word for closedness.
 
     Reduced words always pass (each suffix sweeps an inversion set). The
-    returned witness names the suffix start together with the two roots and
-    the escaping combination. The word's root sequence is computed once:
-    the sequence of the suffix after a letter s is s applied to the rest of
-    the current sequence. Verdicts come from an ``lru_cache`` keyed by
-    the system and the word: the same cell words come back for every weight
-    a case is run against.
+    witness names the first failing suffix start, two of its roots and the
+    escaping combination. The suffix from t sweeps w_t^-1 (w_t the first t
+    letters) applied to the tail from t of the word's root sequence, and W
+    permutes roots linearly, so it is closed exactly when that tail is. One
+    backward pass adds the tail's roots and keeps the root sums still
+    missing; a stage fails while one is. Sums decide: 2a + b is the sum of
+    a + b and a. Only the first failing stage's witness is searched for.
+    Verdicts come from an ``lru_cache`` keyed by the system and the word.
     """
     return _condition_closed(system, tuple(word))
 
@@ -114,15 +111,27 @@ def _condition_closed(
 ) -> Tuple[bool, Optional[ClosednessWitness]]:
     if not word:
         return True, None
-    group = weyl_group(system.cartan_type, system.rank)
     swept = root_sequence(system, word)
-    for start, letter in enumerate(word):
-        violation = _closure_violation(system, swept)
-        if violation is not None:
-            alpha, beta, combo = violation
-            return False, ClosednessWitness(start, alpha, beta, combo)
-        swept = group._act_all(group.simple_reflection(letter), swept[1:])
-    return True, None
+    present: set = set()
+    missing: set = set()  # roots summing two present roots, not present
+    stage = None
+    for t in range(len(word) - 1, -1, -1):
+        gamma = swept[t]
+        if gamma not in present:
+            present.add(gamma)
+            missing.discard(gamma)
+            for beta in present:
+                total = tuple(map(add, gamma, beta))
+                if total in system.root_keys and total not in present:
+                    missing.add(total)
+        if missing:
+            stage = t
+    if stage is None:
+        return True, None
+    group = weyl_group(system.cartan_type, system.rank)
+    back = group.from_word(word[:stage][::-1])
+    found = _closure_violation(system, swept[stage:])
+    return False, ClosednessWitness(stage, *group._act_all(back, found))
 
 
 # -- validation helpers ------------------------------------------------------

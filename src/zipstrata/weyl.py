@@ -17,8 +17,9 @@ The slot order e_1 > ... > e_m > (0) > -e_m > ... > -e_1 refines
 positivity: w sends the root weight(a) - weight(b), a < b, to a negative
 root exactly when w(a) > w(b). Each group therefore keeps one integer table
 with a slot pair per positive root, the simple roots first, and reads
-lengths and right descents off it; every other combinatorial method goes
-through those two. The action on coordinate vectors (``act``) is a signed
+lengths and descents off it; every other combinatorial method goes through
+those two, and descent stripping tests only the letters it may strip (left
+ones on the inverse). The action on coordinate vectors (``act``) is a signed
 permutation of coordinates; it serves Fraction weights and integer roots
 alike and keeps the entry type.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial
-from typing import Iterable, List, Sequence, Tuple, TypeVar
+from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .rootsys import (
     RootSystem,
@@ -58,7 +59,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """a after b: (a*b)(i) = a(b(i))."""
-    return tuple(a[x - 1] for x in b)
+    return tuple([a[x - 1] for x in b])
 
 
 def compose_all(perms: Sequence[Perm], n: int) -> Perm:
@@ -186,8 +187,19 @@ class WeylGroup:
     def left_descents(self, w: Perm) -> Tuple[int, ...]:
         return self.right_descents(inverse(w))
 
+    def _first_descent(self, w: Perm, letters: Iterable[int]) -> Optional[int]:
+        """The first of the letters that is a right descent of w, or None."""
+        pairs, rank = self._root_pairs, self.rank
+        for i in letters:
+            if not 1 <= i <= rank:
+                raise ValueError(f"simple reflection index {i} out of range")
+            a, b = pairs[i - 1]
+            if w[a] > w[b]:
+                return i
+        return None
+
     def reduced_word(self, w: Perm) -> Tuple[int, ...]:
-        """Reduced word chosen by stripping the smallest left descent."""
+        """Reduced word by stripping the smallest left descent; w not in W raises."""
         return _reduced_word(self, w)
 
     def is_reduced(self, word: Sequence[int]) -> bool:
@@ -226,20 +238,12 @@ class WeylGroup:
 
     def in_min_coset_reps(self, w: Perm, I: Sequence[int]) -> bool:
         """True when w is the minimal-length element of W_I * w."""
-        return set(I).isdisjoint(self.left_descents(w))
+        return self._first_descent(inverse(w), I) is None
 
     def min_coset_reps(self, I: Sequence[int]) -> Tuple[Perm, ...]:
         """All minimal-length representatives of W_I \\ W, sorted by length
         and then by reduced word."""
         return _min_coset_reps(self, tuple(sorted(set(I))))
-
-    def min_double_coset_reps(
-        self, I: Sequence[int], J: Sequence[int]
-    ) -> Tuple[Perm, ...]:
-        """Minimal-length representatives of W_I \\ W / W_J."""
-        return tuple(
-            u for u in self.min_coset_reps(I) if set(J).isdisjoint(self.right_descents(u))
-        )
 
     def min_in_double_coset(self, w: Perm, I: Sequence[int], J: Sequence[int]) -> Perm:
         """Minimum of W_I * w * W_J by alternating descent stripping.
@@ -248,19 +252,13 @@ class WeylGroup:
         unique minimal-length element of its double coset, so the greedy loop
         cannot stall on a non-minimal element.
         """
-        cur = w
         while True:
-            descents = self.left_descents(cur)
-            left = [i for i in I if i in descents]
-            if left:
-                cur = compose(self.simple_reflection(left[0]), cur)
-                continue
-            descents = self.right_descents(cur)
-            right = [j for j in J if j in descents]
-            if right:
-                cur = compose(cur, self.simple_reflection(right[0]))
-                continue
-            return cur
+            if (i := self._first_descent(inverse(w), I)) is not None:
+                w = compose(self._simple_reflections[i - 1], w)
+            elif (j := self._first_descent(w, J)) is not None:
+                w = compose(w, self._simple_reflections[j - 1])
+            else:
+                return w
 
     def bruhat_leq(self, u: Perm, w: Perm) -> bool:
         """Bruhat order, by the left-descent recursion."""
@@ -309,13 +307,20 @@ class WeylGroup:
 
 @lru_cache(maxsize=4096)
 def _reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
+    """Strips the smallest left descent on the inverse: s_i w has inverse
+    w^-1 s_i. Only signed slot permutations are stripped (on others it can
+    cycle), and one that runs out of descents away from the identity, as in
+    type D with an odd number of sign changes, is not in W either."""
+    n, ident, t = group.slots, group.identity(), group.system.cartan_type
+    signed = t == "A" or all(x + y == n + 1 for x, y in zip(w, w[::-1]))
+    inv = inverse(w) if signed and sorted(w) == list(ident) else None
     word: List[int] = []
-    cur = w
-    ident = group.identity()
-    while cur != ident:
-        i = group.left_descents(cur)[0]
+    while inv != ident:
+        i = None if inv is None else group._first_descent(inv, range(1, group.rank + 1))
+        if i is None:
+            raise ValueError(f"{w} is not an element of W({t}{group.rank})")
         word.append(i)
-        cur = compose(group.simple_reflection(i), cur)
+        inv = compose(inv, group._simple_reflections[i - 1])
     return tuple(word)
 
 

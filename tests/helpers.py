@@ -1,10 +1,21 @@
 """Helpers shared by several test modules."""
 
 import itertools
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from zipstrata.rootsys import RootSystem
 from zipstrata.vanishing import condition_closed
+from zipstrata.weyl import Perm, WeylGroup
+
+
+def min_double_coset_reps(
+    group: WeylGroup, I: Sequence[int], J: Sequence[int]
+) -> Tuple[Perm, ...]:
+    """Minimal-length representatives of W_I \\ W / W_J: the minimal
+    representatives of W_I \\ W without a right descent in J."""
+    return tuple(
+        u for u in group.min_coset_reps(I) if set(J).isdisjoint(group.right_descents(u))
+    )
 
 
 def find_nonclosed_word(

@@ -12,7 +12,6 @@ from zipstrata.fzip import (
     clp,
     clp_exterior_top,
     hasse_nonzero,
-    ordinary_slot_perm,
     w0ij_perm,
     zip_type,
 )
@@ -27,6 +26,15 @@ def e1(dim: int):
 
 def datum_for(cartan_type: str, rank: int, mu):
     return cocharacter_datum(WeylGroup(root_system(cartan_type, rank)), mu)
+
+
+def ordinary_slot_perm(datum, module: WeightMultiset):
+    """Slot permutation of the element w0 w_{0,I}, the frame of the ordinary
+    zip: it reverses the order of the slices while fixing each slice's
+    internal order."""
+    group = datum.group
+    frame = compose(group.longest_element(), group.longest_in(datum.I))
+    return build_standard(datum, module, frame).sigma
 
 
 def labels_by_length(datum):

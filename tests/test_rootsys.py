@@ -11,7 +11,6 @@ from zipstrata.rootsys import (
     ROOT_RANK_CAP,
     add,
     dot,
-    is_dominant,
     neg,
     pairing,
     parse_weight,
@@ -24,6 +23,11 @@ from zipstrata.rootsys import (
     unit,
     vec,
 )
+
+
+def is_dominant(system, lam) -> bool:
+    """True when lam pairs non-negatively with every simple coroot."""
+    return all(value >= 0 for value in simple_pairings(system, lam))
 
 
 def first_nonzero_sign(v) -> int:

@@ -16,7 +16,6 @@ from zipstrata.vanishing import (
     d_w0,
     family_word_typeB,
     family_word_typeD,
-    is_closed,
     mirror_orders,
     ord_for_word,
     ord_mirrored,
@@ -34,6 +33,12 @@ def wg(cartan_type: str, rank: int) -> WeylGroup:
 
 def e1(dim: int):
     return unit(dim, 1)
+
+
+def is_closed(system, subset) -> bool:
+    """Whether every root of the form a*alpha + b*beta (a, b natural, alpha
+    and beta in the subset) again lies in the subset."""
+    return vanishing._closure_violation(system, subset) is None
 
 
 def table_by_length(group: WeylGroup, table) -> list:
@@ -232,6 +237,41 @@ def test_one_root_sequence_matches_one_per_suffix(data) -> None:
     system = root_system(cartan_type, rank)
     word = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=12)))
     assert condition_closed(system, word) == _per_suffix_condition(system, word)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,word,expected",
+    [
+        # The full root set and the first suffix are closed; the suffix from
+        # stage 2 misses 2*alpha + beta, named in that suffix's coordinates
+        # (s_3 s_2 and s_2 s_3 map the tail's witness differently).
+        ("B", 3, (3, 2, 3, 2, 3, 2, 3, 2, 3),
+         ClosednessWitness(2, (0, 0, 1), (0, -1, -1), (0, -1, 1))),
+        # alpha + beta = (1, 1) is swept, alpha + 2*beta = (2, 0) is not.
+        ("C", 2, (2, 2, 1, 1, 2, 1),
+         ClosednessWitness(0, (0, 2), (1, -1), (2, 0))),
+    ],
+)
+def test_fixed_violations_match_one_per_suffix(
+    cartan_type: str, rank: int, word: tuple, expected: ClosednessWitness
+) -> None:
+    system = root_system(cartan_type, rank)
+    assert condition_closed(system, word) == (False, expected)
+    assert _per_suffix_condition(system, word) == (False, expected)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,ranks",
+    [("A", (2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (3, 4))],
+)
+def test_every_reduced_word_is_closed(cartan_type: str, ranks: tuple) -> None:
+    """Each suffix of a reduced word sweeps an inversion set, which is closed;
+    checked on the reduced word of every element."""
+    for rank in ranks:
+        group = weyl_group(cartan_type, rank)
+        for w in group.elements():
+            word = group.reduced_word(w)
+            assert condition_closed(group.system, word) == (True, None), word
 
 
 def test_empty_word_is_closed_without_a_root_sequence(monkeypatch) -> None:

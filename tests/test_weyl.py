@@ -29,6 +29,8 @@ from zipstrata.weyl import (
     weyl_group,
 )
 
+from helpers import min_double_coset_reps
+
 GROUPS = [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("D", 5)]
 
 
@@ -125,6 +127,27 @@ def test_reduced_word_round_trip(cartan_type: str, rank: int) -> None:
         assert len(rw) == g.length(w)
         assert g.from_word(rw) == w
         assert g.is_reduced(rw)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,perm",
+    [
+        ("C", 2, (2, 1, 3, 4)),  # one transposition: not a signed permutation
+        ("C", 2, (1, 2, 3, 4, 5)),  # five slots for a group acting on four
+        ("B", 2, (2, 1, 3, 4, 5)),
+        ("B", 2, (1, 3, 2, 4, 5)),  # stripping this one cycles without end
+        ("D", 3, (1, 2, 4, 3, 5, 6)),  # a single sign change lies outside W(D3)
+        ("A", 2, (1, 1, 3)),
+    ],
+)
+def test_reduced_word_rejects_a_permutation_outside_the_group(
+    cartan_type: str, rank: int, perm: tuple
+) -> None:
+    """None of these is a group element. Stripping descents would stall away
+    from the identity, cycle, or index past the slots; each must raise
+    instead of returning a word."""
+    with pytest.raises(ValueError, match="not an element"):
+        weyl_group(cartan_type, rank).reduced_word(perm)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=3), max_size=8))
@@ -270,7 +293,7 @@ def test_min_double_coset_reps_orthogonal_case() -> None:
     """The standard orthogonal datum has exactly three two-sided classes."""
     g = wg("B", 3)
     datum = cocharacter_datum(g, (1, 0, 0))
-    reps = g.min_double_coset_reps(datum.I, datum.J)
+    reps = min_double_coset_reps(g, datum.I, datum.J)
     assert set(reps) == {g.identity(), g.simple_reflection(1), datum.z}
 
 
@@ -278,7 +301,7 @@ def test_min_double_coset_reps_siegel_count() -> None:
     for n in (2, 3):
         g = wg("C", n)
         I = tuple(range(1, n))
-        assert len(g.min_double_coset_reps(I, I)) == n + 1
+        assert len(min_double_coset_reps(g, I, I)) == n + 1
 
 
 @pytest.mark.parametrize("cartan_type,rank,I,J", [("B", 2, (2,), (2,)), ("B", 3, (2, 3), (2, 3))])
@@ -292,6 +315,79 @@ def test_min_in_double_coset_matches_brute_force(
         coset = {compose_all([a, w, b], g.slots) for a in left for b in right}
         shortest = min(coset, key=g.length)
         assert g.min_in_double_coset(w, I, J) == shortest
+
+
+# -- descent stripping against recompute-everything references ----------------
+# Each reference step recomputes all left or right descents and takes the first
+# usable one; the library tests only the letters it may strip.
+
+
+def _reference_reduced_word(g: WeylGroup, w) -> tuple:
+    word = []
+    while w != g.identity():
+        i = g.left_descents(w)[0]
+        word.append(i)
+        w = compose(g.simple_reflection(i), w)
+    return tuple(word)
+
+
+def _reference_min_coset_reps(g: WeylGroup, I) -> tuple:
+    seen = {g.identity()}
+    frontier = [g.identity()]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            descents = g.right_descents(u)
+            for j in range(1, g.rank + 1):
+                if j not in descents:
+                    v = compose(u, g.simple_reflection(j))
+                    if v not in seen and set(I).isdisjoint(g.left_descents(v)):
+                        seen.add(v)
+                        nxt.append(v)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda u: (g.length(u), _reference_reduced_word(g, u))))
+
+
+def _reference_min_in_double_coset(g: WeylGroup, w, I, J):
+    while True:
+        descents = g.left_descents(w)
+        left = [i for i in I if i in descents]
+        if left:
+            w = compose(g.simple_reflection(left[0]), w)
+            continue
+        descents = g.right_descents(w)
+        right = [j for j in J if j in descents]
+        if right:
+            w = compose(w, g.simple_reflection(right[0]))
+            continue
+        return w
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_descent_kernels_match_the_references(data) -> None:
+    """Random elements of types A-D up to rank 5, and random letter lists
+    I and J (order and repeats kept, since the first usable letter wins)."""
+    cartan_type = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(min_value=3 if cartan_type == "D" else 1, max_value=5))
+    g = weyl_group(cartan_type, rank)
+    letter = st.integers(min_value=1, max_value=rank)
+    w = g.from_word(data.draw(st.lists(letter, max_size=3 * rank * rank)))
+    I = tuple(data.draw(st.lists(letter, max_size=rank)))
+    J = tuple(data.draw(st.lists(letter, max_size=rank)))
+    assert g.reduced_word(w) == _reference_reduced_word(g, w)
+    assert g.in_min_coset_reps(w, I) == set(I).isdisjoint(g.left_descents(w))
+    assert g.min_in_double_coset(w, I, J) == _reference_min_in_double_coset(g, w, I, J)
+    if g.group_order() <= 400:
+        assert g.min_coset_reps(I) == _reference_min_coset_reps(g, sorted(set(I)))
+
+
+@pytest.mark.parametrize("method", ["in_min_coset_reps", "min_coset_reps"])
+def test_coset_letters_out_of_range_are_rejected(method: str) -> None:
+    g = weyl_group("B", 3)
+    args = (g.identity(), (0,)) if method == "in_min_coset_reps" else ((4,),)
+    with pytest.raises(ValueError, match="out of range"):
+        getattr(g, method)(*args)
 
 
 # -- Bruhat order -------------------------------------------------------------

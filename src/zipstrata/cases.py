@@ -8,21 +8,25 @@ zip permutation model. Ogus' principle is the assertion that the two agree;
 the symplectic standard case is the known exception, failing exactly on the
 minimal stratum while the inequality still holds.
 
-A case's datum, Hodge character, weight module and closed-form orders do
-not depend on the working prime, which only enters the twist check
-``d_w0``. They are built once per (identifier, rank) by ``_case_data``, an
-``lru_cache`` reported by ``cache_stats()``; ``run_case`` checks the spec
-and the prime with ``check_spec`` on every call before the lookup, so a
-rejected spec adds no entry. Every zip of a case sees one module
-instance, which the slot-table cache compares by identity. The order table
-from the word formulas is still computed on every call.
+A case's datum, Hodge character and strata do not depend on the working
+prime, which only enters the twist check ``d_w0``. Neither do the columns
+of its report: each stratum's label, reduced word, Bruhat class, line
+position and, for the closed forms, order. They are built once per
+(identifier, rank) by ``_case_data``, an ``lru_cache`` reported by
+``cache_stats()``; ``run_case`` checks the spec and the prime with
+``check_spec`` on every call before the lookup, so a rejected spec adds no
+entry. The order table from the word formulas is still computed on every
+call. Caching it too was measured: the library's memory barely grew, but
+the benchmark keeps one latency sample per operation, and at the higher
+rate those samples pushed its peak memory past the bound. So it waits until
+the benchmark keeps a fixed-size sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .fzip import build_standard, clp, clp_exterior_top
 from .oracle import (
@@ -101,18 +105,45 @@ class CaseResult:
 @dataclass(frozen=True)
 class _CaseData:
     """The prime-independent part of a case, shared by every ``run_case`` of
-    its (identifier, rank).
+    its (identifier, rank): the datum, the Hodge character and one column
+    per report field, each listing the strata open first.
 
-    ``ord_of`` is None when the orders come from the order table of the
-    Hasse weight -eta, which ``run_case`` computes on every call; the
-    closed forms are kept as functions. ``clp_of`` holds the case's weight
-    module, so every zip of the case reuses one module instance.
+    ``orders`` is None when the orders come from the order table of the
+    Hasse weight -eta, which ``run_case`` computes on every call.
     """
 
     datum: CocharacterDatum
     eta: Vector
-    ord_of: Optional[Callable[[Perm], int]]
-    clp_of: Callable[[Perm], int]
+    labels: Tuple[Perm, ...]
+    words: Tuple[Word, ...]
+    bruhat_classes: Tuple[Perm, ...]
+    clps: Tuple[int, ...]
+    orders: Optional[Tuple[int, ...]]
+
+
+def _tabulate(
+    datum: CocharacterDatum,
+    eta: Vector,
+    ord_of: Optional[Callable[[Perm], int]],
+    clp_of: Callable[[Perm], int],
+) -> _CaseData:
+    """Sort the strata open first (longest label first, then by reduced
+    word) and evaluate every prime-independent column on them; ``ord_of``
+    is a closed form, or None for the word formulas."""
+    group, I, J = datum.group, datum.I, datum.J
+    labels = tuple(sorted(
+        group.min_coset_reps(I),
+        key=lambda w: (-group.length(w), group.reduced_word(w)),
+    ))
+    return _CaseData(
+        datum=datum,
+        eta=eta,
+        labels=labels,
+        words=tuple(map(group.reduced_word, labels)),
+        bruhat_classes=tuple(group.min_in_double_coset(w, I, J) for w in labels),
+        clps=tuple(map(clp_of, labels)),
+        orders=None if ord_of is None else tuple(map(ord_of, labels)),
+    )
 
 
 def _e1(dim: int) -> Vector:
@@ -142,12 +173,7 @@ def _case_standard(cartan_type: str, m: int) -> _CaseData:
     """Standard module of type B, C or D with the cocharacter e_1."""
     datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
     module = std_weights(cartan_type, m)
-    return _CaseData(
-        datum=datum,
-        eta=neg(_e1(m)),
-        ord_of=None,
-        clp_of=_zip_clp(datum, module),
-    )
+    return _tabulate(datum, neg(_e1(m)), None, _zip_clp(datum, module))
 
 
 def _case_siegel(n: int) -> _CaseData:
@@ -162,12 +188,11 @@ def _case_siegel(n: int) -> _CaseData:
     mu = vec(*([1] * n))
     datum = cocharacter_datum(weyl_group("C", n), mu)
     module = std_weights("C", n)
-    eta = hodge_character(module, mu)
-    return _CaseData(
-        datum=datum,
-        eta=eta,
-        ord_of=lambda label: n - _sign_flips(datum, label),
-        clp_of=_zip_clp_exterior(datum, module),
+    return _tabulate(
+        datum,
+        hodge_character(module, mu),
+        lambda label: n - _sign_flips(datum, label),
+        _zip_clp_exterior(datum, module),
     )
 
 
@@ -180,12 +205,11 @@ def _case_gl_dualsum(n: int) -> _CaseData:
     """
     mu = vec(*([1] * (n - 1) + [0]))
     datum = cocharacter_datum(weyl_group("A", n - 1), mu)
-    eta = smul(-2, vec(*([1] * (n - 1) + [0])))
-    return _CaseData(
-        datum=datum,
-        eta=eta,
-        ord_of=lambda label: 0 if label[0] == n else 2,
-        clp_of=lambda label: 2 if label[0] == 1 else 0,
+    return _tabulate(
+        datum,
+        smul(-2, vec(*([1] * (n - 1) + [0]))),
+        lambda label: 0 if label[0] == n else 2,
+        lambda label: 2 if label[0] == 1 else 0,
     )
 
 
@@ -195,22 +219,17 @@ def _case_gl4_wedge2(rank: int) -> _CaseData:
     mu = vec(1, 1, 0, 0)
     datum = cocharacter_datum(weyl_group("A", 3), mu)
     module = wedge(std_weights("A", 3), 2)
-    return _CaseData(
-        datum=datum,
-        eta=vec(-1, -1, 0, 0),
-        ord_of=None,
-        clp_of=_zip_clp(datum, module),
-    )
+    return _tabulate(datum, vec(-1, -1, 0, 0), None, _zip_clp(datum, module))
 
 
 def _case_gspin(cartan_type: str, m: int) -> _CaseData:
     datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
     module = spin_weights(cartan_type, m)
-    return _CaseData(
-        datum=datum,
-        eta=hodge_character(module, datum.mu),
-        ord_of=None,
-        clp_of=_zip_clp_exterior(datum, module),
+    return _tabulate(
+        datum,
+        hodge_character(module, datum.mu),
+        None,
+        _zip_clp_exterior(datum, module),
     )
 
 
@@ -290,8 +309,8 @@ def check_spec(spec: CaseSpec) -> None:
 
 @lru_cache(maxsize=64)
 def _case_data(identifier: str, rank: int) -> _CaseData:
-    """The datum, Hodge character and invariant functions of a validated
-    case, built once per (identifier, rank)."""
+    """The datum, Hodge character and report columns of a validated case,
+    built once per (identifier, rank)."""
     return _BUILDERS[identifier](rank)
 
 
@@ -300,12 +319,13 @@ def run_case(spec: CaseSpec) -> CaseResult:
 
     Before anything else the case's Hodge character is checked against the
     twisted difference identity d_w0(-eta) = (p - 1) eta, which ties the
-    stored weight to the datum.
+    stored weight to the datum. The strata, words, Bruhat classes, line
+    positions and closed-form orders come from the cached case data; only
+    the twist check and the order table of the word formulas run per call.
     """
     check_spec(spec)
     data = _case_data(spec.identifier, spec.rank)
     datum = data.datum
-    group = datum.group
     lam = neg(data.eta)
     expected = smul(spec.prime - 1, data.eta)
     if d_w0(lam, spec.prime, datum) != expected:
@@ -313,32 +333,30 @@ def run_case(spec: CaseSpec) -> CaseResult:
             f"case {spec.identifier}: the Hodge character {data.eta} does "
             f"not satisfy the twist identity"
         )
-    ord_of = data.ord_of or strata_ord_table(datum, lam).__getitem__
-    labels = sorted(
-        group.min_coset_reps(datum.I),
-        key=lambda w: (-group.length(w), group.reduced_word(w)),
-    )
-    reports: List[StratumReport] = []
-    for label in labels:
-        order = ord_of(label)
-        position = data.clp_of(label)
-        reports.append(
-            StratumReport(
-                w=label,
-                word=group.reduced_word(label),
-                bruhat_class=group.min_in_double_coset(label, datum.I, datum.J),
-                ord=order,
-                clp=position,
-                ogus_holds=order == position,
-                ineq_holds=order <= position,
-            )
+    orders = data.orders
+    if orders is None:
+        table = strata_ord_table(datum, lam)
+        orders = tuple(table[label] for label in data.labels)
+    reports = tuple(
+        StratumReport(
+            w=label,
+            word=word,
+            bruhat_class=bruhat_class,
+            ord=order,
+            clp=position,
+            ogus_holds=order == position,
+            ineq_holds=order <= position,
         )
+        for label, word, bruhat_class, order, position in zip(
+            data.labels, data.words, data.bruhat_classes, orders, data.clps
+        )
+    )
     return CaseResult(
         spec=spec,
         datum=datum,
         eta=data.eta,
         hodge_weight=lam,
-        reports=tuple(reports),
+        reports=reports,
     )
 
 

@@ -11,8 +11,9 @@ dominance of the weight. ``strata_ord_table`` drives it over a full set of
 stratum representatives, and ``d_w0`` is the twisted character difference
 that ties the Hasse weight to its section.
 
-The formula reads the weight's pairings once per call from
-``simple_pairings`` and Cartan entries from the system's cached matrix.
+The formula reads the weight's pairings from ``simple_pairings``, once per
+call and once per table in ``strata_ord_table``, and Cartan entries from
+the system's cached matrix.
 Roots are integer tuples: ``root_sequence`` pushes the integer simple roots
 through the Weyl action, and the closedness test adds them in one backward
 pass (closedness is W-invariant) and looks the sums up in the root set.
@@ -218,10 +219,25 @@ def ord_mirrored(
     center letters, plus each alpha's pairing times its ``mirror_orders``
     value. A word of distinct letters is the shape with no alphas.
     """
-    prefix, alphas, center = tuple(prefix), tuple(alphas), tuple(center)
+    return _ord_mirrored(system, lam, tuple(prefix), tuple(alphas), tuple(center))
+
+
+def _ord_mirrored(
+    system: RootSystem,
+    lam: Vector,
+    prefix: Word,
+    alphas: Word,
+    center: Word,
+    pairings: Optional[Tuple[Fraction, ...]] = None,
+) -> int:
+    """``ord_mirrored`` on tuples. ``pairings``, when given, are the simple
+    pairings of lam already checked dominant, so a table pairs its weight
+    once; every word is still checked for distinct letters, reducedness and
+    closedness."""
     word = prefix + alphas[::-1] + center + alphas
     _require_distinct([prefix, alphas, center])
-    pairings = _dominant_pairings(system, lam)
+    if pairings is None:
+        pairings = _dominant_pairings(system, lam)
     _require_reduced(system, word)
     _require_condition(system, word)
     orders = mirror_orders(system, alphas, center)
@@ -279,11 +295,20 @@ def _parse_mirrored(word: Word) -> Optional[Tuple[Word, Word, Word]]:
 def ord_for_word(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
     """Order of f_lam on the cell of the given reduced word, through
     ``ord_mirrored``; words with no mirrored split are an error."""
-    word = tuple(word)
+    return _ord_for_word(system, lam, tuple(word))
+
+
+def _ord_for_word(
+    system: RootSystem,
+    lam: Vector,
+    word: Word,
+    pairings: Optional[Tuple[Fraction, ...]] = None,
+) -> int:
+    """``ord_for_word`` on a tuple, with ``pairings`` as in ``_ord_mirrored``."""
     parsed = _parse_mirrored(word)
     if parsed is None:
         raise ValueError(f"word {word} matches no supported shape")
-    return ord_mirrored(system, lam, *parsed)
+    return _ord_mirrored(system, lam, *parsed, pairings=pairings)
 
 
 # -- stratum tables and the twisted character --------------------------------
@@ -307,18 +332,20 @@ def strata_ord_table(datum: CocharacterDatum, lam: Vector) -> Dict[Perm, int]:
     Each label is first turned into the cell actually carrying the section:
     the label w is paired with w_{0,I} w w_0, the unique twist under which
     the open stratum gets the empty word and orders grow toward the identity
-    label. The twist happens here and nowhere else.
+    label. The twist happens here and nowhere else. The weight is checked
+    dominant and paired once for the whole table; each cell word goes
+    through the ``ord_for_word`` formula with its own word checks.
     """
     group = datum.group
     system = group.system
     w0 = group.longest_element()
-    w0_I = group.longest_in(datum.I)
+    pairings = _dominant_pairings(system, lam)
     table: Dict[Perm, int] = {}
     for label in group.min_coset_reps(datum.I):
-        cell = compose(w0_I, compose(label, w0))
+        cell = compose(datum.w0_I, compose(label, w0))
         word = group.reduced_word(cell)
         try:
-            table[label] = ord_for_word(system, lam, word)
+            table[label] = _ord_for_word(system, lam, word, pairings)
         except ValueError as err:
             raise ValueError(
                 f"stratum {label} has cell word {word}: {err}"

@@ -260,18 +260,6 @@ class WeylGroup:
             else:
                 return w
 
-    def bruhat_leq(self, u: Perm, w: Perm) -> bool:
-        """Bruhat order, by the left-descent recursion."""
-        if u == self.identity():
-            return True
-        if self.length(u) > self.length(w):
-            return False
-        i = self.left_descents(w)[0]
-        sw = compose(self.simple_reflection(i), w)
-        if i in self.left_descents(u):
-            return self.bruhat_leq(compose(self.simple_reflection(i), u), sw)
-        return self.bruhat_leq(u, sw)
-
     # -- enumeration (guarded, small ranks only) --------------------------
 
     def elements(self, cap: int = ENUMERATION_CAP) -> Tuple[Perm, ...]:
@@ -362,7 +350,8 @@ class CocharacterDatum:
 
     I is the set of simple indices orthogonal to mu, J its image under the
     -w0 diagram involution, and z = w0 * w_{0,J}, the longest element of the
-    minimal coset representatives W^J.
+    minimal coset representatives W^J. ``w0_I`` is the longest element of
+    W_I, which twists stratum labels into cells.
     """
 
     group: WeylGroup
@@ -370,6 +359,7 @@ class CocharacterDatum:
     I: Tuple[int, ...]
     J: Tuple[int, ...]
     z: Perm
+    w0_I: Perm
 
 
 def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> CocharacterDatum:
@@ -387,7 +377,7 @@ def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> Cochara
             raise ValueError(f"-w0(alpha_{i}) is not a simple root")
         J.append(j)
     z = compose(w0, group.longest_in(J))
-    return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), z)
+    return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), z, group.longest_in(I))
 
 
 def eo_same_stratum(

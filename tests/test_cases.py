@@ -3,7 +3,7 @@
 import pytest
 
 from zipstrata import cache_stats
-from zipstrata import cases
+from zipstrata import cases, fzip
 from zipstrata.cases import (
     CASE_IDENTIFIERS,
     MODULE_DIM_CAP,
@@ -16,10 +16,13 @@ from zipstrata.cases import (
     run_case,
     siegel_cross_check,
 )
+from zipstrata.fzip import build_standard, clp, clp_exterior_top
 from zipstrata.oracle import gl_plucker_order
 from zipstrata.reps import dsum, dual, spin_weights, std_weights, wedge
 from zipstrata.rootsys import vec
-from zipstrata.weyl import compose
+from zipstrata.weyl import WeylGroup, compose
+
+from helpers import reference_reports
 
 
 def ords(result):
@@ -135,16 +138,23 @@ class TestSizeCeilings:
             run_case(CaseSpec(identifier, rank, 3))
 
 
-def test_rerunning_a_case_hits_the_slot_tables():
-    """A second run of a case reuses the module of the first, cached with
-    the case data, so its slot tables only hit."""
+def _refuse_rebuilding_columns(monkeypatch):
+    """Make building a zip or a Bruhat class fail the test."""
+    def refuse(*args):
+        raise AssertionError("rebuilt a column of a cached case")
+
+    monkeypatch.setattr(cases, "build_standard", refuse)
+    monkeypatch.setattr(fzip, "build_standard", refuse)
+    monkeypatch.setattr(WeylGroup, "min_in_double_coset", refuse)
+
+
+def test_rerunning_a_case_builds_no_zip_and_no_bruhat_class(monkeypatch):
+    """A second run of a case reads the line positions and Bruhat classes
+    cached with the case data."""
     spec = CaseSpec("GSpin_spin_odd", 4, 3)
-    run_case(spec)
-    before = cache_stats()["fzip._slot_table"]
-    run_case(spec)
-    after = cache_stats()["fzip._slot_table"]
-    assert after.misses == before.misses
-    assert after.hits > before.hits
+    first = run_case(spec)
+    _refuse_rebuilding_columns(monkeypatch)
+    assert run_case(spec).reports == first.reports
 
 
 class TestCaseDataCache:
@@ -174,6 +184,7 @@ class TestCaseDataCache:
 
         for name in ("weyl_group", "cocharacter_datum", "std_weights", "spin_weights"):
             monkeypatch.setattr(cases, name, refuse)
+        _refuse_rebuilding_columns(monkeypatch)
         calls = []
         table = cases.strata_ord_table
 
@@ -196,6 +207,40 @@ class TestCaseDataCache:
         with pytest.raises(ValueError, match="above the ceiling"):
             run_case(CaseSpec("GSpin_spin_odd", 13, 3))
         assert cache_stats()["cases._case_data"] == before
+
+
+def _reference_invariants(identifier, rank, datum):
+    """The closed-form orders (None where the word formulas give them) and
+    the line positions of a case, as its builder defines them."""
+    if identifier == "GLn_wedge_dualsum":
+        return (lambda label: 0 if label[0] == rank else 2,
+                lambda label: 2 if label[0] == 1 else 0)
+    module = _case_module(identifier, rank)
+    exterior = identifier in ("GSp2n_wedge_dual", "GSpin_spin_odd", "GSpin_spin_even")
+    position = clp_exterior_top if exterior else clp
+    ord_of = None
+    if identifier == "GSp2n_wedge_dual":
+        def ord_of(label):  # n minus the number of sign flips
+            return rank - sum(1 for k in label[:rank] if k > rank)
+    return ord_of, lambda label: position(build_standard(datum, module, label))
+
+
+_TOP_RANK = {"GSp2n_wedge_dual": 4, "GLn_wedge_dualsum": 8, "GL4_wedge2": 4}
+
+
+@pytest.mark.parametrize("identifier,rank", [
+    (identifier, rank)
+    for identifier in CASE_IDENTIFIERS
+    for rank in range(cases._MIN_RANK[identifier], _TOP_RANK.get(identifier, 5) + 1)
+])
+def test_reports_equal_the_label_by_label_reference(identifier, rank):
+    """The cached columns and the pairing-once order table give the reports
+    that the per-label loop builds, at every prime of the benchmark."""
+    for prime in (2, 3, 5, 7):
+        result = run_case(CaseSpec(identifier, rank, prime))
+        ord_of, clp_of = _reference_invariants(identifier, rank, result.datum)
+        expected = reference_reports(result.datum, result.hodge_weight, ord_of, clp_of)
+        assert result.reports == expected
 
 
 class TestReportShape:

@@ -24,7 +24,7 @@ from zipstrata.vanishing import (
 )
 from zipstrata.weyl import WeylGroup, cocharacter_datum, weyl_group
 
-from helpers import find_nonclosed_word
+from helpers import find_nonclosed_word, reference_ord_table
 
 
 def wg(cartan_type: str, rank: int) -> WeylGroup:
@@ -690,6 +690,25 @@ def test_table_keys_are_the_minimal_coset_representatives() -> None:
     datum = cocharacter_datum(group, e1(3))
     table = strata_ord_table(datum, e1(3))
     assert set(table) == set(group.min_coset_reps(datum.I))
+
+
+@pytest.mark.parametrize("cartan_type,mu,lam", [
+    ("B", e1(2), e1(2)), ("B", e1(3), smul(3, e1(3))), ("B", e1(5), e1(5)),
+    ("C", e1(3), e1(3)), ("C", e1(5), smul(2, e1(5))), ("C", vec(1, 1), vec(2, 2)),
+    ("D", e1(4), e1(4)), ("D", e1(5), smul(2, e1(5))),
+    ("A", vec(1, 1, 0, 0), vec(0, 0, -1, -1)), ("A", vec(1, 1, 1, 1, 0), vec(1, 1, 1, 1, 0)),
+])
+def test_table_equals_ord_for_word_on_each_cell(cartan_type, mu, lam) -> None:
+    """Pairing the weight once per table gives the orders that
+    ``ord_for_word`` gives cell word by cell word."""
+    datum = cocharacter_datum(wg(cartan_type, len(mu) - (cartan_type == "A")), mu)
+    assert strata_ord_table(datum, lam) == reference_ord_table(datum, lam)
+
+
+def test_table_rejects_a_non_dominant_weight() -> None:
+    datum = cocharacter_datum(wg("B", 3), e1(3))
+    with pytest.raises(ValueError, match="not dominant"):
+        strata_ord_table(datum, vec(-1, 0, 0))
 
 
 # -- family word builders ------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
-from .fzip import build_standard, clp, clp_exterior_top
+from .fzip import StandardZip, clp, clp_exterior_top, standard_zips
 from .oracle import (
     PRIME_MAX,
     gsp_point_order,
@@ -125,11 +125,12 @@ def _tabulate(
     datum: CocharacterDatum,
     eta: Vector,
     ord_of: Optional[Callable[[Perm], int]],
-    clp_of: Callable[[Perm], int],
+    clps_of: Callable[[Tuple[Perm, ...]], Tuple[int, ...]],
 ) -> _CaseData:
     """Sort the strata open first (longest label first, then by reduced
     word) and evaluate every prime-independent column on them; ``ord_of``
-    is a closed form, or None for the word formulas."""
+    is a closed form, or None for the word formulas, and ``clps_of`` gives
+    the line positions of all the labels at once."""
     group, I, J = datum.group, datum.I, datum.J
     labels = tuple(sorted(
         group.min_coset_reps(I),
@@ -141,7 +142,7 @@ def _tabulate(
         labels=labels,
         words=tuple(map(group.reduced_word, labels)),
         bruhat_classes=tuple(group.min_in_double_coset(w, I, J) for w in labels),
-        clps=tuple(map(clp_of, labels)),
+        clps=clps_of(labels),
         orders=None if ord_of is None else tuple(map(ord_of, labels)),
     )
 
@@ -150,16 +151,13 @@ def _e1(dim: int) -> Vector:
     return unit(dim, 1)
 
 
-def _zip_clp(
-    datum: CocharacterDatum, module: WeightMultiset
-) -> Callable[[Perm], int]:
-    return lambda label: clp(build_standard(datum, module, label))
-
-
-def _zip_clp_exterior(
-    datum: CocharacterDatum, module: WeightMultiset
-) -> Callable[[Perm], int]:
-    return lambda label: clp_exterior_top(build_standard(datum, module, label))
+def _zip_clps(
+    datum: CocharacterDatum,
+    module: WeightMultiset,
+    position: Callable[[StandardZip], int],
+) -> Callable[[Tuple[Perm, ...]], Tuple[int, ...]]:
+    """Line positions of the labels, from one ``standard_zips`` call."""
+    return lambda labels: tuple(map(position, standard_zips(datum, module, labels)))
 
 
 def _sign_flips(datum: CocharacterDatum, label: Perm) -> int:
@@ -173,7 +171,7 @@ def _case_standard(cartan_type: str, m: int) -> _CaseData:
     """Standard module of type B, C or D with the cocharacter e_1."""
     datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
     module = std_weights(cartan_type, m)
-    return _tabulate(datum, neg(_e1(m)), None, _zip_clp(datum, module))
+    return _tabulate(datum, neg(_e1(m)), None, _zip_clps(datum, module, clp))
 
 
 def _case_siegel(n: int) -> _CaseData:
@@ -192,7 +190,7 @@ def _case_siegel(n: int) -> _CaseData:
         datum,
         hodge_character(module, mu),
         lambda label: n - _sign_flips(datum, label),
-        _zip_clp_exterior(datum, module),
+        _zip_clps(datum, module, clp_exterior_top),
     )
 
 
@@ -209,7 +207,7 @@ def _case_gl_dualsum(n: int) -> _CaseData:
         datum,
         smul(-2, vec(*([1] * (n - 1) + [0]))),
         lambda label: 0 if label[0] == n else 2,
-        lambda label: 2 if label[0] == 1 else 0,
+        lambda labels: tuple(2 if label[0] == 1 else 0 for label in labels),
     )
 
 
@@ -219,7 +217,7 @@ def _case_gl4_wedge2(rank: int) -> _CaseData:
     mu = vec(1, 1, 0, 0)
     datum = cocharacter_datum(weyl_group("A", 3), mu)
     module = wedge(std_weights("A", 3), 2)
-    return _tabulate(datum, vec(-1, -1, 0, 0), None, _zip_clp(datum, module))
+    return _tabulate(datum, vec(-1, -1, 0, 0), None, _zip_clps(datum, module, clp))
 
 
 def _case_gspin(cartan_type: str, m: int) -> _CaseData:
@@ -229,7 +227,7 @@ def _case_gspin(cartan_type: str, m: int) -> _CaseData:
         datum,
         hodge_character(module, datum.mu),
         None,
-        _zip_clp_exterior(datum, module),
+        _zip_clps(datum, module, clp_exterior_top),
     )
 
 
@@ -259,9 +257,11 @@ _MIN_RANK = {
 
 # Ceilings on the module dimension and on the number of strata |W^I|,
 # checked before a case builds anything. At the ceilings a cold table takes
-# at most about 4 s on a 2-vCPU Xeon: 3.3 to 3.6 s for the standard cases at
-# rank 32 (64 strata), 0.5 s for a spin module of dimension 4096, 0.3 s for
-# GLn_wedge_dualsum at rank 64. Siegel stops at rank 6 (2^6 strata).
+# well under 1 s from the command line on a 2-vCPU Xeon (min of 3 runs):
+# 0.23 to 0.24 s for the standard cases at rank 32 (64 strata), 0.40 s for
+# the spin modules of dimension 4096 (GSpin_spin_odd at rank 12,
+# GSpin_spin_even at 13), 0.25 s for GLn_wedge_dualsum at rank 64 and
+# 0.15 s for Siegel, which stops at rank 6 (2^6 strata).
 MODULE_DIM_CAP = 4096
 STRATA_CAP = 64
 

@@ -9,14 +9,18 @@ inside the conjugate filtration; on the open stratum it lands in the bottom
 step and the Hasse section is invertible, which is what ``hasse_nonzero``
 reports.
 
-The slot permutation of an element is found by moving integer keys, not
-Fraction weights: the keys are the rows of the module's integer image (each
-weight times the lcm of the module's denominators), and the Weyl action, a
-signed permutation of coordinates, moves keys and weights alike. Slots are
-sorted by the integer pairing of their keys with the scaled cocharacter,
-which orders them as the exact pairing does. The slot weights, keys and zip
-type of a (module, cocharacter) pair come from an ``lru_cache`` keyed by
-content, so equal modules built by separate calls share one entry.
+Slot permutations are found by moving integer keys, not Fraction weights:
+the keys are the rows of the module's integer image (each weight times the
+lcm of the module's denominators), and the Weyl action, a signed
+permutation of coordinates, moves keys and weights alike. Only the simple
+reflections are applied to keys, once per ``standard_zips`` call: W acts on
+the slots of a W-stable module, so every other element's permutation is a
+composition of theirs (the slot action of the zip data of Pink, Wedhorn
+and Ziegler). Slots are sorted by the integer pairing of their keys with
+the scaled cocharacter, which orders them as the exact pairing does. The
+slot weights, keys and zip type of a (module, cocharacter) pair come from an
+``lru_cache`` keyed by content, so equal modules built by separate calls
+share one entry.
 """
 
 from __future__ import annotations
@@ -24,11 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .reps import WeightMultiset, mu_profile
 from .rootsys import IntVector, Vector
-from .weyl import CocharacterDatum, Perm
+from .weyl import (
+    CocharacterDatum,
+    Perm,
+    WeylGroup,
+    _reduced_word,
+    compose,
+    identity_perm,
+)
 
 
 @dataclass(frozen=True)
@@ -122,27 +133,74 @@ def _slot_table(
     return slots, keys, index_of, zip_type(module, mu)
 
 
-def build_standard(
-    datum: CocharacterDatum, module: WeightMultiset, w: Perm
-) -> StandardZip:
-    """Standard zip of the module at the cocharacter of the datum, with the
-    conjugate lines permuted by w.
+def standard_zips(
+    datum: CocharacterDatum, module: WeightMultiset, elements: Sequence[Perm]
+) -> Tuple[StandardZip, ...]:
+    """Standard zips of the module at the cocharacter of the datum, one per
+    element, with the conjugate lines permuted by that element.
 
     The weights must be multiplicity free, otherwise slots and weights do not
-    determine each other and the permutation model breaks down. Weights move
-    through w as their integer slot keys.
+    determine each other and the permutation model breaks down. Each simple
+    reflection is mapped once to the slot permutation of its action on the
+    integer slot keys; a module that is not W-stable fails there, naming a
+    weight that leaves the slots, whatever the elements. Since W acts on the
+    slots of a W-stable module, w = (w s_j) s_j for the last letter j of
+    w's reduced word gives w's permutation as w s_j's composed with s_j's.
+    The walk down to an element already known (the identity at the latest)
+    is iterative, and every element on it is remembered for the rest of the
+    call, so the strata of a case, whose labels are closed under dropping a
+    right descent, cost one composition each.
     """
     if any(mult != 1 for _, mult in module.entries):
         raise ValueError("the permutation model needs multiplicity-free weights")
     slots, keys, index_of, ztype = _slot_table(module, datum.mu)
+    group = datum.group
+    reflections = [group.simple_reflection(i) for i in range(1, group.rank + 1)]
+    steps = [
+        _reflection_slot_perm(group, s, slots, keys, index_of) for s in reflections
+    ]
+    known: Dict[Perm, Perm] = {group.identity(): identity_perm(len(slots))}
+    zips = []
+    for w in map(tuple, elements):
+        word = _reduced_word(group, w)
+        path = []
+        key = w
+        while key not in known:
+            letter = word[len(word) - 1 - len(path)] - 1
+            path.append((key, letter))
+            key = compose(key, reflections[letter])
+        sigma = known[key]
+        for key, letter in reversed(path):
+            sigma = compose(sigma, steps[letter])
+            known[key] = sigma
+        zips.append(StandardZip(ztype=ztype, slots=slots, sigma=sigma))
+    return tuple(zips)
+
+
+def _reflection_slot_perm(
+    group: WeylGroup,
+    s: Perm,
+    slots: Tuple[Vector, ...],
+    keys: Tuple[IntVector, ...],
+    index_of: Dict[IntVector, int],
+) -> Perm:
+    """Slot permutation of one simple reflection; a key it moves off the
+    slots raises, naming the moved weight."""
     images = []
-    for weight, image in zip(slots, datum.group._act_all(w, keys)):
+    for weight, image in zip(slots, group._act_all(s, keys)):
         slot = index_of.get(image)
         if slot is None:
-            moved = datum.group.act(w, weight)
+            moved = group.act(s, weight)
             raise ValueError(f"weights are not stable: {moved} is not a slot")
         images.append(slot)
-    return StandardZip(ztype=ztype, slots=slots, sigma=tuple(images))
+    return tuple(images)
+
+
+def build_standard(
+    datum: CocharacterDatum, module: WeightMultiset, w: Perm
+) -> StandardZip:
+    """The standard zip of ``standard_zips`` for the one element w."""
+    return standard_zips(datum, module, (w,))[0]
 
 
 def clp(z: StandardZip) -> int:

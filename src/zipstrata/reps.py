@@ -8,12 +8,14 @@ along a cocharacter, ``is_cy`` recognizes the profiles whose top slice is a
 line, and ``hodge_character`` extracts the weight eta of the Hodge line from
 a two-slice profile.
 
-Pairings with the cocharacter mu run on integers. A multiset keeps, computed
-once, its integer image: the lcm L of its coordinate denominators (2 for the
-spin modules, 1 otherwise) and each entry's weight times L. Scaling mu by the
-lcm M of its own denominators, the integer pairing is the exact one times
-L * M > 0, so it groups and orders the weights identically; each exact slice
-value is built as one ``Fraction`` per slice.
+Counting and pairing run on integers. ``from_weights`` counts and sorts
+the weights by their integer image, the weights times the lcm of their
+denominators, which keeps equality and order. A multiset keeps, computed
+once, its integer image: the lcm L of its coordinate denominators (2 for
+the spin modules, 1 otherwise) and each entry's weight times L. Scaling mu
+by the lcm M of its own denominators, the integer pairing is the exact one
+times L * M > 0, so it groups and orders the weights identically; each
+exact slice value is built as one ``Fraction`` per slice.
 """
 
 from __future__ import annotations
@@ -49,10 +51,23 @@ class WeightMultiset:
 
     @staticmethod
     def from_weights(weights: Iterable[Vector]) -> "WeightMultiset":
-        counts: Dict[Vector, int] = {}
-        for weight in weights:
-            counts[weight] = counts.get(weight, 0) + 1
-        return WeightMultiset(tuple(sorted(counts.items())))
+        """Count and sort the weights on their integer image: times the lcm
+        of their denominators, equal weights stay equal and the order stays
+        the same, and integer tuples hash and compare faster than Fraction
+        ones. Each entry keeps the first weight seen of its kind."""
+        weights = tuple(weights)
+        _, image = _to_ints(weights)
+        counts: Dict[IntVector, int] = {}
+        first: Dict[IntVector, Vector] = {}
+        for weight, key in zip(weights, image):
+            if key in counts:
+                counts[key] += 1
+            else:
+                counts[key] = 1
+                first[key] = weight
+        return WeightMultiset(
+            tuple((first[key], counts[key]) for key in sorted(counts))
+        )
 
     @property
     def dimension(self) -> int:

@@ -6,10 +6,11 @@ letters and a center of one or two letters. A word of distinct letters is
 the shape with no alphas, s_a s_b s_a is the one-letter center with no
 prefix, and the two centers cover the odd and even orthogonal stratum
 families. The formula is guarded by the closedness condition on the root
-sets swept out by the word's suffixes, by a reduced-word check, and by
-dominance of the weight. ``strata_ord_table`` drives it over a full set of
-stratum representatives, and ``d_w0`` is the twisted character difference
-that ties the Hasse weight to its section.
+sets swept out by the word's suffixes, by a reduced-word check read off the
+same root sequence (a word is reduced exactly when every root it sweeps is
+positive), and by dominance of the weight. ``strata_ord_table`` drives it
+over a full set of stratum representatives, and ``d_w0`` is the twisted
+character difference that ties the Hasse weight to its section.
 
 The formula reads the weight's pairings from ``simple_pairings``, once per
 call and once per table in ``strata_ord_table``, and Cartan entries from
@@ -101,18 +102,25 @@ def condition_closed(
     backward pass adds the tail's roots and keeps the root sums still
     missing; a stage fails while one is. Sums decide: 2a + b is the sum of
     a + b and a. Only the first failing stage's witness is searched for.
-    Verdicts come from an ``lru_cache`` keyed by the system and the word.
+    Verdicts come from an ``lru_cache`` keyed by the system and the word,
+    which also keeps the order formula's reducedness verdict, read off the
+    same root sequence.
     """
-    return _condition_closed(system, tuple(word))
+    ok, witness, _ = _condition_closed(system, tuple(word))
+    return ok, witness
 
 
 @lru_cache(maxsize=50_000)
 def _condition_closed(
     system: RootSystem, word: Word
-) -> Tuple[bool, Optional[ClosednessWitness]]:
+) -> Tuple[bool, Optional[ClosednessWitness], bool]:
+    """The verdict and witness of ``condition_closed``, and whether the word
+    is reduced: exactly when every root it sweeps is positive, that is has a
+    positive first nonzero coordinate and so sorts above the zero vector."""
     if not word:
-        return True, None
+        return True, None, True
     swept = root_sequence(system, word)
+    reduced = min(swept) > (0,) * system.ambient_dim
     present: set = set()
     missing: set = set()  # roots summing two present roots, not present
     stage = None
@@ -128,11 +136,11 @@ def _condition_closed(
         if missing:
             stage = t
     if stage is None:
-        return True, None
+        return True, None, reduced
     group = weyl_group(system.cartan_type, system.rank)
     back = group.from_word(word[:stage][::-1])
     found = _closure_violation(system, swept[stage:])
-    return False, ClosednessWitness(stage, *group._act_all(back, found))
+    return False, ClosednessWitness(stage, *group._act_all(back, found)), reduced
 
 
 # -- validation helpers ------------------------------------------------------
@@ -165,13 +173,13 @@ def _require_letters(system: RootSystem, letters: Iterable[int]) -> None:
             )
 
 
-def _require_reduced(system: RootSystem, word: Word) -> None:
-    if not weyl_group(system.cartan_type, system.rank).is_reduced(word):
-        raise ValueError(f"word {word} is not reduced")
-
-
-def _require_condition(system: RootSystem, word: Word) -> None:
+def _require_reduced_and_closed(system: RootSystem, word: Word) -> None:
+    """Raise unless the word is reduced and passes the closedness condition,
+    the reducedness error first. ``condition_closed`` runs first: it sweeps
+    the word's roots and caches the reducedness verdict read off them."""
     ok, witness = condition_closed(system, word)
+    if not _condition_closed(system, word)[2]:
+        raise ValueError(f"word {word} is not reduced")
     if not ok:
         raise ValueError(
             f"word {word} fails the closedness condition at suffix "
@@ -238,8 +246,7 @@ def _ord_mirrored(
     _require_distinct([prefix, alphas, center])
     if pairings is None:
         pairings = _dominant_pairings(system, lam)
-    _require_reduced(system, word)
-    _require_condition(system, word)
+    _require_reduced_and_closed(system, word)
     orders = mirror_orders(system, alphas, center)
     total = sum(_int_pairing(pairings, lam, i) for i in prefix + center)
     total += sum(_int_pairing(pairings, lam, a) * o for a, o in zip(alphas, orders))

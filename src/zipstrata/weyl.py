@@ -19,15 +19,20 @@ root exactly when w(a) > w(b). Each group therefore keeps one integer table
 with a slot pair per positive root, the simple roots first, and reads
 lengths and descents off it; every other combinatorial method goes through
 those two, and descent stripping tests only the letters it may strip (left
-ones on the inverse). The action on coordinate vectors (``act``) is a signed
-permutation of coordinates; it serves Fraction weights and integer roots
-alike and keeps the entry type.
+ones on the inverse). A simple reflection swaps one or two pairs of slots,
+so the stripping kernels (``reduced_word``, ``min_in_double_coset``,
+``longest_in``) multiply by it in place, as slot swaps on a list, instead
+of building a tuple per step; left descents are stripped on the inverse,
+which is built once. The action on coordinate vectors (``act``) is a
+signed permutation of coordinates; it serves Fraction weights and integer
+roots alike and keeps the entry type.
 
 ``weyl_group`` hands out one shared group per type and rank. A group builds
-its simple reflections on first use. ``reduced_word`` per element and
-``min_coset_reps`` per parabolic type are served by module-level
-``lru_cache`` functions keyed by the group, which hashes on its type and
-rank, so every group of the same type and rank shares their entries.
+its simple reflections and their slot swaps on first use. ``reduced_word``
+per element and ``min_coset_reps`` per parabolic type are served by
+module-level ``lru_cache`` functions keyed by the group, which hashes on its
+type and rank, so every group of the same type and rank shares their
+entries.
 """
 
 from __future__ import annotations
@@ -120,18 +125,29 @@ class WeylGroup:
         return tuple((a - 1, b - 1) for a, b in simple + rest)
 
     @cached_property
-    def _simple_reflections(self) -> Tuple[Perm, ...]:
+    def _simple_swaps(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Zero-based slot pairs that each simple reflection swaps: one pair
+        in type A and for the last letter of B and C, two otherwise. On a
+        list, these swaps multiply by the reflection on the right."""
         t, m, n = self.system.cartan_type, self.rank, self.slots
         if t == "A":
-            return tuple(transpositions(n, (i, i + 1)) for i in range(1, m + 1))
-        out = [transpositions(n, (i, i + 1), (n + 1 - i, n - i)) for i in range(1, m)]
+            return tuple(((i - 1, i),) for i in range(1, m + 1))
+        out = [((i - 1, i), (n - i - 1, n - i)) for i in range(1, m)]
         if t == "B":
-            out.append(transpositions(n, (m, m + 2)))
+            out.append(((m - 1, m + 1),))
         elif t == "C":
-            out.append(transpositions(n, (m, m + 1)))
+            out.append(((m - 1, m),))
         else:
-            out.append(transpositions(n, (m - 1, m + 1), (m, m + 2)))
+            out.append(((m - 2, m), (m - 1, m + 1)))
         return tuple(out)
+
+    @cached_property
+    def _simple_reflections(self) -> Tuple[Perm, ...]:
+        n = self.slots
+        return tuple(
+            transpositions(n, *((a + 1, b + 1) for a, b in swaps))
+            for swaps in self._simple_swaps
+        )
 
     # -- the action on coordinate vectors ---------------------------------
 
@@ -150,17 +166,24 @@ class WeylGroup:
         """``act`` of one element on many vectors, which share the table of
         where each coordinate lands. Coordinate i goes to coordinate w(i),
         or, when w(i) lies past the coordinate slots, to coordinate
-        N + 1 - w(i) with its sign flipped."""
+        N + 1 - w(i) with its sign flipped. Each image picks its coordinates
+        by index and then negates the flipped ones."""
         dim, n = self.system.ambient_dim, self.slots
-        sources = [(0, False)] * dim
+        sources = [0] * dim
+        flipped = []
         for i, k in enumerate(w[:dim]):
             if k <= dim:
-                sources[k - 1] = (i, False)
+                sources[k - 1] = i
             else:
-                sources[n - k] = (i, True)
-        return tuple(
-            tuple(-v[i] if flip else v[i] for i, flip in sources) for v in vectors
-        )
+                sources[n - k] = i
+                flipped.append(n - k)
+        images = []
+        for v in vectors:
+            image = list(map(v.__getitem__, sources))
+            for k in flipped:
+                image[k] = -image[k]
+            images.append(tuple(image))
+        return tuple(images)
 
     # -- generators and words ---------------------------------------------
 
@@ -187,6 +210,28 @@ class WeylGroup:
     def left_descents(self, w: Perm) -> Tuple[int, ...]:
         return self.right_descents(inverse(w))
 
+    def _letter_indices(self, letters: Iterable[int]) -> List[int]:
+        """Zero-based indices of the letters; the first one outside 1..rank
+        raises."""
+        indices = [i - 1 for i in letters]
+        for k in indices:
+            if not 0 <= k < self.rank:
+                raise ValueError(f"simple reflection index {k + 1} out of range")
+        return indices
+
+    def _check_element(self, w: Perm) -> None:
+        """Raise unless w is an element: a permutation of the slots, outside
+        type A a signed one, and in type D one with an even number of sign
+        changes."""
+        t, m, n = self.system.cartan_type, self.rank, self.slots
+        ok = sorted(w) == list(range(1, n + 1)) and (
+            t == "A" or tuple(w[::-1]) == tuple(map((n + 1).__sub__, w))
+        )
+        if ok and t == "D":
+            ok = sum(map(m.__lt__, w[:m])) % 2 == 0
+        if not ok:
+            raise ValueError(f"{w} is not an element of W({t}{m})")
+
     def _first_descent(self, w: Perm, letters: Iterable[int]) -> Optional[int]:
         """The first of the letters that is a right descent of w, or None."""
         pairs, rank = self._root_pairs, self.rank
@@ -202,9 +247,6 @@ class WeylGroup:
         """Reduced word by stripping the smallest left descent; w not in W raises."""
         return _reduced_word(self, w)
 
-    def is_reduced(self, word: Sequence[int]) -> bool:
-        return self.length(self.from_word(word)) == len(word)
-
     # -- distinguished elements -------------------------------------------
 
     def longest_element(self) -> Perm:
@@ -217,14 +259,21 @@ class WeylGroup:
         return rev
 
     def longest_in(self, I: Sequence[int]) -> Perm:
-        """Longest element of the parabolic subgroup generated by I."""
-        u = self.identity()
+        """Longest element of the parabolic subgroup generated by I: from the
+        identity, multiply on the right by the first ascent in I, in place,
+        until every letter of I is a descent."""
+        letters = self._letter_indices(I)
+        pairs, swaps = self._root_pairs, self._simple_swaps
+        u = list(range(1, self.slots + 1))
         while True:
-            descents = self.right_descents(u)
-            ascent = next((i for i in I if i not in descents), None)
-            if ascent is None:
-                return u
-            u = compose(u, self.simple_reflection(ascent))
+            for i in letters:
+                a, b = pairs[i]
+                if u[a] < u[b]:
+                    for x, y in swaps[i]:
+                        u[x], u[y] = u[y], u[x]
+                    break
+            else:
+                return tuple(u)
 
     def group_order(self) -> int:
         t, m = self.system.cartan_type, self.system.rank
@@ -246,19 +295,39 @@ class WeylGroup:
         return _min_coset_reps(self, tuple(sorted(set(I))))
 
     def min_in_double_coset(self, w: Perm, I: Sequence[int], J: Sequence[int]) -> Perm:
-        """Minimum of W_I * w * W_J by alternating descent stripping.
+        """Minimum of W_I * w * W_J by descent stripping: left descents in I
+        first, on the inverse (s w has inverse w^-1 s), then right descents
+        in J on the element, both in place on a list.
 
         An element with no left descent in I and no right descent in J is the
         unique minimal-length element of its double coset, so the greedy loop
-        cannot stall on a non-minimal element.
+        cannot stall on a non-minimal element. Once no left descent in I is
+        left, stripping a right descent brings none back (the minimal
+        representatives of W_I \\ W are closed under dropping a right
+        descent), so the two phases need not alternate. A w that is not an
+        element raises.
         """
+        left, right = self._letter_indices(I), self._letter_indices(J)
+        self._check_element(w)
+        inv = list(inverse(w))
+        self._strip(inv, left)
+        u = list(inverse(inv))
+        self._strip(u, right)
+        return tuple(u)
+
+    def _strip(self, u: List[int], letters: List[int]) -> None:
+        """Multiply u on the right, in place, by the first of the (zero-based)
+        letters that is a right descent, until none of them is."""
+        pairs, swaps = self._root_pairs, self._simple_swaps
         while True:
-            if (i := self._first_descent(inverse(w), I)) is not None:
-                w = compose(self._simple_reflections[i - 1], w)
-            elif (j := self._first_descent(w, J)) is not None:
-                w = compose(w, self._simple_reflections[j - 1])
+            for i in letters:
+                a, b = pairs[i]
+                if u[a] > u[b]:
+                    for x, y in swaps[i]:
+                        u[x], u[y] = u[y], u[x]
+                    break
             else:
-                return w
+                return
 
     # -- enumeration (guarded, small ranks only) --------------------------
 
@@ -295,21 +364,29 @@ class WeylGroup:
 
 @lru_cache(maxsize=4096)
 def _reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
-    """Strips the smallest left descent on the inverse: s_i w has inverse
-    w^-1 s_i. Only signed slot permutations are stripped (on others it can
-    cycle), and one that runs out of descents away from the identity, as in
-    type D with an odd number of sign changes, is not in W either."""
-    n, ident, t = group.slots, group.identity(), group.system.cartan_type
-    signed = t == "A" or all(x + y == n + 1 for x, y in zip(w, w[::-1]))
-    inv = inverse(w) if signed and sorted(w) == list(ident) else None
+    """Strips the smallest left descent on the inverse, kept as a list: s_i w
+    has inverse w^-1 s_i, which swaps slots of the list in place. A w that is
+    not an element raises before any stripping. Stripping s_i can change
+    only the letters whose simple root's slot pair meets a slot it swaps,
+    and those below i are at most two below it (two in type D, one
+    otherwise); every letter below i was an ascent, so the next scan starts
+    two letters below i."""
+    group._check_element(w)
+    inv = list(inverse(w))
+    pairs, swaps, rank = group._root_pairs, group._simple_swaps, group.rank
     word: List[int] = []
-    while inv != ident:
-        i = None if inv is None else group._first_descent(inv, range(1, group.rank + 1))
-        if i is None:
-            raise ValueError(f"{w} is not an element of W({t}{group.rank})")
-        word.append(i)
-        inv = compose(inv, group._simple_reflections[i - 1])
-    return tuple(word)
+    start = 0
+    while True:
+        for i in range(start, rank):
+            a, b = pairs[i]
+            if inv[a] > inv[b]:
+                break
+        else:
+            return tuple(word)
+        word.append(i + 1)
+        for x, y in swaps[i]:
+            inv[x], inv[y] = inv[y], inv[x]
+        start = max(0, i - 2)
 
 
 @lru_cache(maxsize=64)

@@ -1,12 +1,91 @@
 """Helpers shared by several test modules."""
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from zipstrata.cases import StratumReport
+from zipstrata.fzip import _slot_table
+from zipstrata.reps import WeightMultiset
 from zipstrata.rootsys import RootSystem, Vector
 from zipstrata.vanishing import condition_closed, ord_for_word
-from zipstrata.weyl import CocharacterDatum, Perm, WeylGroup, compose
+from zipstrata.weyl import CocharacterDatum, Perm, WeylGroup, compose, inverse
+
+
+def is_reduced(group: WeylGroup, word: Sequence[int]) -> bool:
+    """Whether the word is reduced: its product has as many inversions as
+    the word has letters."""
+    return group.length(group.from_word(word)) == len(word)
+
+
+# -- reference copies of the one-tuple-per-step Weyl kernels -------------------
+
+
+def reference_reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
+    """Strip the smallest left descent, rebuilding the inverse as a tuple
+    each step; a w that is not a signed slot permutation, or that runs out
+    of descents away from the identity, raises."""
+    n, ident, t = group.slots, group.identity(), group.system.cartan_type
+    signed = t == "A" or all(x + y == n + 1 for x, y in zip(w, w[::-1]))
+    inv = inverse(w) if signed and sorted(w) == list(ident) else None
+    word: List[int] = []
+    while inv != ident:
+        i = None if inv is None else group._first_descent(inv, range(1, group.rank + 1))
+        if i is None:
+            raise ValueError(f"{w} is not an element of W({t}{group.rank})")
+        word.append(i)
+        inv = compose(inv, group.simple_reflection(i))
+    return tuple(word)
+
+
+def reference_min_in_double_coset(
+    group: WeylGroup, w: Perm, I: Sequence[int], J: Sequence[int]
+) -> Perm:
+    """Alternate left stripping in I (on a recomputed inverse) and right
+    stripping in J, one new tuple per step."""
+    while True:
+        if (i := group._first_descent(inverse(w), I)) is not None:
+            w = compose(group.simple_reflection(i), w)
+        elif (j := group._first_descent(w, J)) is not None:
+            w = compose(w, group.simple_reflection(j))
+        else:
+            return w
+
+
+def reference_longest_in(group: WeylGroup, I: Sequence[int]) -> Perm:
+    """Multiply by the first ascent in I, recomputing every right descent
+    each step, until there is none."""
+    u = group.identity()
+    while True:
+        descents = group.right_descents(u)
+        ascent = next((i for i in I if i not in descents), None)
+        if ascent is None:
+            return u
+        u = compose(u, group.simple_reflection(ascent))
+
+
+def reference_slot_perm(
+    datum: CocharacterDatum, module: WeightMultiset, w: Perm
+) -> Perm:
+    """The slot permutation of w on the module, one integer key at a time:
+    slot k goes to the slot of w applied to its key."""
+    if any(mult != 1 for _, mult in module.entries):
+        raise ValueError("the permutation model needs multiplicity-free weights")
+    slots, keys, index_of, _ = _slot_table(module, datum.mu)
+    images = []
+    for weight, key in zip(slots, keys):
+        slot = index_of.get(datum.group.act(w, key))
+        if slot is None:
+            moved = datum.group.act(w, weight)
+            raise ValueError(f"weights are not stable: {moved} is not a slot")
+        images.append(slot)
+    return tuple(images)
+
+
+def reference_entries(weights: Iterable[Vector]) -> Tuple[Tuple[Vector, int], ...]:
+    """The entries of a weight multiset, counted and sorted on the weights
+    themselves."""
+    return tuple(sorted(Counter(weights).items()))
 
 
 def min_double_coset_reps(

@@ -143,7 +143,8 @@ def _refuse_rebuilding_columns(monkeypatch):
     def refuse(*args):
         raise AssertionError("rebuilt a column of a cached case")
 
-    monkeypatch.setattr(cases, "build_standard", refuse)
+    monkeypatch.setattr(cases, "standard_zips", refuse)
+    monkeypatch.setattr(fzip, "standard_zips", refuse)
     monkeypatch.setattr(fzip, "build_standard", refuse)
     monkeypatch.setattr(WeylGroup, "min_in_double_coset", refuse)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from zipstrata import fzip
 from zipstrata.fzip import (
     StandardZip,
     ZipType,
@@ -12,12 +13,15 @@ from zipstrata.fzip import (
     clp,
     clp_exterior_top,
     hasse_nonzero,
+    standard_zips,
     w0ij_perm,
     zip_type,
 )
 from zipstrata.reps import WeightMultiset, dsum, spin_weights, std_weights, wedge
 from zipstrata.rootsys import root_system, unit, vec
-from zipstrata.weyl import WeylGroup, cocharacter_datum, compose
+from zipstrata.weyl import WeylGroup, cocharacter_datum, compose, weyl_group
+
+from helpers import reference_slot_perm
 
 
 def e1(dim: int):
@@ -91,6 +95,87 @@ def test_build_names_the_weight_that_leaves_the_slots() -> None:
     image = str(vec(half, -half))
     with pytest.raises(ValueError, match=re.escape(f"{image} is not a slot")):
         build_standard(datum, module, datum.group.simple_reflection(2))
+
+
+def test_an_unstable_module_is_refused_from_every_element() -> None:
+    """Stability is checked on the simple reflections, whatever the element:
+    the identity, which moves no weight, is refused too, with the same
+    message."""
+    datum = datum_for("B", 2, e1(2))
+    half = Fraction(1, 2)
+    module = WeightMultiset.from_weights([vec(half, half), vec(-half, -half)])
+    image = re.escape(f"{vec(half, -half)} is not a slot")
+    for w in datum.group.elements():
+        with pytest.raises(ValueError, match=f"weights are not stable: {image}"):
+            build_standard(datum, module, w)
+
+
+@pytest.mark.parametrize("w", [(2, 1, 3, 4, 5), (1, 2, 3, 4), (1, 1, 3, 4, 5)])
+def test_a_tuple_outside_the_group_is_refused(w) -> None:
+    datum = datum_for("B", 2, e1(2))
+    with pytest.raises(ValueError, match="not an element"):
+        build_standard(datum, std_weights("B", 2), w)
+
+
+_ZIP_MODULES = [
+    ("A", 3, (1, 0, 0, 0), lambda: std_weights("A", 3)),
+    ("A", 3, (1, 1, 0, 0), lambda: wedge(std_weights("A", 3), 2)),
+    ("B", 3, (1, 0, 0), lambda: std_weights("B", 3)),
+    ("C", 3, (1, 1, 1), lambda: std_weights("C", 3)),
+    ("D", 4, (1, 0, 0, 0), lambda: std_weights("D", 4)),
+    ("B", 3, (1, 0, 0), lambda: spin_weights("B", 3)),
+    ("D", 4, (1, 0, 0, 0), lambda: spin_weights("D", 4)),
+    ("A", 4, (1, 1, 0, 0, 0), lambda: wedge(std_weights("A", 4), 2)),
+]
+
+
+@pytest.mark.parametrize("cartan_type,rank,mu,module", _ZIP_MODULES)
+def test_composed_slot_perms_equal_the_per_key_action(
+    cartan_type, rank, mu, module
+) -> None:
+    """On every element, one at a time and all in one call (which reuses the
+    elements met on the way), the slot permutation equals the one read off
+    the action on each integer key."""
+    datum = datum_for(cartan_type, rank, vec(*mu))
+    module = module()
+    elements = datum.group.elements()
+    expected = [reference_slot_perm(datum, module, w) for w in elements]
+    assert [build_standard(datum, module, w).sigma for w in elements] == expected
+    assert [z.sigma for z in standard_zips(datum, module, elements)] == expected
+
+
+def test_the_strata_of_a_case_cost_one_composition_each(monkeypatch) -> None:
+    """The labels of B_4 open first: the first walk passes every shorter
+    label, so each label costs one step of the walk and one composition of
+    slot permutations."""
+    datum = datum_for("B", 4, e1(4))
+    labels = sorted(
+        datum.group.min_coset_reps(datum.I), key=datum.group.length, reverse=True
+    )
+    calls = []
+    compose_once = fzip.compose
+
+    def counted(a, b):
+        calls.append(1)
+        return compose_once(a, b)
+
+    monkeypatch.setattr(fzip, "compose", counted)
+    zips = standard_zips(datum, std_weights("B", 4), labels)
+    assert len(calls) == 2 * (len(labels) - 1)
+    assert [z.sigma for z in zips] == [
+        reference_slot_perm(datum, std_weights("B", 4), w) for w in labels
+    ]
+
+
+def test_the_longest_element_of_b64_needs_no_recursion() -> None:
+    """The walk from w0 of B_64 to the identity takes 4096 steps."""
+    group = weyl_group("B", 64)
+    datum = cocharacter_datum(group, e1(64))
+    module = std_weights("B", 64)
+    w0 = group.longest_element()
+    sigma = build_standard(datum, module, w0).sigma
+    assert sigma == tuple(range(129, 0, -1))
+    assert sigma == reference_slot_perm(datum, module, w0)
 
 
 def test_sigma_of_the_open_label_swaps_the_extreme_slots() -> None:

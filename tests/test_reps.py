@@ -22,6 +22,8 @@ from zipstrata.reps import (
 from zipstrata.rootsys import root_system, unit, vec
 from zipstrata.weyl import WeylGroup
 
+from helpers import reference_entries
+
 
 def e1(dim: int):
     return unit(dim, 1)
@@ -268,3 +270,18 @@ def test_a_cocharacter_of_the_wrong_length_is_rejected(module) -> None:
         for pairing in (mu_profile, hodge_character, _slot_table):
             with pytest.raises(ValueError):
                 pairing(module, mu)
+
+
+@given(
+    width=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_from_weights_equals_counting_the_fraction_weights(width, data) -> None:
+    """Counting and sorting on the integer image gives the entries that
+    counting and sorting the Fraction weights gives, with mixed
+    denominators, negative coordinates and repeats."""
+    weight = st.lists(_coords, min_size=width, max_size=width).map(tuple)
+    pool = data.draw(st.lists(weight, min_size=1, max_size=6))
+    weights = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+    assert WeightMultiset.from_weights(weights).entries == reference_entries(weights)

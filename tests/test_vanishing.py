@@ -24,7 +24,7 @@ from zipstrata.vanishing import (
 )
 from zipstrata.weyl import WeylGroup, cocharacter_datum, weyl_group
 
-from helpers import find_nonclosed_word, reference_ord_table
+from helpers import find_nonclosed_word, is_reduced, reference_ord_table
 
 
 def wg(cartan_type: str, rank: int) -> WeylGroup:
@@ -279,7 +279,29 @@ def test_empty_word_is_closed_without_a_root_sequence(monkeypatch) -> None:
         raise AssertionError("swept roots for the empty word")
 
     monkeypatch.setattr(vanishing, "root_sequence", refuse)
-    assert vanishing._condition_closed.__wrapped__(root_system("B", 3), ()) == (True, None)
+    assert vanishing._condition_closed.__wrapped__(root_system("B", 3), ()) == (
+        True, None, True
+    )
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_reducedness_read_off_the_roots_equals_is_reduced(
+    cartan_type: str, rank: int
+) -> None:
+    """Every word of at most five letters: the order formula's word check
+    passes exactly on reduced words, and on the others it names
+    reducedness, not closedness, as the failure."""
+    group = weyl_group(cartan_type, rank)
+    for length in range(6):
+        for word in itertools.product(range(1, rank + 1), repeat=length):
+            try:
+                vanishing._require_reduced_and_closed(group.system, word)
+            except ValueError as err:
+                assert str(err) == f"word {word} is not reduced"
+                passed = False
+            else:
+                passed = True
+            assert passed == is_reduced(group, word), word
 
 
 # -- distinct-letter words ---------------------------------------------------
@@ -344,7 +366,7 @@ def test_ord_distinct_ignores_letter_order(data) -> None:
     orders = []
     for word in words:
         group = wg("B", 4)
-        if not group.is_reduced(word):
+        if not is_reduced(group, word):
             return
         orders.append(ord_mirrored(system, lam, word, (), ()))
     assert orders[0] == orders[1]
@@ -518,7 +540,7 @@ def _reduced_words(cartan_type: str, rank: int):
             word + (letter,)
             for word in layer
             for letter in range(1, rank + 1)
-            if group.is_reduced(word + (letter,))
+            if is_reduced(group, word + (letter,))
         ]
 
 
@@ -727,8 +749,8 @@ def test_family_words_are_reduced() -> None:
     group_d = wg("D", 5)
     for j in range(1, 6):
         for l in range(0, 6 - j):
-            assert group_b.is_reduced(family_word_typeB(5, j, l))
-            assert group_d.is_reduced(family_word_typeD(5, j, l))
+            assert is_reduced(group_b, family_word_typeB(5, j, l))
+            assert is_reduced(group_d, family_word_typeD(5, j, l))
 
 
 def test_family_word_rejects_bad_parameters() -> None:

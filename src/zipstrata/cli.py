@@ -21,6 +21,8 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cases import (
+    CASE_BY_FLAG,
+    PRESETS,
     PRIME_MAX,
     CaseSpec,
     StratumReport,
@@ -41,19 +43,6 @@ from .vanishing import (
 from .weyl import WeylGroup, weyl_group
 
 SCHEMA_VERSION = 1
-
-CASE_BY_FLAG = {
-    "so-odd": "SO_odd_std",
-    "so-even": "SO_even_std",
-    "sp-cn": "Sp2n_std_Cn",
-    "siegel": "GSp2n_wedge_dual",
-    "gl-dualsum": "GLn_wedge_dualsum",
-    "gl4-wedge2": "GL4_wedge2",
-    "gspin-odd": "GSpin_spin_odd",
-    "gspin-even": "GSpin_spin_even",
-}
-
-_FIXED_RANK = {"gl4-wedge2": 4}
 
 
 @dataclass(frozen=True)
@@ -459,9 +448,10 @@ def _config_from(
 ) -> RunConfig:
     rank = args.rank
     if rank is None:
-        rank = _FIXED_RANK.get(args.case)
-        if rank is None:
+        preset = PRESETS[CASE_BY_FLAG[args.case]]
+        if preset.max_rank != preset.min_rank:
             parser.error(f"case {args.case} needs --m or --n")
+        rank = preset.min_rank
     return RunConfig(
         case=args.case,
         rank=rank,

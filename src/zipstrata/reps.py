@@ -2,20 +2,20 @@
 
 A representation enters the computation only through its multiset of torus
 weights. The constructors here cover the standard and (half-)spin modules of
-the classical types plus the tensor operations needed to assemble the case
-list: exterior powers, duals and direct sums. ``mu_profile`` slices a multiset
-along a cocharacter, ``is_cy`` recognizes the profiles whose top slice is a
-line, and ``hodge_character`` extracts the weight eta of the Hodge line from
-a two-slice profile.
+the classical types plus exterior powers and duals. ``mu_profile`` slices a
+multiset along a cocharacter, ``is_cy`` recognizes the profiles whose top
+slice is a line, and ``hodge_character`` is the one rule for the Hodge
+character of a case: minus the sum of the weights in the top mu-slice.
 
 Counting and pairing run on integers. ``from_weights`` counts and sorts
 the weights by their integer image, the weights times the lcm of their
-denominators, which keeps equality and order. A multiset keeps, computed
-once, its integer image: the lcm L of its coordinate denominators (2 for
-the spin modules, 1 otherwise) and each entry's weight times L. Scaling mu
-by the lcm M of its own denominators, the integer pairing is the exact one
-times L * M > 0, so it groups and orders the weights identically; each
-exact slice value is built as one ``Fraction`` per slice.
+denominators, which keeps equality and order, and keeps that image with
+the multiset: the lcm L of its coordinate denominators (2 for the spin
+modules, 1 otherwise) and each entry's weight times L, computed on first
+use for a multiset built otherwise. Scaling mu by the lcm M of its own
+denominators, the integer pairing is the exact one times L * M > 0, so it
+groups and orders the weights identically; each exact slice value is built
+as one ``Fraction`` per slice.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class WeightMultiset:
         the same, and integer tuples hash and compare faster than Fraction
         ones. Each entry keeps the first weight seen of its kind."""
         weights = tuple(weights)
-        _, image = _to_ints(weights)
+        scale, image = _to_ints(weights)
         counts: Dict[IntVector, int] = {}
         first: Dict[IntVector, Vector] = {}
         for weight, key in zip(weights, image):
@@ -65,9 +65,10 @@ class WeightMultiset:
             else:
                 counts[key] = 1
                 first[key] = weight
-        return WeightMultiset(
-            tuple((first[key], counts[key]) for key in sorted(counts))
-        )
+        keys = tuple(sorted(counts))
+        multiset = WeightMultiset(tuple((first[key], counts[key]) for key in keys))
+        multiset.__dict__["_int_image"] = (scale, keys)  # seeds the cached property
+        return multiset
 
     @property
     def dimension(self) -> int:
@@ -157,10 +158,6 @@ def dual(module: WeightMultiset) -> WeightMultiset:
     )
 
 
-def dsum(left: WeightMultiset, right: WeightMultiset) -> WeightMultiset:
-    return WeightMultiset.from_weights(left.expanded() + right.expanded())
-
-
 def mu_profile(
     module: WeightMultiset, mu: Vector
 ) -> Tuple[Tuple[Fraction, int], ...]:
@@ -183,21 +180,15 @@ def is_cy(module: WeightMultiset, mu: Vector) -> bool:
 
 
 def hodge_character(module: WeightMultiset, mu: Vector) -> Vector:
-    """Sum of the weights in the lower slice of a two-slice profile.
-
-    Modules whose weights spread over three or more pairing values have no
-    single Hodge line in this sense and are rejected.
-    """
+    """Minus the sum of the weights in the top mu-slice, with their
+    multiplicities: the Hodge character eta, for any profile."""
     values, _ = module._pairings(mu)
-    slices = set(values)
-    if len(slices) != 2:
-        raise ValueError(f"expected exactly two mu-slices, found {len(slices)}")
-    low = min(slices)
+    top = max(values)
     scale, image = module._int_image
     total = [0] * len(mu)
     for value, key, (_, mult) in zip(values, image, module.entries):
-        if value == low:
-            total = [t + mult * c for t, c in zip(total, key)]
+        if value == top:
+            total = [t - mult * c for t, c in zip(total, key)]
     return tuple(Fraction(t, scale) for t in total)
 
 

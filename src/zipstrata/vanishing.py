@@ -282,10 +282,14 @@ def _parse_mirrored(word: Word) -> Optional[Tuple[Word, Word, Word]]:
     """Split as (prefix, alphas, center) with pairwise distinct letters: a
     word of distinct letters is its own prefix, otherwise a one-letter
     center is tried before a two-letter one, each with the longest alphas
-    first; None when no split fits."""
-    if len(set(word)) == len(word):
+    first; None when no split fits, at once for a word longer than twice
+    its number of distinct letters, since a split uses each letter at most
+    twice."""
+    distinct, length = len(set(word)), len(word)
+    if distinct == length:
         return word, (), ()
-    length = len(word)
+    if length > 2 * distinct:
+        return None
     for size in (1, 2):
         for k in range((length - size) // 2, 0, -1):
             alphas = word[length - k :]

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from zipstrata.cases import StratumReport
@@ -162,3 +163,34 @@ def reference_reports(
             )
         )
     return tuple(reports)
+
+
+# -- reference case facts -------------------------------------------------------
+
+
+def dsum(left: WeightMultiset, right: WeightMultiset) -> WeightMultiset:
+    """Direct sum: the weights of both modules together."""
+    return WeightMultiset.from_weights(left.expanded() + right.expanded())
+
+
+def hand_eta(identifier: str, rank: int) -> Vector:
+    """The Hodge character of each case as its hand builder gave it: written
+    out for the standard, wedge-square and dual-sum cases, and from the
+    lower slice of the two-slice profile for Siegel and the spin cases,
+    here in closed form."""
+    def first(c: int) -> Vector:
+        return (Fraction(c),) + (Fraction(0),) * (rank - 1)
+
+    if identifier in ("SO_odd_std", "SO_even_std", "Sp2n_std_Cn"):
+        return first(-1)
+    if identifier == "GSp2n_wedge_dual":
+        return (Fraction(-1),) * rank
+    if identifier == "GLn_wedge_dualsum":
+        return (Fraction(-2),) * (rank - 1) + (Fraction(0),)
+    if identifier == "GL4_wedge2":
+        return tuple(map(Fraction, (-1, -1, 0, 0)))
+    if identifier == "GSpin_spin_odd":
+        return first(-(2 ** (rank - 2)))
+    if identifier == "GSpin_spin_even":
+        return first(-(2 ** (rank - 3)))
+    raise ValueError(f"unknown case {identifier!r}")

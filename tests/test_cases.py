@@ -5,8 +5,10 @@ import pytest
 from zipstrata import cache_stats
 from zipstrata import cases, fzip
 from zipstrata.cases import (
+    CASE_BY_FLAG,
     CASE_IDENTIFIERS,
     MODULE_DIM_CAP,
+    PRESETS,
     PRIME_MAX,
     STRATA_CAP,
     CaseSpec,
@@ -18,11 +20,11 @@ from zipstrata.cases import (
 )
 from zipstrata.fzip import build_standard, clp, clp_exterior_top
 from zipstrata.oracle import gl_plucker_order
-from zipstrata.reps import dsum, dual, spin_weights, std_weights, wedge
+from zipstrata.reps import dual, hodge_character, spin_weights, std_weights, wedge
 from zipstrata.rootsys import vec
 from zipstrata.weyl import WeylGroup, compose
 
-from helpers import reference_reports
+from helpers import dsum, hand_eta, reference_reports
 
 
 def ords(result):
@@ -45,6 +47,18 @@ class TestSpecValidation:
     def test_wedge_square_case_pins_the_rank(self):
         with pytest.raises(ValueError, match="rank 4"):
             run_case(CaseSpec("GL4_wedge2", 5, 3))
+
+    @pytest.mark.parametrize("rank", [5, 10**6])
+    def test_fixed_rank_is_checked_before_anything_is_built(self, rank):
+        before = cache_stats()["cases._case_data"]
+        with pytest.raises(ValueError, match="above its largest rank 4"):
+            check_spec(CaseSpec("GL4_wedge2", rank, 3))
+        assert cache_stats()["cases._case_data"] == before
+
+    def test_only_fixed_rank_presets_have_a_largest_rank(self):
+        for preset in PRESETS.values():
+            assert preset.max_rank in (None, preset.min_rank)
+        assert PRESETS["GL4_wedge2"].max_rank == 4
 
     def test_silly_prime_is_rejected(self):
         with pytest.raises(ValueError, match="not a prime"):
@@ -95,9 +109,9 @@ def _case_module(identifier, rank):
 class TestSizeCeilings:
     @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
     def test_closed_forms_match_the_built_case(self, identifier):
-        low = cases._MIN_RANK[identifier]
+        low = PRESETS[identifier].min_rank
         for rank in ([4] if identifier == "GL4_wedge2" else range(low, low + 3)):
-            dim, strata = cases._CASE_SIZE[identifier](rank)
+            dim, strata = PRESETS[identifier].size(rank)
             assert dim == _case_module(identifier, rank).dimension
             assert strata == len(run_case(CaseSpec(identifier, rank, 3)).reports)
 
@@ -109,7 +123,7 @@ class TestSizeCeilings:
         ("GSpin_spin_odd", 12), ("GSpin_spin_even", 13),
     ])
     def test_used_and_largest_ranks_are_within_the_ceilings(self, identifier, rank):
-        dim, strata = cases._CASE_SIZE[identifier](rank)
+        dim, strata = PRESETS[identifier].size(rank)
         assert dim <= MODULE_DIM_CAP and strata <= STRATA_CAP
 
     def test_the_largest_siegel_table_runs(self):
@@ -136,6 +150,64 @@ class TestSizeCeilings:
             monkeypatch.setattr(cases, name, refuse)
         with pytest.raises(ValueError, match=f"{reason}, above the ceiling"):
             run_case(CaseSpec(identifier, rank, 3))
+
+
+def _accepted_ranks(identifier):
+    """Every rank ``check_spec`` accepts for the case, from its minimum up."""
+    ranks = []
+    rank = PRESETS[identifier].min_rank
+    while True:
+        try:
+            check_spec(CaseSpec(identifier, rank, 3))
+        except ValueError:
+            return ranks
+        ranks.append(rank)
+        rank += 1
+
+
+_TRIPLE_PRESETS = [i for i in CASE_IDENTIFIERS if PRESETS[i].triple is not None]
+
+
+class TestPresets:
+    def test_flags_name_the_eight_cases(self):
+        assert CASE_BY_FLAG == {
+            "so-odd": "SO_odd_std",
+            "so-even": "SO_even_std",
+            "sp-cn": "Sp2n_std_Cn",
+            "siegel": "GSp2n_wedge_dual",
+            "gl-dualsum": "GLn_wedge_dualsum",
+            "gl4-wedge2": "GL4_wedge2",
+            "gspin-odd": "GSpin_spin_odd",
+            "gspin-even": "GSpin_spin_even",
+        }
+
+    def test_only_the_dual_sum_case_is_hand_coded(self):
+        assert _TRIPLE_PRESETS == [
+            i for i in CASE_IDENTIFIERS if i != "GLn_wedge_dualsum"
+        ]
+
+    def test_the_module_cases_have_122_accepted_ranks(self):
+        assert sum(len(_accepted_ranks(i)) for i in _TRIPLE_PRESETS) == 122
+
+    @pytest.mark.parametrize("identifier", _TRIPLE_PRESETS)
+    def test_the_rule_gives_the_hand_eta_at_every_accepted_rank(self, identifier):
+        """All accepted ranks: every rank up to 8, and the ceiling."""
+        for rank in _accepted_ranks(identifier):
+            _, _, mu, module = PRESETS[identifier].triple(rank)
+            assert hodge_character(module, mu) == hand_eta(identifier, rank)
+
+    @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
+    def test_each_case_carries_its_hand_eta(self, identifier):
+        for rank in _accepted_ranks(identifier)[:3]:
+            result = run_case(CaseSpec(identifier, rank, 3))
+            assert result.eta == hand_eta(identifier, rank)
+
+    @pytest.mark.parametrize("rank", range(2, 9))
+    def test_the_rule_gives_half_the_dual_sum_eta(self, rank):
+        """Why the dual-sum case keeps its hand Hodge character."""
+        top = wedge(std_weights("A", rank - 1), rank - 1)
+        rule = hodge_character(dsum(top, dual(top)), vec(*([1] * (rank - 1) + [0])))
+        assert tuple(2 * c for c in rule) == hand_eta("GLn_wedge_dualsum", rank)
 
 
 def _refuse_rebuilding_columns(monkeypatch):
@@ -232,7 +304,7 @@ _TOP_RANK = {"GSp2n_wedge_dual": 4, "GLn_wedge_dualsum": 8, "GL4_wedge2": 4}
 @pytest.mark.parametrize("identifier,rank", [
     (identifier, rank)
     for identifier in CASE_IDENTIFIERS
-    for rank in range(cases._MIN_RANK[identifier], _TOP_RANK.get(identifier, 5) + 1)
+    for rank in range(PRESETS[identifier].min_rank, _TOP_RANK.get(identifier, 5) + 1)
 ])
 def test_reports_equal_the_label_by_label_reference(identifier, rank):
     """The cached columns and the pairing-once order table give the reports

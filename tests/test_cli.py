@@ -120,6 +120,20 @@ class TestStrataOptions:
         assert code == 2
         assert "rank at least" in err
 
+    @pytest.mark.parametrize("flag", sorted(CASE_BY_FLAG))
+    def test_rank_below_each_preset_exits_with_usage_error(self, capsys, flag):
+        low = cli.PRESETS[CASE_BY_FLAG[flag]].min_rank
+        code, out, err = run_cli(capsys, "strata", "--case", flag, "--n", str(low - 1))
+        assert code == 2
+        assert out == ""
+        assert f"rank at least {low}" in err
+
+    def test_rank_above_the_fixed_rank_exits_with_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "strata", "--case", "gl4-wedge2", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "above its largest rank 4" in err
+
     def test_oversized_case_exits_with_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "strata", "--case", "gspin-odd", "--m", "40")
         assert code == 2

@@ -17,11 +17,11 @@ from zipstrata.fzip import (
     w0ij_perm,
     zip_type,
 )
-from zipstrata.reps import WeightMultiset, dsum, spin_weights, std_weights, wedge
+from zipstrata.reps import WeightMultiset, spin_weights, std_weights, wedge
 from zipstrata.rootsys import root_system, unit, vec
 from zipstrata.weyl import WeylGroup, cocharacter_datum, compose, weyl_group
 
-from helpers import reference_slot_perm
+from helpers import dsum, reference_slot_perm
 
 
 def e1(dim: int):

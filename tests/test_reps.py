@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from zipstrata.fzip import ZipType, _slot_table
 from zipstrata.reps import (
     WeightMultiset,
-    dsum,
     dual,
     hodge_character,
     is_cy,
@@ -19,10 +18,10 @@ from zipstrata.reps import (
     std_weights,
     wedge,
 )
-from zipstrata.rootsys import root_system, unit, vec
+from zipstrata.rootsys import _to_ints, root_system, unit, vec
 from zipstrata.weyl import WeylGroup
 
-from helpers import reference_entries
+from helpers import dsum, reference_entries
 
 
 def e1(dim: int):
@@ -178,11 +177,10 @@ def test_hodge_character_of_the_spin_modules() -> None:
     assert hodge_character(spin_weights("D", 5), e1(5)) == vec(-4, 0, 0, 0, 0)
 
 
-def test_hodge_character_rejects_three_slice_profiles() -> None:
-    with pytest.raises(ValueError, match="two mu-slices"):
-        hodge_character(std_weights("B", 3), e1(3))
-    with pytest.raises(ValueError, match="two mu-slices"):
-        hodge_character(wedge(std_weights("A", 3), 2), vec(1, 1, 0, 0))
+def test_hodge_character_of_three_slice_profiles() -> None:
+    assert hodge_character(std_weights("B", 3), e1(3)) == vec(-1, 0, 0)
+    square = wedge(std_weights("A", 3), 2)
+    assert hodge_character(square, vec(1, 1, 0, 0)) == vec(-1, -1, 0, 0)
 
 
 # -- integer pairings against an exact reference ------------------------------
@@ -201,11 +199,11 @@ def _ref_profile(module, mu):
 
 
 def _ref_hodge(module, mu):
-    low = min(_dot(weight, mu) for weight, _ in module.entries)
+    top = max(_dot(weight, mu) for weight, _ in module.entries)
     total = [Fraction(0)] * len(mu)
     for weight, mult in module.entries:
-        if _dot(weight, mu) == low:
-            total = [t + mult * c for t, c in zip(total, weight)]
+        if _dot(weight, mu) == top:
+            total = [t - mult * c for t, c in zip(total, weight)]
     return tuple(total)
 
 
@@ -255,11 +253,7 @@ def test_integer_pairings_match_the_exact_pairing(data) -> None:
     profile = mu_profile(module, mu)
     assert profile == _ref_profile(module, mu)
     assert all(type(value) is Fraction for value, _ in profile)
-    if len(profile) == 2:
-        assert hodge_character(module, mu) == _ref_hodge(module, mu)
-    else:
-        with pytest.raises(ValueError, match="two mu-slices"):
-            hodge_character(module, mu)
+    assert hodge_character(module, mu) == _ref_hodge(module, mu)
     assert _slot_table(module, mu) == _ref_slot_table(module, mu)
 
 
@@ -285,3 +279,16 @@ def test_from_weights_equals_counting_the_fraction_weights(width, data) -> None:
     pool = data.draw(st.lists(weight, min_size=1, max_size=6))
     weights = data.draw(st.lists(st.sampled_from(pool), max_size=20))
     assert WeightMultiset.from_weights(weights).entries == reference_entries(weights)
+
+
+@given(
+    width=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_from_weights_seeds_the_integer_image(width, data) -> None:
+    """The image kept by ``from_weights`` is the one the entries give."""
+    weight = st.lists(_coords, min_size=width, max_size=width).map(tuple)
+    multiset = WeightMultiset.from_weights(data.draw(st.lists(weight, max_size=12)))
+    seeded = multiset.__dict__["_int_image"]
+    assert seeded == _to_ints(entry for entry, _ in multiset.entries)

@@ -529,6 +529,39 @@ def test_dispatch_rejects_unsupported_shapes() -> None:
         ord_for_word(root_system("B", 2), vec(1, 0), (1, 2, 1, 2))
 
 
+def test_dispatch_refuses_a_long_word_without_searching() -> None:
+    """32000 letters of A2: more than twice the distinct letters, so no split
+    fits, and the refusal does not wait on the quadratic search (seconds
+    per word of this length)."""
+    with pytest.raises(ValueError, match="no supported shape"):
+        ord_for_word(root_system("A", 2), vec(1, 0, 0), (1, 2) * 16000)
+
+
+def _has_mirrored_split(word) -> bool:
+    """Whether some prefix + reversed(alphas) + center + alphas with pairwise
+    distinct letters and a center of 0 (no alphas), 1 or 2 letters spells
+    the word, trying every cut."""
+    n = len(word)
+    for size, k in itertools.product((0, 1, 2), range(n // 2 + 1)):
+        start = n - 2 * k - size
+        if start < 0 or (size == 0) != (k == 0):
+            continue
+        alphas = word[n - k :]
+        letters = word[:start] + alphas + word[start + k : n - k]
+        if word[start : start + k] == alphas[::-1] and len(set(letters)) == len(letters):
+            return True
+    return False
+
+
+def test_dispatch_finds_a_split_exactly_when_one_exists() -> None:
+    """Every word of up to 7 letters from 1..3: the early refusal of words
+    longer than twice their distinct letters drops no split."""
+    for length in range(8):
+        for word in itertools.product((1, 2, 3), repeat=length):
+            parsed = vanishing._parse_mirrored(word)
+            assert (parsed is not None) == _has_mirrored_split(word)
+
+
 def _reduced_words(cartan_type: str, rank: int):
     """Every reduced word of the Weyl group, grown one letter at a time
     (each prefix of a reduced word is reduced)."""

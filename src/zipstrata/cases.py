@@ -1,13 +1,16 @@
 """Case-by-case comparison of vanishing orders and conjugate line positions.
 
 A case is a triple (G, mu, r): a split reductive group, a cocharacter and a
-representation, given at each rank by one entry of ``PRESETS``. Per stratum
-it runs two independent computations: the vanishing order of the Hasse
-section through the word formulas (or a closed form where the cell words
-leave the supported shapes) and the conjugate line position through the zip
-permutation model. Ogus' principle is the assertion that the two agree; the
-symplectic standard case is the known exception, failing exactly on the
-minimal stratum while the inequality still holds.
+representation, given at each rank by one entry of ``PRESETS``, and the
+power of the triple's Hasse section it tabulates (the square for the
+dual-sum case, the section itself otherwise). Every preset takes the same
+path. Per stratum it runs two independent computations: the vanishing
+order of the Hasse section through the word formulas (or a closed form
+where the cell words leave the supported shapes or the table is slow) and
+the conjugate line position through the zip permutation model. Ogus'
+principle is the assertion that the two agree; the symplectic standard
+case is the known exception, failing exactly on the minimal stratum while
+the inequality still holds.
 
 A case's datum, Hodge character and report columns (each stratum's label,
 reduced word, Bruhat class, line position and closed-form order) do not
@@ -103,68 +106,26 @@ class _CaseData(NamedTuple):
     orders: Optional[Tuple[int, ...]]
 
 
-def _tabulate(
-    datum: CocharacterDatum,
-    eta: Vector,
-    ord_of: Optional[Callable[[Perm], int]],
-    clps_of: Callable[[Tuple[Perm, ...]], Tuple[int, ...]],
-) -> _CaseData:
-    """Sort the strata open first (longest label first, then by reduced
-    word) and evaluate every prime-independent column on them; ``ord_of``
-    is a closed form, or None for the word formulas, and ``clps_of`` gives
-    the line positions of all the labels at once."""
-    group, I, J = datum.group, datum.I, datum.J
-    labels = tuple(sorted(
-        group.min_coset_reps(I),
-        key=lambda w: (-group.length(w), group.reduced_word(w)),
-    ))
-    return _CaseData(
-        datum=datum,
-        eta=eta,
-        labels=labels,
-        words=tuple(map(group.reduced_word, labels)),
-        bruhat_classes=tuple(group.min_in_double_coset(w, I, J) for w in labels),
-        clps=clps_of(labels),
-        orders=None if ord_of is None else tuple(map(ord_of, labels)),
-    )
-
-
-def _case_gl_dualsum(n: int) -> _CaseData:
-    """General linear case of signature (n-1, 1) on the last wedge plus its
-    dual: orders are 0 on the strata moving the top line and 2 elsewhere.
-
-    The one hand-coded case: no zip model is known that gives its line
-    positions (``clp`` on the sum module gives other values), and the
-    Hodge-character rule gives half its Hodge character. The Pluecker
-    oracle pins the order values for small n in the tests.
-    """
-    mu = vec(*([1] * (n - 1) + [0]))
-    datum = cocharacter_datum(weyl_group("A", n - 1), mu)
-    return _tabulate(
-        datum,
-        smul(-2, mu),
-        lambda label: 0 if label[0] == n else 2,
-        lambda labels: tuple(2 if label[0] == 1 else 0 for label in labels),
-    )
-
-
 class Preset(NamedTuple):
     """A case's command-line flag and ranks (a ``max_rank`` only if fixed),
     its closed-form (module dimension, |W^I|) at a rank for ``check_spec``,
     and its triple at a rank: the Cartan type and rank of G, mu and the
-    weights of r (None for the one hand-coded case). The line position is
-    ``clp_exterior_top`` where ``exterior_top`` is set, ``clp`` otherwise;
-    ``order`` maps (rank, label) to a closed-form order. A named tuple, not
-    a dataclass: built on every import of the command line, its class takes
+    weights of r. The case tabulates the ``power``-th power of the triple's
+    Hasse invariant, so its eta and line positions are ``power`` times the
+    triple's. The line position is ``clp_exterior_top`` where
+    ``exterior_top`` is set, ``clp`` otherwise; ``order`` maps (rank,
+    label) to a closed-form order of that power. A named tuple, not a
+    dataclass: built on every import of the command line, its class takes
     0.6 ms against a frozen dataclass's 1.7 ms (2-vCPU Xeon)."""
 
     flag: str
     min_rank: int
     size: Callable[[int], Tuple[int, int]]
-    triple: Optional[Callable[[int], Tuple[str, int, Vector, WeightMultiset]]]
+    triple: Callable[[int], Tuple[str, int, Vector, WeightMultiset]]
     exterior_top: bool = False
     order: Optional[Callable[[int, Perm], int]] = None
     max_rank: Optional[int] = None
+    power: int = 1
 
 
 PRESETS: Dict[str, Preset] = {
@@ -190,7 +151,18 @@ PRESETS: Dict[str, Preset] = {
         exterior_top=True,
         order=lambda n, label: n - sum(1 for k in label[:n] if k > n),
     ),
-    "GLn_wedge_dualsum": Preset("gl-dualsum", 2, lambda r: (2 * r, r), None),
+    # The last wedge of the standard module plus its dual: the square of the
+    # Hasse invariant of the last wedge (the squared Pluecker coordinate of
+    # ``gl_plucker_order``). Its order is 0 on the strata moving the top line
+    # and 2 elsewhere; the closed form spares the order table, which takes
+    # 5 s at rank 64.
+    "GLn_wedge_dualsum": Preset(
+        "gl-dualsum", 2, lambda r: (r, r),
+        lambda r: ("A", r - 1, vec(*([1] * (r - 1) + [0])),
+                   wedge(std_weights("A", r - 1), r - 1)),
+        order=lambda n, label: 0 if label[0] == n else 2,
+        power=2,
+    ),
     "GL4_wedge2": Preset(
         "gl4-wedge2", 4, lambda r: (6, 6),
         lambda r: ("A", 3, vec(1, 1, 0, 0), wedge(std_weights("A", 3), 2)),
@@ -259,22 +231,32 @@ def check_spec(spec: CaseSpec) -> None:
 @lru_cache(maxsize=64)
 def _case_data(identifier: str, rank: int) -> _CaseData:
     """The datum, Hodge character and report columns of a validated case,
-    built once per (identifier, rank). A triple preset takes its datum from
-    (type, rank, mu), its Hodge character from ``hodge_character``, its line
-    positions from one ``standard_zips`` call, and its orders from its
-    closed form or, when it has none, the word formulas."""
+    built once per (identifier, rank). The datum comes from the preset's
+    (type, rank, mu), the Hodge character from ``hodge_character``, the
+    line positions from one ``standard_zips`` call, and the orders from the
+    closed form, if the preset has one; eta and the line positions are
+    scaled by the preset's power. The strata are sorted open first: longest
+    label first, then by reduced word."""
     preset = PRESETS[identifier]
-    if preset.triple is None:
-        return _case_gl_dualsum(rank)
     cartan_type, group_rank, mu, module = preset.triple(rank)
-    datum = cocharacter_datum(weyl_group(cartan_type, group_rank), mu)
+    group = weyl_group(cartan_type, group_rank)
+    datum = cocharacter_datum(group, mu)
+    labels = tuple(sorted(
+        group.min_coset_reps(datum.I),
+        key=lambda w: (-group.length(w), group.reduced_word(w)),
+    ))
     position = clp_exterior_top if preset.exterior_top else clp
-    order = preset.order
-    return _tabulate(
-        datum,
-        hodge_character(module, mu),
-        None if order is None else lambda label: order(rank, label),
-        lambda labels: tuple(map(position, standard_zips(datum, module, labels))),
+    power, order = preset.power, preset.order
+    return _CaseData(
+        datum=datum,
+        eta=smul(power, hodge_character(module, mu)),
+        labels=labels,
+        words=tuple(map(group.reduced_word, labels)),
+        bruhat_classes=tuple(
+            group.min_in_double_coset(w, datum.I, datum.J) for w in labels
+        ),
+        clps=tuple(power * position(z) for z in standard_zips(datum, module, labels)),
+        orders=None if order is None else tuple(order(rank, w) for w in labels),
     )
 
 

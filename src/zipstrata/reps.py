@@ -2,10 +2,9 @@
 
 A representation enters the computation only through its multiset of torus
 weights. The constructors here cover the standard and (half-)spin modules of
-the classical types plus exterior powers and duals. ``mu_profile`` slices a
-multiset along a cocharacter, ``is_cy`` recognizes the profiles whose top
-slice is a line, and ``hodge_character`` is the one rule for the Hodge
-character of a case: minus the sum of the weights in the top mu-slice.
+the classical types plus exterior powers and duals. ``hodge_character`` is
+the one rule for the Hodge character of a case: minus the sum of the weights
+in the top mu-slice.
 
 Counting and pairing run on integers. ``from_weights`` counts and sorts
 the weights by their integer image, the weights times the lcm of their
@@ -14,8 +13,8 @@ the multiset: the lcm L of its coordinate denominators (2 for the spin
 modules, 1 otherwise) and each entry's weight times L, computed on first
 use for a multiset built otherwise. Scaling mu by the lcm M of its own
 denominators, the integer pairing is the exact one times L * M > 0, so it
-groups and orders the weights identically; each exact slice value is built
-as one ``Fraction`` per slice.
+groups and orders the weights identically. A multiset hashes its integer
+image, which equal multisets share, and exterior powers add integer rows.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import cached_property
 from operator import mul
 from typing import Dict, Iterable, List, Tuple
 
-from .rootsys import IntVector, Vector, _to_ints, neg, sum_vectors, vec
+from .rootsys import IntVector, Vector, _to_ints, neg, unit, vec
 
 # Ceiling on the subset enumeration behind exterior powers.
 WEDGE_CAP = 10_000_000
@@ -38,7 +37,8 @@ WEDGE_CAP = 10_000_000
 class WeightMultiset:
     """Torus weights of a representation, with multiplicities, canonically
     sorted so that equal multisets compare equal. The hash is computed once
-    per instance, since multisets key the slot-table cache."""
+    per instance, on the integer image rather than the Fraction entries,
+    since multisets key the slot-table cache."""
 
     entries: Tuple[Tuple[Vector, int], ...]
 
@@ -47,7 +47,7 @@ class WeightMultiset:
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self.entries)
+        return hash(self._int_image)
 
     @staticmethod
     def from_weights(weights: Iterable[Vector]) -> "WeightMultiset":
@@ -108,12 +108,12 @@ def std_weights(cartan_type: str, rank: int) -> WeightMultiset:
     the odd orthogonal type B."""
     if cartan_type == "A":
         dim = rank + 1
-        return WeightMultiset.from_weights(_unit(dim, i) for i in range(dim))
+        return WeightMultiset.from_weights(unit(dim, i) for i in range(1, dim + 1))
     if cartan_type in ("C", "D"):
-        units = [_unit(rank, i) for i in range(rank)]
+        units = [unit(rank, i) for i in range(1, rank + 1)]
         return WeightMultiset.from_weights(units + [neg(u) for u in units])
     if cartan_type == "B":
-        units = [_unit(rank, i) for i in range(rank)]
+        units = [unit(rank, i) for i in range(1, rank + 1)]
         zero = vec(*([0] * rank))
         return WeightMultiset.from_weights(units + [neg(u) for u in units] + [zero])
     raise ValueError(f"no standard module for type {cartan_type}")
@@ -137,7 +137,10 @@ def spin_weights(cartan_type: str, rank: int) -> WeightMultiset:
 
 
 def wedge(module: WeightMultiset, k: int) -> WeightMultiset:
-    """Exterior power: sums of the weights over k-element sub-multisets."""
+    """Exterior power: sums of the weights over k-element sub-multisets,
+    added as rows of the integer image and then divided by its scale."""
+    if not module.entries:
+        raise ValueError("empty module has no ambient dimension")
     dim = module.dimension
     if not 0 <= k <= dim:
         raise ValueError(f"exterior power {k} of a {dim}-dimensional module")
@@ -145,10 +148,19 @@ def wedge(module: WeightMultiset, k: int) -> WeightMultiset:
         raise ValueError(
             f"exterior power would enumerate {math.comb(dim, k)} subsets"
         )
-    flat = module.expanded()
-    width = _width(module)
+    scale, image = module._int_image
+    flat = [key for key, (_, mult) in zip(image, module.entries) for _ in range(mult)]
+    zero = (0,) * len(image[0])
+    sums = [
+        tuple(map(sum, zip(zero, *subset)))
+        for subset in itertools.combinations(flat, k)
+    ]
+    # One Fraction per distinct coordinate value, shared by every sum.
+    exact = {
+        t: Fraction(t, scale) for t in set(itertools.chain.from_iterable(sums))
+    }
     return WeightMultiset.from_weights(
-        sum_vectors(subset, width) for subset in itertools.combinations(flat, k)
+        tuple(map(exact.__getitem__, row)) for row in sums
     )
 
 
@@ -158,30 +170,11 @@ def dual(module: WeightMultiset) -> WeightMultiset:
     )
 
 
-def mu_profile(
-    module: WeightMultiset, mu: Vector
-) -> Tuple[Tuple[Fraction, int], ...]:
-    """Pairings of the weights against the cocharacter mu, highest first,
-    each with the dimension of its slice."""
-    values, denominator = module._pairings(mu)
-    slices: Dict[int, int] = {}
-    for value, (_, mult) in zip(values, module.entries):
-        slices[value] = slices.get(value, 0) + mult
-    return tuple(
-        (Fraction(value, denominator), dim)
-        for value, dim in sorted(slices.items(), reverse=True)
-    )
-
-
-def is_cy(module: WeightMultiset, mu: Vector) -> bool:
-    """Whether the highest mu-slice of the module is one dimensional."""
-    profile = mu_profile(module, mu)
-    return bool(profile) and profile[0][1] == 1
-
-
 def hodge_character(module: WeightMultiset, mu: Vector) -> Vector:
     """Minus the sum of the weights in the top mu-slice, with their
     multiplicities: the Hodge character eta, for any profile."""
+    if not module.entries:
+        raise ValueError("the module has no weights, so no Hodge character")
     values, _ = module._pairings(mu)
     top = max(values)
     scale, image = module._int_image
@@ -190,13 +183,3 @@ def hodge_character(module: WeightMultiset, mu: Vector) -> Vector:
         if value == top:
             total = [t - mult * c for t, c in zip(total, key)]
     return tuple(Fraction(t, scale) for t in total)
-
-
-def _unit(dim: int, index: int) -> Vector:
-    return tuple(Fraction(1) if j == index else Fraction(0) for j in range(dim))
-
-
-def _width(module: WeightMultiset) -> int:
-    if not module.entries:
-        raise ValueError("empty module has no ambient dimension")
-    return len(module.entries[0][0])

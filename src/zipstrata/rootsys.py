@@ -33,6 +33,9 @@ IntVector = Tuple[int, ...]
 CLASSICAL_TYPES = ("A", "B", "C", "D")
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def vec(*entries: int | Fraction) -> Vector:
     """Build an exact vector from ints or Fractions."""
     return tuple(Fraction(e) for e in entries)
@@ -42,7 +45,7 @@ def unit(dim: int, i: int) -> Vector:
     """Standard basis vector e_i, 1-indexed."""
     if not 1 <= i <= dim:
         raise ValueError(f"unit index {i} out of range for dimension {dim}")
-    return tuple(Fraction(1 if j == i else 0) for j in range(1, dim + 1))
+    return tuple(_ONE if j == i else _ZERO for j in range(1, dim + 1))
 
 
 def add(u: Vector, v: Vector) -> Vector:

@@ -455,24 +455,3 @@ def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> Cochara
         J.append(j)
     z = compose(w0, group.longest_in(J))
     return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), z, group.longest_in(I))
-
-
-def eo_same_stratum(
-    w: Perm,
-    w_prime: Perm,
-    datum: CocharacterDatum,
-    cap: int = ENUMERATION_CAP,
-) -> bool:
-    """Whether w and w_prime are related by y . w' . z . y^-1 . z over y in W_I.
-
-    This is the zip-stack equivalence in a frame where z is an involution
-    (all the orthogonal, symplectic and spin data here). The Frobenius twist
-    on the Weyl group is trivial for these split groups.
-    """
-    g = datum.group
-    z = datum.z
-    for y in g.subgroup_elements(datum.I, cap=cap):
-        candidate = compose_all([y, w_prime, z, inverse(y), z], g.slots)
-        if candidate == w:
-            return True
-    return False

@@ -1,16 +1,33 @@
 """Helpers shared by several test modules."""
 
+import importlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from zipstrata import cache_stats
 from zipstrata.cases import StratumReport
-from zipstrata.fzip import _slot_table
+from zipstrata.fzip import StandardZip, _slot_table, clp
 from zipstrata.reps import WeightMultiset
 from zipstrata.rootsys import RootSystem, Vector
 from zipstrata.vanishing import condition_closed, ord_for_word
-from zipstrata.weyl import CocharacterDatum, Perm, WeylGroup, compose, inverse
+from zipstrata.weyl import (
+    ENUMERATION_CAP,
+    CocharacterDatum,
+    Perm,
+    WeylGroup,
+    compose,
+    compose_all,
+    inverse,
+)
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` of the package, as in a fresh interpreter."""
+    for name in cache_stats():
+        module, function = name.split(".")
+        getattr(importlib.import_module(f"zipstrata.{module}"), function).cache_clear()
 
 
 def is_reduced(group: WeylGroup, word: Sequence[int]) -> bool:
@@ -163,6 +180,74 @@ def reference_reports(
             )
         )
     return tuple(reports)
+
+
+def eo_same_stratum(
+    w: Perm,
+    w_prime: Perm,
+    datum: CocharacterDatum,
+    cap: int = ENUMERATION_CAP,
+) -> bool:
+    """Whether w and w_prime are related by y . w' . z . y^-1 . z over y in W_I.
+
+    This is the zip-stack equivalence in a frame where z is an involution
+    (all the orthogonal, symplectic and spin data here). The Frobenius twist
+    on the Weyl group is trivial for these split groups.
+    """
+    g = datum.group
+    z = datum.z
+    for y in g.subgroup_elements(datum.I, cap=cap):
+        candidate = compose_all([y, w_prime, z, inverse(y), z], g.slots)
+        if candidate == w:
+            return True
+    return False
+
+
+# -- reference slicings and zip frames -------------------------------------------
+
+
+def mu_profile(
+    module: WeightMultiset, mu: Vector
+) -> Tuple[Tuple[Fraction, int], ...]:
+    """Pairings of the weights against the cocharacter mu, highest first,
+    each with the dimension of its slice."""
+    values, denominator = module._pairings(mu)
+    slices: Dict[int, int] = {}
+    for value, (_, mult) in zip(values, module.entries):
+        slices[value] = slices.get(value, 0) + mult
+    return tuple(
+        (Fraction(value, denominator), dim)
+        for value, dim in sorted(slices.items(), reverse=True)
+    )
+
+
+def is_cy(module: WeightMultiset, mu: Vector) -> bool:
+    """Whether the highest mu-slice of the module is one dimensional."""
+    profile = mu_profile(module, mu)
+    return bool(profile) and profile[0][1] == 1
+
+
+def w0ij_perm(dims: Sequence[int]) -> Perm:
+    """Frame permutation of a zip type, given by its slice dimensions: slot i
+    of slice j moves to slot i - m_{j-1} + (N - m_j), reversing the slice
+    order while keeping each slice's internal order.
+
+    On the open stratum the conjugate filtration is opposed to the Hodge one,
+    and this is the permutation realizing that relative position.
+    """
+    cumulative = list(itertools.accumulate(dims, initial=0))
+    total = cumulative[-1]
+    images = []
+    for i in range(1, total + 1):
+        j = next(b for b in range(1, len(dims) + 1) if i <= cumulative[b])
+        images.append(i - cumulative[j - 1] + total - cumulative[j])
+    return tuple(images)
+
+
+def hasse_nonzero(z: StandardZip) -> bool:
+    """Whether the Hasse section is invertible on the zip: the Hodge line
+    already lies in the bottom conjugate step."""
+    return clp(z) == 0
 
 
 # -- reference case facts -------------------------------------------------------

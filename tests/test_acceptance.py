@@ -31,11 +31,10 @@ from zipstrata.weyl import (
     WeylGroup,
     cocharacter_datum,
     compose,
-    eo_same_stratum,
     inverse,
 )
 
-from helpers import find_nonclosed_word, min_double_coset_reps
+from helpers import eo_same_stratum, find_nonclosed_word, min_double_coset_reps
 
 
 def _class_map(result):

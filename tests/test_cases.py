@@ -24,7 +24,7 @@ from zipstrata.reps import dual, hodge_character, spin_weights, std_weights, wed
 from zipstrata.rootsys import vec
 from zipstrata.weyl import WeylGroup, compose
 
-from helpers import dsum, hand_eta, reference_reports
+from helpers import clear_caches, dsum, hand_eta, reference_reports
 
 
 def ords(result):
@@ -99,8 +99,7 @@ def _case_module(identifier, rank):
     if identifier in ("Sp2n_std_Cn", "GSp2n_wedge_dual"):
         return std_weights("C", rank)
     if identifier == "GLn_wedge_dualsum":
-        top = wedge(std_weights("A", rank - 1), rank - 1)
-        return dsum(top, dual(top))
+        return wedge(std_weights("A", rank - 1), rank - 1)
     if identifier == "GL4_wedge2":
         return wedge(std_weights("A", 3), 2)
     return spin_weights("B" if identifier == "GSpin_spin_odd" else "D", rank)
@@ -165,9 +164,6 @@ def _accepted_ranks(identifier):
         rank += 1
 
 
-_TRIPLE_PRESETS = [i for i in CASE_IDENTIFIERS if PRESETS[i].triple is not None]
-
-
 class TestPresets:
     def test_flags_name_the_eight_cases(self):
         assert CASE_BY_FLAG == {
@@ -181,20 +177,21 @@ class TestPresets:
             "gspin-even": "GSpin_spin_even",
         }
 
-    def test_only_the_dual_sum_case_is_hand_coded(self):
-        assert _TRIPLE_PRESETS == [
-            i for i in CASE_IDENTIFIERS if i != "GLn_wedge_dualsum"
-        ]
+    def test_the_presets_have_185_accepted_ranks(self):
+        """122 ranks of the single-power presets and the dual-sum ranks 2 to
+        64."""
+        assert sum(len(_accepted_ranks(i)) for i in CASE_IDENTIFIERS) == 185
+        assert _accepted_ranks("GLn_wedge_dualsum") == list(range(2, 65))
 
-    def test_the_module_cases_have_122_accepted_ranks(self):
-        assert sum(len(_accepted_ranks(i)) for i in _TRIPLE_PRESETS) == 122
-
-    @pytest.mark.parametrize("identifier", _TRIPLE_PRESETS)
+    @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
     def test_the_rule_gives_the_hand_eta_at_every_accepted_rank(self, identifier):
-        """All accepted ranks: every rank up to 8, and the ceiling."""
+        """All accepted ranks, with the preset's power: every rank up to 8,
+        and the ceiling."""
+        preset = PRESETS[identifier]
         for rank in _accepted_ranks(identifier):
-            _, _, mu, module = PRESETS[identifier].triple(rank)
-            assert hodge_character(module, mu) == hand_eta(identifier, rank)
+            _, _, mu, module = preset.triple(rank)
+            eta = tuple(preset.power * c for c in hodge_character(module, mu))
+            assert eta == hand_eta(identifier, rank)
 
     @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
     def test_each_case_carries_its_hand_eta(self, identifier):
@@ -204,7 +201,9 @@ class TestPresets:
 
     @pytest.mark.parametrize("rank", range(2, 9))
     def test_the_rule_gives_half_the_dual_sum_eta(self, rank):
-        """Why the dual-sum case keeps its hand Hodge character."""
+        """The rule on the sum module gives the eta of the last wedge alone,
+        half the hand Hodge character: why the case is the square of the
+        last wedge's Hasse invariant."""
         top = wedge(std_weights("A", rank - 1), rank - 1)
         rule = hodge_character(dsum(top, dual(top)), vec(*([1] * (rank - 1) + [0])))
         assert tuple(2 * c for c in rule) == hand_eta("GLn_wedge_dualsum", rank)
@@ -284,7 +283,9 @@ class TestCaseDataCache:
 
 def _reference_invariants(identifier, rank, datum):
     """The closed-form orders (None where the word formulas give them) and
-    the line positions of a case, as its builder defines them."""
+    the line positions of a case: for the dual-sum case the closed forms of
+    its former hand-coded builder, for the others the zip model on the
+    module built in full."""
     if identifier == "GLn_wedge_dualsum":
         return (lambda label: 0 if label[0] == rank else 2,
                 lambda label: 2 if label[0] == 1 else 0)
@@ -436,7 +437,27 @@ class TestSiegel:
         assert sorted(ords(result)) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 4]
 
 
+@pytest.fixture
+def sweep_caches():
+    """A sweep over every rank builds more groups than the package caches
+    hold, and ``weyl_group`` and ``root_system`` evict independently; empty
+    them all afterwards, so that later tests find each shared group beside
+    its shared root system."""
+    yield
+    clear_caches()
+
+
 class TestDualSum:
+    def test_the_squared_triple_gives_the_hand_closed_forms(self, sweep_caches):
+        """At every accepted rank, 2 to 64, the orders, line positions and
+        eta equal the closed forms of the former hand-coded case."""
+        for rank in _accepted_ranks("GLn_wedge_dualsum"):
+            result = run_case(CaseSpec("GLn_wedge_dualsum", rank, 3))
+            ord_of, clp_of = _reference_invariants("GLn_wedge_dualsum", rank, None)
+            assert ords(result) == [ord_of(r.w) for r in result.reports]
+            assert clps(result) == [clp_of(r.w) for r in result.reports]
+            assert result.eta == hand_eta("GLn_wedge_dualsum", rank)
+
     @pytest.mark.parametrize("rank,expected", [
         (2, [0, 2]),
         (3, [0, 2, 2]),

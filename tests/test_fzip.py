@@ -8,20 +8,30 @@ import pytest
 from zipstrata import fzip
 from zipstrata.fzip import (
     StandardZip,
-    ZipType,
     build_standard,
     clp,
     clp_exterior_top,
-    hasse_nonzero,
     standard_zips,
-    w0ij_perm,
-    zip_type,
 )
-from zipstrata.reps import WeightMultiset, spin_weights, std_weights, wedge
-from zipstrata.rootsys import root_system, unit, vec
+from zipstrata.reps import (
+    WeightMultiset,
+    hodge_character,
+    spin_weights,
+    std_weights,
+    wedge,
+)
+from zipstrata.rootsys import neg, root_system, unit, vec
+from zipstrata.vanishing import strata_ord_table
 from zipstrata.weyl import WeylGroup, cocharacter_datum, compose, weyl_group
 
-from helpers import dsum, reference_slot_perm
+from helpers import (
+    dsum,
+    hasse_nonzero,
+    is_cy,
+    mu_profile,
+    reference_slot_perm,
+    w0ij_perm,
+)
 
 
 def e1(dim: int):
@@ -53,17 +63,19 @@ def labels_by_length(datum):
 
 
 def test_zip_type_of_the_wedge_square() -> None:
-    ztype = zip_type(wedge(std_weights("A", 3), 2), vec(1, 1, 0, 0))
-    assert ztype.supports == (2, 1, 0)
-    assert ztype.dims == (1, 4, 1)
-    assert ztype.cumulative == (1, 5, 6)
-    assert ztype.is_cy
+    """A zip's type is its slice dimensions, the dimensions of the profile."""
+    module, mu = wedge(std_weights("A", 3), 2), vec(1, 1, 0, 0)
+    z = build_standard(datum_for("A", 3, mu), module, (1, 2, 3, 4))
+    assert z.dims == (1, 4, 1)
+    assert mu_profile(module, mu) == ((2, 1), (1, 4), (0, 1))
+    assert is_cy(module, mu)
 
 
 def test_zip_type_of_the_siegel_module_is_two_step() -> None:
-    ztype = zip_type(std_weights("C", 3), vec(1, 1, 1))
-    assert ztype.dims == (3, 3)
-    assert not ztype.is_cy
+    module, mu = std_weights("C", 3), vec(1, 1, 1)
+    z = build_standard(datum_for("C", 3, mu), module, (1, 2, 3, 4, 5, 6))
+    assert z.dims == (3, 3)
+    assert not is_cy(module, mu)
 
 
 def test_slots_sort_by_slice_then_weight() -> None:
@@ -188,12 +200,9 @@ def test_sigma_of_the_open_label_swaps_the_extreme_slots() -> None:
 
 
 def test_w0ij_reverses_slices_blockwise() -> None:
-    ztype = ZipType(supports=(1, 0, -1), dims=(1, 5, 1))
-    assert w0ij_perm(ztype) == (7, 2, 3, 4, 5, 6, 1)
-    two_step = ZipType(supports=(1, -1), dims=(2, 2))
-    assert w0ij_perm(two_step) == (3, 4, 1, 2)
-    wedge_type = ZipType(supports=(2, 1, 0), dims=(1, 4, 1))
-    assert w0ij_perm(wedge_type) == (6, 2, 3, 4, 5, 1)
+    assert w0ij_perm((1, 5, 1)) == (7, 2, 3, 4, 5, 6, 1)
+    assert w0ij_perm((2, 2)) == (3, 4, 1, 2)
+    assert w0ij_perm((1, 4, 1)) == (6, 2, 3, 4, 5, 1)
 
 
 def test_w0ij_zip_has_invertible_hasse_section() -> None:
@@ -202,7 +211,7 @@ def test_w0ij_zip_has_invertible_hasse_section() -> None:
     module = std_weights("B", 3)
     framed = build_standard(datum, module, datum.group.identity())
     assert hasse_nonzero(
-        StandardZip(ztype=framed.ztype, slots=framed.slots, sigma=framed.w0ij)
+        StandardZip(dims=framed.dims, slots=framed.slots, sigma=w0ij_perm(framed.dims))
     )
 
 
@@ -216,7 +225,8 @@ def test_ordinary_frame_realizes_w0ij_outside_type_D(
     datum = datum_for(cartan_type, rank, vec(*mu_coords))
     module = std_weights(cartan_type, rank)
     sigma = ordinary_slot_perm(datum, module)
-    assert sigma == w0ij_perm(zip_type(module, datum.mu))
+    dims = build_standard(datum, module, datum.group.identity()).dims
+    assert sigma == w0ij_perm(dims)
 
 
 def test_ordinary_frame_in_type_D_twists_inside_the_middle_slice() -> None:
@@ -226,7 +236,8 @@ def test_ordinary_frame_in_type_D_twists_inside_the_middle_slice() -> None:
     datum = datum_for("D", 4, e1(4))
     module = std_weights("D", 4)
     sigma = ordinary_slot_perm(datum, module)
-    formula = w0ij_perm(zip_type(module, datum.mu))
+    dims = build_standard(datum, module, datum.group.identity()).dims
+    formula = w0ij_perm(dims)
     assert sigma != formula
     cumulative = (0, 1, 7, 8)
 
@@ -283,6 +294,27 @@ def test_clp_table_of_the_symplectic_standard_case_tops_at_two() -> None:
         clp(build_standard(datum, module, label)) for label in labels_by_length(datum)
     ]
     assert values == [2, 1, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_dimensional_p_divisible_groups_have_order_and_clp_one(n) -> None:
+    """The triple (A_{n-1}, e1, std) is that of the p-divisible groups of
+    dimension one and height n, whose Hasse divisor is smooth: order and
+    line position are 1 on each of the n - 1 non-ordinary strata and 0 on
+    the open one. The profile (1, n - 1) is not palindromic; counting the
+    conjugate steps from the top slice gave 0 on all but the identity."""
+    mu = e1(n)
+    module = std_weights("A", n - 1)
+    datum = datum_for("A", n - 1, mu)
+    group = datum.group
+    labels = group.min_coset_reps(datum.I)
+    orders = strata_ord_table(datum, neg(hodge_character(module, mu)))
+    positions = [clp(z) for z in standard_zips(datum, module, labels)]
+    open_label = max(labels, key=group.length)
+    assert len(labels) == n
+    for label, position in zip(labels, positions):
+        expected = 0 if label == open_label else 1
+        assert (orders[label], position) == (expected, expected)
 
 
 def test_clp_table_of_the_wedge_square_case() -> None:

@@ -1,5 +1,6 @@
 """Weight multisets: constructors, tensor operations, mu-slices."""
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -7,21 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipstrata.fzip import ZipType, _slot_table
+from zipstrata.fzip import _slot_table
 from zipstrata.reps import (
     WeightMultiset,
     dual,
     hodge_character,
-    is_cy,
-    mu_profile,
     spin_weights,
     std_weights,
     wedge,
 )
-from zipstrata.rootsys import _to_ints, root_system, unit, vec
+from zipstrata.rootsys import _to_ints, root_system, sum_vectors, unit, vec
 from zipstrata.weyl import WeylGroup
 
-from helpers import dsum, reference_entries
+from helpers import dsum, is_cy, mu_profile, reference_entries
 
 
 def e1(dim: int):
@@ -108,6 +107,25 @@ def test_wedge_collects_multiplicities() -> None:
     assert module.multiplicity(vec(0, 0)) == 2
 
 
+@pytest.mark.parametrize("module", [
+    spin_weights("B", 3),
+    spin_weights("D", 4),
+    dsum(std_weights("B", 2), spin_weights("B", 2)),
+    dual(std_weights("A", 3)),
+])
+def test_wedge_equals_summing_the_fraction_weights(module) -> None:
+    """Sums taken on the integer image and divided back by its scale give
+    the sums of the Fraction weights, also where the scale is 2 and the
+    sums are integral."""
+    width = len(module.entries[0][0])
+    for k in range(module.dimension + 1):
+        reference = WeightMultiset.from_weights(
+            sum_vectors(subset, width)
+            for subset in itertools.combinations(module.expanded(), k)
+        )
+        assert wedge(module, k) == reference
+
+
 def test_wedge_rejects_out_of_range_power() -> None:
     with pytest.raises(ValueError, match="exterior power"):
         wedge(std_weights("A", 2), 5)
@@ -183,6 +201,11 @@ def test_hodge_character_of_three_slice_profiles() -> None:
     assert hodge_character(square, vec(1, 1, 0, 0)) == vec(-1, -1, 0, 0)
 
 
+def test_hodge_character_of_an_empty_module_names_the_missing_weights() -> None:
+    with pytest.raises(ValueError, match="no weights"):
+        hodge_character(WeightMultiset(()), e1(3))
+
+
 # -- integer pairings against an exact reference ------------------------------
 
 
@@ -211,12 +234,8 @@ def _ref_slot_table(module, mu):
     slots = tuple(sorted(module.expanded(), key=lambda w: (_dot(w, mu), w), reverse=True))
     scale = lcm(*(c.denominator for weight in slots for c in weight))
     keys = tuple(tuple(int(c * scale) for c in weight) for weight in slots)
-    profile = _ref_profile(module, mu)
-    ztype = ZipType(
-        supports=tuple(value for value, _ in profile),
-        dims=tuple(dim for _, dim in profile),
-    )
-    return slots, keys, {k: slot for slot, k in enumerate(keys, start=1)}, ztype
+    dims = tuple(dim for _, dim in _ref_profile(module, mu))
+    return slots, keys, {k: slot for slot, k in enumerate(keys, start=1)}, dims
 
 
 def _pairing_modules(cartan_type: str, rank: int):

@@ -23,13 +23,13 @@ from zipstrata.weyl import (
     cocharacter_datum,
     compose,
     compose_all,
-    eo_same_stratum,
     identity_perm,
     inverse,
     weyl_group,
 )
 
 from helpers import (
+    eo_same_stratum,
     is_reduced,
     min_double_coset_reps,
     reference_longest_in,

@@ -112,17 +112,15 @@ class Preset(NamedTuple):
     and its triple at a rank: the Cartan type and rank of G, mu and the
     weights of r. The case tabulates the ``power``-th power of the triple's
     Hasse invariant, so its eta and line positions are ``power`` times the
-    triple's. The line position is ``clp_exterior_top`` where
-    ``exterior_top`` is set, ``clp`` otherwise; ``order`` maps (rank,
-    label) to a closed-form order of that power. A named tuple, not a
-    dataclass: built on every import of the command line, its class takes
-    0.6 ms against a frozen dataclass's 1.7 ms (2-vCPU Xeon)."""
+    triple's; ``order`` maps (rank, label) to a closed-form order of that
+    power. A named tuple, not a dataclass: built on every import of the
+    command line, its class takes 0.6 ms against a frozen dataclass's
+    1.7 ms (2-vCPU Xeon)."""
 
     flag: str
     min_rank: int
     size: Callable[[int], Tuple[int, int]]
     triple: Callable[[int], Tuple[str, int, Vector, WeightMultiset]]
-    exterior_top: bool = False
     order: Optional[Callable[[int, Perm], int]] = None
     max_rank: Optional[int] = None
     power: int = 1
@@ -148,7 +146,6 @@ PRESETS: Dict[str, Preset] = {
     "GSp2n_wedge_dual": Preset(
         "siegel", 1, lambda r: (2 * r, 2**r),
         lambda r: ("C", r, vec(*([1] * r)), std_weights("C", r)),
-        exterior_top=True,
         order=lambda n, label: n - sum(1 for k in label[:n] if k > n),
     ),
     # The last wedge of the standard module plus its dual: the square of the
@@ -171,12 +168,10 @@ PRESETS: Dict[str, Preset] = {
     "GSpin_spin_odd": Preset(
         "gspin-odd", 2, lambda r: (2**r, 2 * r),
         lambda r: ("B", r, unit(r, 1), spin_weights("B", r)),
-        exterior_top=True,
     ),
     "GSpin_spin_even": Preset(
         "gspin-even", 3, lambda r: (2 ** (r - 1), 2 * r),
         lambda r: ("D", r, unit(r, 1), spin_weights("D", r)),
-        exterior_top=True,
     ),
 }
 
@@ -233,10 +228,11 @@ def _case_data(identifier: str, rank: int) -> _CaseData:
     """The datum, Hodge character and report columns of a validated case,
     built once per (identifier, rank). The datum comes from the preset's
     (type, rank, mu), the Hodge character from ``hodge_character``, the
-    line positions from one ``standard_zips`` call, and the orders from the
-    closed form, if the preset has one; eta and the line positions are
-    scaled by the preset's power. The strata are sorted open first: longest
-    label first, then by reduced word."""
+    line positions from one ``standard_zips`` call (``clp`` where the Hodge
+    slice is a line, ``clp_exterior_top`` of its top exterior power
+    otherwise), and the orders from the closed form, if the preset has one;
+    eta and the line positions are scaled by the preset's power. The strata
+    are sorted open first: longest label first, then by reduced word."""
     preset = PRESETS[identifier]
     cartan_type, group_rank, mu, module = preset.triple(rank)
     group = weyl_group(cartan_type, group_rank)
@@ -245,7 +241,6 @@ def _case_data(identifier: str, rank: int) -> _CaseData:
         group.min_coset_reps(datum.I),
         key=lambda w: (-group.length(w), group.reduced_word(w)),
     ))
-    position = clp_exterior_top if preset.exterior_top else clp
     power, order = preset.power, preset.order
     return _CaseData(
         datum=datum,
@@ -255,7 +250,10 @@ def _case_data(identifier: str, rank: int) -> _CaseData:
         bruhat_classes=tuple(
             group.min_in_double_coset(w, datum.I, datum.J) for w in labels
         ),
-        clps=tuple(power * position(z) for z in standard_zips(datum, module, labels)),
+        clps=tuple(
+            power * (clp(z) if z.dims[0] == 1 else clp_exterior_top(z))
+            for z in standard_zips(datum, module, labels)
+        ),
         orders=None if order is None else tuple(order(rank, w) for w in labels),
     )
 

@@ -2,9 +2,10 @@
 
 A representation enters the computation only through its multiset of torus
 weights. The constructors here cover the standard and (half-)spin modules of
-the classical types plus exterior powers and duals. ``hodge_character`` is
-the one rule for the Hodge character of a case: minus the sum of the weights
-in the top mu-slice.
+the classical types plus exterior powers and duals; the standard module's
+weights are the root system's slot weights, laid out in ``rootsys``.
+``hodge_character`` is the one rule for the Hodge character of a case:
+minus the sum of the weights in the top mu-slice.
 
 Counting and pairing run on integers. ``from_weights`` counts and sorts
 the weights by their integer image, the weights times the lcm of their
@@ -27,7 +28,7 @@ from functools import cached_property
 from operator import mul
 from typing import Dict, Iterable, List, Tuple
 
-from .rootsys import IntVector, Vector, _to_ints, neg, unit, vec
+from .rootsys import IntVector, Vector, _to_ints, neg, root_system
 
 # Ceiling on the subset enumeration behind exterior powers.
 WEDGE_CAP = 10_000_000
@@ -74,15 +75,6 @@ class WeightMultiset:
     def dimension(self) -> int:
         return sum(mult for _, mult in self.entries)
 
-    def expanded(self) -> Tuple[Vector, ...]:
-        """Every weight repeated by its multiplicity."""
-        return tuple(
-            weight for weight, mult in self.entries for _ in range(mult)
-        )
-
-    def multiplicity(self, weight: Vector) -> int:
-        return dict(self.entries).get(weight, 0)
-
     @cached_property
     def _int_image(self) -> Tuple[int, Tuple[IntVector, ...]]:
         """L and each entry's weight times L, for L the lcm of the
@@ -103,20 +95,11 @@ class WeightMultiset:
 
 
 def std_weights(cartan_type: str, rank: int) -> WeightMultiset:
-    """Weights of the defining module: e_i for type A (dimension rank + 1),
+    """Weights of the defining module: the slot weights of
+    ``root_system(cartan_type, rank)``, e_i for type A (dimension rank + 1),
     plus-minus e_i for C and D, and the same with an extra zero weight for
     the odd orthogonal type B."""
-    if cartan_type == "A":
-        dim = rank + 1
-        return WeightMultiset.from_weights(unit(dim, i) for i in range(1, dim + 1))
-    if cartan_type in ("C", "D"):
-        units = [unit(rank, i) for i in range(1, rank + 1)]
-        return WeightMultiset.from_weights(units + [neg(u) for u in units])
-    if cartan_type == "B":
-        units = [unit(rank, i) for i in range(1, rank + 1)]
-        zero = vec(*([0] * rank))
-        return WeightMultiset.from_weights(units + [neg(u) for u in units] + [zero])
-    raise ValueError(f"no standard module for type {cartan_type}")
+    return WeightMultiset.from_weights(root_system(cartan_type, rank).slot_weights)
 
 
 def spin_weights(cartan_type: str, rank: int) -> WeightMultiset:

@@ -6,21 +6,26 @@ coordinates, so roots are plain int tuples (``Root``). Types A, B, C, D are
 supported; type A_{rank} lives in rank+1 coordinates (the GL weight lattice),
 the others in ``rank`` coordinates.
 
-``root_system`` is an ``lru_cache``: it builds each system once per type and
-rank and hands out the same immutable instance afterwards. A system hashes
-on its type and rank alone, so it is a cheap cache key downstream; the
-derived integer data (simple coroots, Cartan matrix, the root set) is
-computed on first use and kept on it. Every simple coroot is an integer
-vector too, so ``simple_pairings`` scales a weight to integer numerators
-over the lcm of its denominators and pairs on machine integers, building
-one ``Fraction`` per coroot at the end.
+Each system owns its type's slot layout (``slot_weights``, ``root_pairs``,
+``simple_swaps``): the Weyl group (``weyl``) permutes these slots, the
+standard module (``reps.std_weights``) is their weights, and the roots are
+read off the slot pairs.
+
+``root_system`` is an ``lru_cache`` and the only constructor: it builds each
+system once per type and rank and hands out the same immutable instance
+afterwards. A system compares and hashes by identity, so it is a cheap cache
+key downstream; the derived integer data (simple coroots, Cartan matrix,
+the root set) is computed on first use and kept on it. Every simple coroot
+is an integer vector too, so ``simple_pairings`` scales a weight to integer
+numerators over the lcm of its denominators and pairs on machine integers,
+building one ``Fraction`` per coroot at the end.
 ``pairing`` and ``reflect`` remain the general formulas and accept either
 kind of vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -34,6 +39,8 @@ CLASSICAL_TYPES = ("A", "B", "C", "D")
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+# The shared Fraction of each coordinate of a slot weight.
+_SLOT_ENTRY = {0: _ZERO, 1: _ONE, -1: Fraction(-1)}
 
 
 def vec(*entries: int | Fraction) -> Vector:
@@ -83,21 +90,28 @@ def _to_ints(vectors: Iterable[Vector]) -> Tuple[int, Tuple[IntVector, ...]]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """A root system with its chosen simple roots.
+    """A root system with its chosen simple roots and its slot layout.
 
     ``positive_roots`` is the full set of positive roots; ``roots`` adds the
     negatives. ``ambient_dim`` is the number of coordinates (rank+1 for A).
-    Type and rank determine the rest, so the hash reads only those two;
-    equality still compares every field.
+    ``slot_weights`` are the standard module's weights in slot order (see
+    ``root_system``); ``root_pairs`` holds the zero-based slot pair (a, b),
+    a < b, of each positive root slot_weights[a] - slot_weights[b], simple
+    roots first, and ``simple_swaps`` the one or two slot pairs each simple
+    reflection swaps. Built only by ``root_system``; compares and hashes by
+    identity.
     """
 
     cartan_type: str
     rank: int
-    ambient_dim: int = field(hash=False)
-    simple_roots: Tuple[Root, ...] = field(hash=False)
-    positive_roots: Tuple[Root, ...] = field(hash=False)
+    ambient_dim: int
+    slot_weights: Tuple[Vector, ...]
+    root_pairs: Tuple[Tuple[int, int], ...]
+    simple_swaps: Tuple[Tuple[Tuple[int, int], ...], ...]
+    simple_roots: Tuple[Root, ...]
+    positive_roots: Tuple[Root, ...]
 
     @property
     def roots(self) -> Tuple[Root, ...]:
@@ -144,17 +158,20 @@ ROOT_RANK_CAP = 64
 
 
 @lru_cache(maxsize=64)
-def root_system(cartan_type: str, rank: int) -> RootSystem:
+def root_system(cartan_type: str, rank: int, /) -> RootSystem:
     """The classical root system of the given type and rank, shared: every
-    call with the same positional arguments returns the same immutable
-    instance (a keyword call is its own cache entry and gets an equal one).
+    call returns the same immutable instance while it is cached.
 
-    A: rank >= 1, simple roots e_i - e_{i+1} in rank+1 coordinates.
-    B: rank >= 1, short root e_m at the end.
-    C: rank >= 1, long root 2 e_n at the end.
-    D: rank >= 2, fork e_{m-1} + e_m at the end.
+    A: rank >= 1, slots e_1, ..., e_{rank+1}; simple roots e_i - e_{i+1}.
+    B: rank >= 1, slots e_1, ..., e_m, 0, -e_m, ..., -e_1; short root e_m
+       at the end.
+    C: rank >= 1, slots e_1, ..., e_n, -e_n, ..., -e_1; long root 2 e_n at
+       the end.
+    D: rank >= 2, slots as for C; fork e_{m-1} + e_m at the end.
 
-    A rank above ``ROOT_RANK_CAP`` raises ``ValueError``.
+    The positive roots come in the order e_i - e_j (i < j) in type A, and
+    otherwise e_i - e_j, e_i + e_j for each i < j, then e_i in type B and
+    2 e_i in type C. A rank above ``ROOT_RANK_CAP`` raises ``ValueError``.
     """
     if cartan_type not in CLASSICAL_TYPES:
         raise ValueError(f"unknown Cartan type {cartan_type!r}")
@@ -167,30 +184,40 @@ def root_system(cartan_type: str, rank: int) -> RootSystem:
 
     dim = rank + 1 if cartan_type == "A" else rank
     e = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    simple = [(i, i + 1) for i in range(rank)]
     if cartan_type == "A":
-        simple = [sub(e[i], e[i + 1]) for i in range(rank)]
-        positive = [sub(e[i], e[j]) for i in range(dim) for j in range(i + 1, dim)]
-        return RootSystem("A", rank, dim, tuple(simple), tuple(positive))
-
-    m = rank
-    simple = [sub(e[i], e[i + 1]) for i in range(m - 1)]
-    if cartan_type == "B":
-        simple.append(e[m - 1])
-    elif cartan_type == "C":
-        simple.append(add(e[m - 1], e[m - 1]))
+        slots = e
+        pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+        swaps = [((i, i + 1),) for i in range(rank)]
     else:
-        simple.append(add(e[m - 2], e[m - 1]))
+        m = rank
+        zero = [(0,) * m] if cartan_type == "B" else []
+        slots = e + zero + [neg(u) for u in reversed(e)]
+        n = len(slots)
+        # e_a - e_b and e_a + e_b = e_a - (-e_b) for each a < b.
+        pairs = [p for a in range(m) for b in range(a + 1, m) for p in ((a, b), (a, n - 1 - b))]
+        swaps = [((i, i + 1), (n - 2 - i, n - 1 - i)) for i in range(m - 1)]
+        if cartan_type == "B":
+            pairs += [(a, m) for a in range(m)]
+            swaps.append(((m - 1, m + 1),))
+        elif cartan_type == "C":
+            pairs += [(a, n - 1 - a) for a in range(m)]
+            swaps.append(((m - 1, m),))
+        else:
+            simple[-1] = (m - 2, m)
+            swaps.append(((m - 2, m), (m - 1, m + 1)))
 
-    positive: list[Root] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            positive.append(sub(e[i], e[j]))
-            positive.append(add(e[i], e[j]))
-    if cartan_type == "B":
-        positive.extend(e)
-    elif cartan_type == "C":
-        positive.extend(add(u, u) for u in e)
-    return RootSystem(cartan_type, rank, dim, tuple(simple), tuple(positive))
+    simple_set = set(simple)
+    return RootSystem(
+        cartan_type,
+        rank,
+        dim,
+        tuple(tuple(map(_SLOT_ENTRY.__getitem__, u)) for u in slots),
+        tuple(simple) + tuple(p for p in pairs if p not in simple_set),
+        tuple(swaps),
+        tuple(sub(slots[a], slots[b]) for a, b in simple),
+        tuple(sub(slots[a], slots[b]) for a, b in pairs),
+    )
 
 
 def pairing(lam: Vector, alpha: Vector | Root) -> Fraction:

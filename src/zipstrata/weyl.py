@@ -1,37 +1,30 @@
 """Weyl groups of classical type as explicit slot permutations.
 
 An element is a tuple ``perm`` with ``perm[i-1]`` the image of slot i
-(one-line notation, 1-indexed). The slot count N and the slot/weight
-dictionary depend on the type:
-
-  A_{r}   N = r+1      slot i <-> e_i
-  B_m     N = 2m+1     slot i <-> e_i (i <= m), slot m+1 <-> 0,
-                       slot N+1-i <-> -e_i
-  C_n     N = 2n       slot i <-> e_i (i <= n), slot N+1-i <-> -e_i
-  D_m     N = 2m       as for C
-
-Outside type A every group element sigma satisfies
-sigma(i) + sigma(N+1-i) = N+1.
+(one-line notation, 1-indexed). The slots and their weights are the root
+system's (``RootSystem.slot_weights``, laid out in ``rootsys``): N = r+1
+slots e_1, ..., e_N in type A_r, and outside type A the slots e_1, ...,
+e_m, then 0 in type B, then -e_m, ..., -e_1, so that every group element
+sigma satisfies sigma(i) + sigma(N+1-i) = N+1.
 
 The slot order e_1 > ... > e_m > (0) > -e_m > ... > -e_1 refines
 positivity: w sends the root weight(a) - weight(b), a < b, to a negative
-root exactly when w(a) > w(b). Each group therefore keeps one integer table
-with a slot pair per positive root, the simple roots first, and reads
-lengths and descents off it; every other combinatorial method goes through
-those two, and descent stripping tests only the letters it may strip (left
-ones on the inverse). A simple reflection swaps one or two pairs of slots,
-so the stripping kernels (``reduced_word``, ``min_in_double_coset``,
-``longest_in``) multiply by it in place, as slot swaps on a list, instead
-of building a tuple per step; left descents are stripped on the inverse,
-which is built once. The action on coordinate vectors (``act``) is a
-signed permutation of coordinates; it serves Fraction weights and integer
-roots alike and keeps the entry type.
+root exactly when w(a) > w(b). Each group therefore reads lengths and
+descents off the system's integer table of slot pairs, one per positive
+root, the simple roots first; every other combinatorial method goes
+through those two, and descent stripping tests only the letters it may
+strip (left ones on the inverse). A simple reflection swaps the system's
+one or two pairs of slots, so the stripping kernels (``reduced_word``,
+``min_in_double_coset``, ``longest_in``) multiply by it in place, as slot
+swaps on a list, instead of building a tuple per step; left descents are
+stripped on the inverse, which is built once. The action on coordinate
+vectors (``act``) is a signed permutation of coordinates; it serves
+Fraction weights and integer roots alike and keeps the entry type.
 
-``weyl_group`` hands out one shared group per type and rank. A group builds
-its simple reflections and their slot swaps on first use. ``reduced_word``
-per element and ``min_coset_reps`` per parabolic type are served by
-module-level ``lru_cache`` functions keyed by the group, which hashes on its
-type and rank, so every group of the same type and rank shares their
+``weyl_group`` hands out one shared group per root system, and so per type
+and rank. ``reduced_word`` per element and ``min_coset_reps`` per parabolic
+type are served by module-level ``lru_cache`` functions keyed by the group,
+which hashes on its system, so every group of the same system shares their
 entries.
 """
 
@@ -97,56 +90,17 @@ class WeylGroup:
 
     @property
     def slots(self) -> int:
-        t, m = self.system.cartan_type, self.system.rank
-        if t == "A":
-            return m + 1
-        if t == "B":
-            return 2 * m + 1
-        return 2 * m
+        return len(self.system.slot_weights)
 
     def identity(self) -> Perm:
         return identity_perm(self.slots)
-
-    @cached_property
-    def _root_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """Zero-based slot pairs (a, b), one per positive root
-        weight(a) - weight(b), the simple roots first in index order."""
-        t, m, n = self.system.cartan_type, self.rank, self.slots
-        simple = [(i, i + 1) for i in range(1, m + 1)]
-        if t == "D":
-            simple[-1] = (m - 1, m + 1)
-        if t == "A":
-            pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-        else:
-            pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 1, n + 1 - a)]
-            if t == "C":
-                pairs += [(a, n + 1 - a) for a in range(1, m + 1)]
-        rest = [pair for pair in pairs if pair not in simple]
-        return tuple((a - 1, b - 1) for a, b in simple + rest)
-
-    @cached_property
-    def _simple_swaps(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Zero-based slot pairs that each simple reflection swaps: one pair
-        in type A and for the last letter of B and C, two otherwise. On a
-        list, these swaps multiply by the reflection on the right."""
-        t, m, n = self.system.cartan_type, self.rank, self.slots
-        if t == "A":
-            return tuple(((i - 1, i),) for i in range(1, m + 1))
-        out = [((i - 1, i), (n - i - 1, n - i)) for i in range(1, m)]
-        if t == "B":
-            out.append(((m - 1, m + 1),))
-        elif t == "C":
-            out.append(((m - 1, m),))
-        else:
-            out.append(((m - 2, m), (m - 1, m + 1)))
-        return tuple(out)
 
     @cached_property
     def _simple_reflections(self) -> Tuple[Perm, ...]:
         n = self.slots
         return tuple(
             transpositions(n, *((a + 1, b + 1) for a, b in swaps))
-            for swaps in self._simple_swaps
+            for swaps in self.system.simple_swaps
         )
 
     # -- the action on coordinate vectors ---------------------------------
@@ -197,13 +151,13 @@ class WeylGroup:
 
     def length(self, w: Perm) -> int:
         """Number of positive roots w sends negative."""
-        return sum(1 for a, b in self._root_pairs if w[a] > w[b])
+        return sum(1 for a, b in self.system.root_pairs if w[a] > w[b])
 
     def right_descents(self, w: Perm) -> Tuple[int, ...]:
         """Indices i with w(alpha_i) negative."""
         return tuple(
             i
-            for i, (a, b) in zip(range(1, self.rank + 1), self._root_pairs)
+            for i, (a, b) in zip(range(1, self.rank + 1), self.system.root_pairs)
             if w[a] > w[b]
         )
 
@@ -234,7 +188,7 @@ class WeylGroup:
 
     def _first_descent(self, w: Perm, letters: Iterable[int]) -> Optional[int]:
         """The first of the letters that is a right descent of w, or None."""
-        pairs, rank = self._root_pairs, self.rank
+        pairs, rank = self.system.root_pairs, self.rank
         for i in letters:
             if not 1 <= i <= rank:
                 raise ValueError(f"simple reflection index {i} out of range")
@@ -263,7 +217,7 @@ class WeylGroup:
         identity, multiply on the right by the first ascent in I, in place,
         until every letter of I is a descent."""
         letters = self._letter_indices(I)
-        pairs, swaps = self._root_pairs, self._simple_swaps
+        pairs, swaps = self.system.root_pairs, self.system.simple_swaps
         u = list(range(1, self.slots + 1))
         while True:
             for i in letters:
@@ -318,7 +272,7 @@ class WeylGroup:
     def _strip(self, u: List[int], letters: List[int]) -> None:
         """Multiply u on the right, in place, by the first of the (zero-based)
         letters that is a right descent, until none of them is."""
-        pairs, swaps = self._root_pairs, self._simple_swaps
+        pairs, swaps = self.system.root_pairs, self.system.simple_swaps
         while True:
             for i in letters:
                 a, b = pairs[i]
@@ -373,7 +327,7 @@ def _reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
     two letters below i."""
     group._check_element(w)
     inv = list(inverse(w))
-    pairs, swaps, rank = group._root_pairs, group._simple_swaps, group.rank
+    pairs, swaps, rank = group.system.root_pairs, group.system.simple_swaps, group.rank
     word: List[int] = []
     start = 0
     while True:
@@ -413,12 +367,15 @@ def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Tuple[Perm, ...]:
     return tuple(sorted(seen, key=lambda u: (group.length(u), group.reduced_word(u))))
 
 
-@lru_cache(maxsize=64)
 def weyl_group(cartan_type: str, rank: int) -> WeylGroup:
-    """The Weyl group of ``root_system(cartan_type, rank)``, shared like the
-    root system: every call with the same positional arguments returns the
-    same instance."""
-    return WeylGroup(root_system(cartan_type, rank))
+    """The Weyl group of ``root_system(cartan_type, rank)``, shared per
+    system: its ``system`` is always the one ``root_system`` hands out."""
+    return _group_of(root_system(cartan_type, rank))
+
+
+@lru_cache(maxsize=64)
+def _group_of(system: RootSystem) -> WeylGroup:
+    return WeylGroup(system)
 
 
 @dataclass(frozen=True)

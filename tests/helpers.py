@@ -253,9 +253,18 @@ def hasse_nonzero(z: StandardZip) -> bool:
 # -- reference case facts -------------------------------------------------------
 
 
+def expanded(module: WeightMultiset) -> Tuple[Vector, ...]:
+    """Every weight of the module repeated by its multiplicity."""
+    return tuple(weight for weight, mult in module.entries for _ in range(mult))
+
+
+def multiplicity(module: WeightMultiset, weight: Vector) -> int:
+    return dict(module.entries).get(weight, 0)
+
+
 def dsum(left: WeightMultiset, right: WeightMultiset) -> WeightMultiset:
     """Direct sum: the weights of both modules together."""
-    return WeightMultiset.from_weights(left.expanded() + right.expanded())
+    return WeightMultiset.from_weights(expanded(left) + expanded(right))
 
 
 def hand_eta(identifier: str, rank: int) -> Vector:

@@ -439,10 +439,10 @@ class TestSiegel:
 
 @pytest.fixture
 def sweep_caches():
-    """A sweep over every rank builds more groups than the package caches
-    hold, and ``weyl_group`` and ``root_system`` evict independently; empty
-    them all afterwards, so that later tests find each shared group beside
-    its shared root system."""
+    """A sweep over every rank fills the package caches with groups, root
+    systems and case data up to rank 64; empty them all afterwards, so that
+    later tests start from the caches of a fresh interpreter and do not keep
+    the sweep's largest tables alive."""
     yield
     clear_caches()
 

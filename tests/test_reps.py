@@ -20,7 +20,7 @@ from zipstrata.reps import (
 from zipstrata.rootsys import _to_ints, root_system, sum_vectors, unit, vec
 from zipstrata.weyl import WeylGroup
 
-from helpers import dsum, is_cy, mu_profile, reference_entries
+from helpers import dsum, expanded, is_cy, mu_profile, multiplicity, reference_entries
 
 
 def e1(dim: int):
@@ -40,8 +40,8 @@ def test_standard_module_dimensions(cartan_type: str, rank: int, dim: int) -> No
 
 def test_standard_module_of_b3_has_a_zero_weight() -> None:
     module = std_weights("B", 3)
-    assert module.multiplicity(vec(0, 0, 0)) == 1
-    assert module.multiplicity(e1(3)) == 1
+    assert multiplicity(module, vec(0, 0, 0)) == 1
+    assert multiplicity(module, e1(3)) == 1
 
 
 @pytest.mark.parametrize("cartan_type,rank,dim", [("B", 3, 8), ("B", 4, 16), ("D", 4, 8), ("D", 5, 16)])
@@ -66,7 +66,7 @@ def test_standard_module_is_weyl_stable(cartan_type: str, rank: int) -> None:
     for i in range(1, rank + 1):
         s = group.simple_reflection(i)
         reflected = WeightMultiset.from_weights(
-            group.act(s, weight) for weight in module.expanded()
+            group.act(s, weight) for weight in expanded(module)
         )
         assert reflected == module
 
@@ -78,7 +78,7 @@ def test_spin_module_is_weyl_stable() -> None:
         for i in range(1, rank + 1):
             s = group.simple_reflection(i)
             reflected = WeightMultiset.from_weights(
-                group.act(s, weight) for weight in module.expanded()
+                group.act(s, weight) for weight in expanded(module)
             )
             assert reflected == module
 
@@ -95,16 +95,16 @@ def test_wedge_dimensions_are_binomial() -> None:
 
 def test_wedge_square_of_gl4_weights() -> None:
     module = wedge(std_weights("A", 3), 2)
-    assert module.multiplicity(vec(1, 1, 0, 0)) == 1
-    assert module.multiplicity(vec(1, 0, 1, 0)) == 1
-    assert module.multiplicity(vec(2, 0, 0, 0)) == 0
+    assert multiplicity(module, vec(1, 1, 0, 0)) == 1
+    assert multiplicity(module, vec(1, 0, 1, 0)) == 1
+    assert multiplicity(module, vec(2, 0, 0, 0)) == 0
 
 
 def test_wedge_collects_multiplicities() -> None:
     """In the second exterior power of the B2 module the zero weight comes
     from both e1 wedge -e1 and e2 wedge -e2."""
     module = wedge(std_weights("D", 2), 2)
-    assert module.multiplicity(vec(0, 0)) == 2
+    assert multiplicity(module, vec(0, 0)) == 2
 
 
 @pytest.mark.parametrize("module", [
@@ -121,7 +121,7 @@ def test_wedge_equals_summing_the_fraction_weights(module) -> None:
     for k in range(module.dimension + 1):
         reference = WeightMultiset.from_weights(
             sum_vectors(subset, width)
-            for subset in itertools.combinations(module.expanded(), k)
+            for subset in itertools.combinations(expanded(module), k)
         )
         assert wedge(module, k) == reference
 
@@ -133,7 +133,7 @@ def test_wedge_rejects_out_of_range_power() -> None:
 
 def test_dual_negates_weights() -> None:
     module = std_weights("A", 2)
-    assert dual(module).multiplicity(vec(-1, 0, 0)) == 1
+    assert multiplicity(dual(module), vec(-1, 0, 0)) == 1
     assert dual(dual(module)) == module
 
 
@@ -141,7 +141,7 @@ def test_dsum_adds_dimensions_and_multiplicities() -> None:
     module = std_weights("D", 3)
     doubled = dsum(module, module)
     assert doubled.dimension == 12
-    assert doubled.multiplicity(e1(3)) == 2
+    assert multiplicity(doubled, e1(3)) == 2
 
 
 def test_self_dual_types_have_self_dual_standard_modules() -> None:
@@ -231,7 +231,7 @@ def _ref_hodge(module, mu):
 
 
 def _ref_slot_table(module, mu):
-    slots = tuple(sorted(module.expanded(), key=lambda w: (_dot(w, mu), w), reverse=True))
+    slots = tuple(sorted(expanded(module), key=lambda w: (_dot(w, mu), w), reverse=True))
     scale = lcm(*(c.denominator for weight in slots for c in weight))
     keys = tuple(tuple(int(c * scale) for c in weight) for weight in slots)
     dims = tuple(dim for _, dim in _ref_profile(module, mu))

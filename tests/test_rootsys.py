@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipstrata import rootsys
+from zipstrata.reps import std_weights
 from zipstrata.rootsys import (
     ROOT_RANK_CAP,
     add,
@@ -23,6 +24,8 @@ from zipstrata.rootsys import (
     unit,
     vec,
 )
+
+from helpers import expanded
 
 
 def is_dominant(system, lam) -> bool:
@@ -296,3 +299,41 @@ def test_simple_pairings_match_pairing(data) -> None:
 def test_simple_pairings_check_dimension() -> None:
     with pytest.raises(ValueError):
         simple_pairings(root_system("B", 2), vec(1, 0, 0))
+
+
+# -- the slot layout -----------------------------------------------------------
+
+SLOT_LAYOUTS = (
+    [(t, r) for t in "ABC" for r in range(1, 9)]
+    + [("D", r) for r in range(2, 9)]
+    + [(t, ROOT_RANK_CAP) for t in "ABCD"]
+)
+
+
+@pytest.mark.parametrize("cartan_type,rank", SLOT_LAYOUTS)
+def test_slot_tables_match_the_reflection_formula(cartan_type: str, rank: int) -> None:
+    """The slot pairs give the simple roots in index order and then every
+    other positive root once; each simple reflection's slot swaps move the
+    slot weights as ``reflect`` does; and the slot weights are the standard
+    module's, written out here as e_i, then 0 in type B, then -e_i."""
+    system = root_system(cartan_type, rank)
+    weights = system.slot_weights
+    differences = [sub(weights[a], weights[b]) for a, b in system.root_pairs]
+    assert differences[:rank] == list(system.simple_roots)
+    assert sorted(differences) == sorted(system.positive_roots)
+    assert len(set(differences)) == len(differences)
+    assert all(a < b for a, b in system.root_pairs)
+    assert len(system.simple_swaps) == rank
+    for alpha, swaps in zip(system.simple_roots, system.simple_swaps):
+        swapped = list(weights)
+        for a, b in swaps:
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+        assert swapped == [reflect(weight, alpha) for weight in weights]
+    dim = system.ambient_dim
+    expected = [unit(dim, i) for i in range(1, dim + 1)]
+    if cartan_type == "B":
+        expected.append(vec(*[0] * dim))
+    if cartan_type != "A":
+        expected += [neg(unit(dim, i)) for i in range(1, dim + 1)]
+    assert sorted(weights) == sorted(expected)
+    assert sorted(weights) == sorted(expanded(std_weights(cartan_type, rank)))

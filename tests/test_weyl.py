@@ -29,6 +29,7 @@ from zipstrata.weyl import (
 )
 
 from helpers import (
+    clear_caches,
     eo_same_stratum,
     is_reduced,
     min_double_coset_reps,
@@ -684,6 +685,20 @@ def test_weyl_group_is_shared(cartan_type: str, rank: int) -> None:
     g = weyl_group(cartan_type, rank)
     assert g is weyl_group(cartan_type, rank)
     assert g.system is root_system(cartan_type, rank)
+
+
+def test_shared_group_keeps_the_shared_system_after_evictions() -> None:
+    """More root systems than ``root_system`` caches push B3's out; the
+    shared group is still the one of the system ``root_system`` hands out,
+    not a group over an evicted, second copy of it."""
+    try:
+        weyl_group("B", 3)
+        for cartan_type in "ABC":
+            for rank in range(1, 40):
+                root_system(cartan_type, rank)
+        assert weyl_group("B", 3).system is root_system("B", 3)
+    finally:
+        clear_caches()
 
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])

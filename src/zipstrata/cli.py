@@ -15,10 +15,9 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cases import (
     CASE_BY_FLAG,
@@ -45,8 +44,7 @@ from .weyl import WeylGroup, weyl_group
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a subcommand needs to know about one invocation."""
 
     case: str

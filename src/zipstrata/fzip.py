@@ -27,10 +27,9 @@ calls share one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .reps import WeightMultiset
 from .rootsys import IntVector, Vector
@@ -44,8 +43,7 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class StandardZip:
+class StandardZip(NamedTuple):
     """A zip with the dimensions of its slices, top slice first, its slot
     weights, and the slot permutation induced by a Weyl element."""
 

@@ -34,10 +34,9 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import add, mul
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -50,12 +49,24 @@ ORACLE_N_CAP = 7
 WEIGHT_SPREAD_CAP = 3
 
 
-@dataclass(frozen=True)
 class SparsePoly:
-    """Multivariate polynomial with integer coefficients, stored sparsely."""
+    """Multivariate polynomial with integer coefficients, stored sparsely.
+    Compares and hashes by (nvars, coeffs); not a tuple, so that ``2 * p``
+    raises instead of repeating it."""
 
-    nvars: int
-    coeffs: Tuple[Tuple[Monomial, int], ...]
+    __slots__ = ("nvars", "coeffs")
+
+    def __init__(self, nvars: int, coeffs: Tuple[Tuple[Monomial, int], ...]) -> None:
+        self.nvars = nvars
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.coeffs))
 
     @staticmethod
     def build(nvars: int, terms: Dict[Monomial, int]) -> "SparsePoly":
@@ -255,8 +266,7 @@ def _gl_inversions(w: Sequence[int]) -> List[Tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class CellPoint:
+class CellPoint(NamedTuple):
     """Coordinates for a generic point w * prod X_{ij}(a) * t inside GL(n).
 
     The unipotent coordinates are listed so that the locus of interest is
@@ -314,8 +324,7 @@ def gl_flambda(n: int, lam: Sequence[int]) -> "MinorProduct":
     return MinorProduct(n=n, trailing_exponents=exponents, det_exponent=lam[n - 1])
 
 
-@dataclass(frozen=True)
-class MinorProduct:
+class MinorProduct(NamedTuple):
     """Product of trailing principal minors with integer exponents."""
 
     n: int

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -34,14 +33,19 @@ from .rootsys import IntVector, Vector, _to_ints, neg, root_system
 WEDGE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
 class WeightMultiset:
     """Torus weights of a representation, with multiplicities, canonically
     sorted so that equal multisets compare equal. The hash is computed once
     per instance, on the integer image rather than the Fraction entries,
     since multisets key the slot-table cache."""
 
-    entries: Tuple[Tuple[Vector, int], ...]
+    def __init__(self, entries: Tuple[Tuple[Vector, int], ...]) -> None:
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightMultiset):
+            return NotImplemented
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
         return self._hash

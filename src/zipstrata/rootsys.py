@@ -12,7 +12,7 @@ standard module (``reps.std_weights``) is their weights, and the roots are
 read off the slot pairs.
 
 ``root_system`` is an ``lru_cache`` and the only constructor: it builds each
-system once per type and rank and hands out the same immutable instance
+system once per type and rank and hands out the same instance
 afterwards. A system compares and hashes by identity, so it is a cheap cache
 key downstream; the derived integer data (simple coroots, Cartan matrix,
 the root set) is computed on first use and kept on it. Every simple coroot
@@ -25,7 +25,6 @@ kind of vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -90,7 +89,6 @@ def _to_ints(vectors: Iterable[Vector]) -> Tuple[int, Tuple[IntVector, ...]]:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
     """A root system with its chosen simple roots and its slot layout.
 
@@ -100,18 +98,47 @@ class RootSystem:
     ``root_system``); ``root_pairs`` holds the zero-based slot pair (a, b),
     a < b, of each positive root slot_weights[a] - slot_weights[b], simple
     roots first, and ``simple_swaps`` the one or two slot pairs each simple
-    reflection swaps. Built only by ``root_system``; compares and hashes by
-    identity.
+    reflection swaps. Built only by ``root_system``, which checks the type
+    and rank first; compares and hashes by identity.
     """
 
-    cartan_type: str
-    rank: int
-    ambient_dim: int
-    slot_weights: Tuple[Vector, ...]
-    root_pairs: Tuple[Tuple[int, int], ...]
-    simple_swaps: Tuple[Tuple[Tuple[int, int], ...], ...]
-    simple_roots: Tuple[Root, ...]
-    positive_roots: Tuple[Root, ...]
+    def __init__(self, cartan_type: str, rank: int) -> None:
+        dim = rank + 1 if cartan_type == "A" else rank
+        e = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        simple = [(i, i + 1) for i in range(rank)]
+        if cartan_type == "A":
+            slots = e
+            pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+            swaps = [((i, i + 1),) for i in range(rank)]
+        else:
+            m = rank
+            zero = [(0,) * m] if cartan_type == "B" else []
+            slots = e + zero + [neg(u) for u in reversed(e)]
+            n = len(slots)
+            # e_a - e_b and e_a + e_b = e_a - (-e_b) for each a < b.
+            pairs = [
+                p for a in range(m) for b in range(a + 1, m) for p in ((a, b), (a, n - 1 - b))
+            ]
+            swaps = [((i, i + 1), (n - 2 - i, n - 1 - i)) for i in range(m - 1)]
+            if cartan_type == "B":
+                pairs += [(a, m) for a in range(m)]
+                swaps.append(((m - 1, m + 1),))
+            elif cartan_type == "C":
+                pairs += [(a, n - 1 - a) for a in range(m)]
+                swaps.append(((m - 1, m),))
+            else:
+                simple[-1] = (m - 2, m)
+                swaps.append(((m - 2, m), (m - 1, m + 1)))
+
+        simple_set = set(simple)
+        self.cartan_type = cartan_type
+        self.rank = rank
+        self.ambient_dim = dim
+        self.slot_weights = tuple(tuple(map(_SLOT_ENTRY.__getitem__, u)) for u in slots)
+        self.root_pairs = tuple(simple) + tuple(p for p in pairs if p not in simple_set)
+        self.simple_swaps = tuple(swaps)
+        self.simple_roots = tuple(sub(slots[a], slots[b]) for a, b in simple)
+        self.positive_roots = tuple(sub(slots[a], slots[b]) for a, b in pairs)
 
     @property
     def roots(self) -> Tuple[Root, ...]:
@@ -160,7 +187,7 @@ ROOT_RANK_CAP = 64
 @lru_cache(maxsize=64)
 def root_system(cartan_type: str, rank: int, /) -> RootSystem:
     """The classical root system of the given type and rank, shared: every
-    call returns the same immutable instance while it is cached.
+    call returns the same instance while it is cached.
 
     A: rank >= 1, slots e_1, ..., e_{rank+1}; simple roots e_i - e_{i+1}.
     B: rank >= 1, slots e_1, ..., e_m, 0, -e_m, ..., -e_1; short root e_m
@@ -182,42 +209,7 @@ def root_system(cartan_type: str, rank: int, /) -> RootSystem:
     if cartan_type == "D" and rank < 2:
         raise ValueError("type D needs rank >= 2")
 
-    dim = rank + 1 if cartan_type == "A" else rank
-    e = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-    simple = [(i, i + 1) for i in range(rank)]
-    if cartan_type == "A":
-        slots = e
-        pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-        swaps = [((i, i + 1),) for i in range(rank)]
-    else:
-        m = rank
-        zero = [(0,) * m] if cartan_type == "B" else []
-        slots = e + zero + [neg(u) for u in reversed(e)]
-        n = len(slots)
-        # e_a - e_b and e_a + e_b = e_a - (-e_b) for each a < b.
-        pairs = [p for a in range(m) for b in range(a + 1, m) for p in ((a, b), (a, n - 1 - b))]
-        swaps = [((i, i + 1), (n - 2 - i, n - 1 - i)) for i in range(m - 1)]
-        if cartan_type == "B":
-            pairs += [(a, m) for a in range(m)]
-            swaps.append(((m - 1, m + 1),))
-        elif cartan_type == "C":
-            pairs += [(a, n - 1 - a) for a in range(m)]
-            swaps.append(((m - 1, m),))
-        else:
-            simple[-1] = (m - 2, m)
-            swaps.append(((m - 2, m), (m - 1, m + 1)))
-
-    simple_set = set(simple)
-    return RootSystem(
-        cartan_type,
-        rank,
-        dim,
-        tuple(tuple(map(_SLOT_ENTRY.__getitem__, u)) for u in slots),
-        tuple(simple) + tuple(p for p in pairs if p not in simple_set),
-        tuple(swaps),
-        tuple(sub(slots[a], slots[b]) for a, b in simple),
-        tuple(sub(slots[a], slots[b]) for a, b in pairs),
-    )
+    return RootSystem(cartan_type, rank)
 
 
 def pairing(lam: Vector, alpha: Vector | Root) -> Fraction:

@@ -23,11 +23,10 @@ pass (closedness is W-invariant) and looks the sums up in the root set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .rootsys import Root, RootSystem, Vector, simple_pairings
 from .weyl import CocharacterDatum, Perm, compose, weyl_group
@@ -40,8 +39,7 @@ Word = Tuple[int, ...]
 _EXTRA_COEFFS = ((2, 1), (1, 2))
 
 
-@dataclass(frozen=True)
-class ClosednessWitness:
+class ClosednessWitness(NamedTuple):
     """A violation of closedness: alpha, beta in the stage-th suffix set but
     combination = a*alpha + b*beta is a root outside it."""
 

@@ -17,9 +17,13 @@ strip (left ones on the inverse). A simple reflection swaps the system's
 one or two pairs of slots, so the stripping kernels (``reduced_word``,
 ``min_in_double_coset``, ``longest_in``) multiply by it in place, as slot
 swaps on a list, instead of building a tuple per step; left descents are
-stripped on the inverse, which is built once. The action on coordinate
-vectors (``act``) is a signed permutation of coordinates; it serves
-Fraction weights and integer roots alike and keeps the entry type.
+stripped on the inverse, which is built once. Coset enumeration
+(``min_coset_reps``) climbs W^I a length at a time by the same in-place
+swaps, keeping an ascent u s_j exactly when Deodhar's test passes: u sends
+alpha_j to no simple root of I, read off u's values on alpha_j's slot pair.
+The action on coordinate vectors (``act``) is a signed permutation of
+coordinates; it serves Fraction weights and integer roots alike and keeps
+the entry type.
 
 ``weyl_group`` hands out one shared group per root system, and so per type
 and rank. ``reduced_word`` per element and ``min_coset_reps`` per parabolic
@@ -30,11 +34,10 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial
-from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, TypeVar
 
 from .rootsys import (
     RootSystem,
@@ -78,11 +81,20 @@ def transpositions(n: int, *pairs: Tuple[int, int]) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class WeylGroup:
-    """Weyl group of a classical root system, acting by slot permutations."""
+    """Weyl group of a classical root system, acting by slot permutations.
+    Groups compare and hash by their system."""
 
-    system: RootSystem
+    def __init__(self, system: RootSystem) -> None:
+        self.system = system
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeylGroup):
+            return NotImplemented
+        return self.system is other.system
+
+    def __hash__(self) -> int:
+        return hash(self.system)
 
     @property
     def rank(self) -> int:
@@ -153,17 +165,6 @@ class WeylGroup:
         """Number of positive roots w sends negative."""
         return sum(1 for a, b in self.system.root_pairs if w[a] > w[b])
 
-    def right_descents(self, w: Perm) -> Tuple[int, ...]:
-        """Indices i with w(alpha_i) negative."""
-        return tuple(
-            i
-            for i, (a, b) in zip(range(1, self.rank + 1), self.system.root_pairs)
-            if w[a] > w[b]
-        )
-
-    def left_descents(self, w: Perm) -> Tuple[int, ...]:
-        return self.right_descents(inverse(w))
-
     def _letter_indices(self, letters: Iterable[int]) -> List[int]:
         """Zero-based indices of the letters; the first one outside 1..rank
         raises."""
@@ -185,17 +186,6 @@ class WeylGroup:
             ok = sum(map(m.__lt__, w[:m])) % 2 == 0
         if not ok:
             raise ValueError(f"{w} is not an element of W({t}{m})")
-
-    def _first_descent(self, w: Perm, letters: Iterable[int]) -> Optional[int]:
-        """The first of the letters that is a right descent of w, or None."""
-        pairs, rank = self.system.root_pairs, self.rank
-        for i in letters:
-            if not 1 <= i <= rank:
-                raise ValueError(f"simple reflection index {i} out of range")
-            a, b = pairs[i - 1]
-            if w[a] > w[b]:
-                return i
-        return None
 
     def reduced_word(self, w: Perm) -> Tuple[int, ...]:
         """Reduced word by stripping the smallest left descent; w not in W raises."""
@@ -239,13 +229,10 @@ class WeylGroup:
 
     # -- coset combinatorics ----------------------------------------------
 
-    def in_min_coset_reps(self, w: Perm, I: Sequence[int]) -> bool:
-        """True when w is the minimal-length element of W_I * w."""
-        return self._first_descent(inverse(w), I) is None
-
     def min_coset_reps(self, I: Sequence[int]) -> Tuple[Perm, ...]:
         """All minimal-length representatives of W_I \\ W, sorted by length
-        and then by reduced word."""
+        and then by reduced word; a letter outside 1..rank raises."""
+        self._letter_indices(I)
         return _min_coset_reps(self, tuple(sorted(set(I))))
 
     def min_in_double_coset(self, w: Perm, I: Sequence[int], J: Sequence[int]) -> Perm:
@@ -345,26 +332,40 @@ def _reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Tuple[Perm, ...]:
-    """Minimal coset representatives by BFS over the sorted letter set I.
+    """Minimal coset representatives W^I, level by level in length, over the
+    sorted letter set I.
 
-    Every right descent step out of a minimal representative lands on a
-    minimal representative, so the upward search from the identity is
-    complete and never leaves the set.
+    Every element of W^I of length k + 1 is u s_j for some u in W^I of
+    length k and an ascent s_j of u (W^I is closed under dropping a right
+    descent). By Deodhar's lemma, u s_j is in W^I unless u(alpha_j) is a
+    simple root alpha_i with i in I. In slot terms u(alpha_j) is the root of
+    the slot pair (u[a], u[b]) for alpha_j's pair (a, b), so the test is
+    that this pair is not one of I's simple pairs; outside type A a root has
+    a second, mirrored pair (N + 1 - y, N + 1 - x) for (x, y), which is
+    blocked too. Each level is built by slot swaps on a list, freed of
+    duplicates and sorted by reduced word.
     """
-    seen = {group.identity()}
-    frontier = [group.identity()]
-    while frontier:
-        nxt: List[Perm] = []
-        for u in frontier:
-            descents = group.right_descents(u)
-            for j in range(1, group.rank + 1):
-                if j not in descents:
-                    v = compose(u, group.simple_reflection(j))
-                    if v not in seen and group.in_min_coset_reps(v, I):
-                        seen.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda u: (group.length(u), group.reduced_word(u))))
+    pairs, swaps = group.system.root_pairs, group.system.simple_swaps
+    n = group.slots
+    blocked = {(a + 1, b + 1) for a, b in (pairs[i - 1] for i in I)}
+    if group.system.cartan_type != "A":
+        blocked |= {(n + 1 - y, n + 1 - x) for x, y in blocked}
+    steps = list(zip(pairs, swaps))
+    level = [group.identity()]
+    reps = list(level)
+    while level:
+        found = set()
+        for u in level:
+            for (a, b), swap in steps:
+                x, y = u[a], u[b]
+                if x < y and (x, y) not in blocked:
+                    v = list(u)
+                    for p, q in swap:
+                        v[p], v[q] = v[q], v[p]
+                    found.add(tuple(v))
+        level = sorted(found, key=group.reduced_word)
+        reps += level
+    return tuple(reps)
 
 
 def weyl_group(cartan_type: str, rank: int) -> WeylGroup:
@@ -378,8 +379,7 @@ def _group_of(system: RootSystem) -> WeylGroup:
     return WeylGroup(system)
 
 
-@dataclass(frozen=True)
-class CocharacterDatum:
+class CocharacterDatum(NamedTuple):
     """A group with cocharacter: parabolic types I, J and the twist z.
 
     I is the set of simple indices orthogonal to mu, J its image under the

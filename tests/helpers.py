@@ -36,6 +36,40 @@ def is_reduced(group: WeylGroup, word: Sequence[int]) -> bool:
     return group.length(group.from_word(word)) == len(word)
 
 
+# -- descent tests read off the system's slot pairs ------------------------------
+
+
+def first_descent(group: WeylGroup, w: Perm, letters: Iterable[int]) -> Optional[int]:
+    """The first of the letters that is a right descent of w, or None; a
+    letter outside 1..rank raises."""
+    pairs, rank = group.system.root_pairs, group.rank
+    for i in letters:
+        if not 1 <= i <= rank:
+            raise ValueError(f"simple reflection index {i} out of range")
+        a, b = pairs[i - 1]
+        if w[a] > w[b]:
+            return i
+    return None
+
+
+def right_descents(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
+    """Indices i with w(alpha_i) negative."""
+    return tuple(
+        i
+        for i, (a, b) in zip(range(1, group.rank + 1), group.system.root_pairs)
+        if w[a] > w[b]
+    )
+
+
+def left_descents(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
+    return right_descents(group, inverse(w))
+
+
+def in_min_coset_reps(group: WeylGroup, w: Perm, I: Sequence[int]) -> bool:
+    """True when w is the minimal-length element of W_I * w."""
+    return first_descent(group, inverse(w), I) is None
+
+
 # -- reference copies of the one-tuple-per-step Weyl kernels -------------------
 
 
@@ -48,7 +82,7 @@ def reference_reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
     inv = inverse(w) if signed and sorted(w) == list(ident) else None
     word: List[int] = []
     while inv != ident:
-        i = None if inv is None else group._first_descent(inv, range(1, group.rank + 1))
+        i = None if inv is None else first_descent(group, inv, range(1, group.rank + 1))
         if i is None:
             raise ValueError(f"{w} is not an element of W({t}{group.rank})")
         word.append(i)
@@ -62,9 +96,9 @@ def reference_min_in_double_coset(
     """Alternate left stripping in I (on a recomputed inverse) and right
     stripping in J, one new tuple per step."""
     while True:
-        if (i := group._first_descent(inverse(w), I)) is not None:
+        if (i := first_descent(group, inverse(w), I)) is not None:
             w = compose(group.simple_reflection(i), w)
-        elif (j := group._first_descent(w, J)) is not None:
+        elif (j := first_descent(group, w, J)) is not None:
             w = compose(w, group.simple_reflection(j))
         else:
             return w
@@ -75,7 +109,7 @@ def reference_longest_in(group: WeylGroup, I: Sequence[int]) -> Perm:
     each step, until there is none."""
     u = group.identity()
     while True:
-        descents = group.right_descents(u)
+        descents = right_descents(group, u)
         ascent = next((i for i in I if i not in descents), None)
         if ascent is None:
             return u
@@ -112,7 +146,7 @@ def min_double_coset_reps(
     """Minimal-length representatives of W_I \\ W / W_J: the minimal
     representatives of W_I \\ W without a right descent in J."""
     return tuple(
-        u for u in group.min_coset_reps(I) if set(J).isdisjoint(group.right_descents(u))
+        u for u in group.min_coset_reps(I) if set(J).isdisjoint(right_descents(group, u))
     )
 
 

@@ -411,6 +411,18 @@ class TestEntryPoint:
         assert payload["case"] == "so-even"
         assert len(payload["strata"]) == 6
 
+    def test_import_leaves_dataclasses_unloaded(self):
+        """The command line and the oracles import no ``dataclasses``: its
+        import and class building were half of a fresh run's import time."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zipstrata.cli, zipstrata.oracle; "
+             "print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_every_advertised_case_runs(self, capsys):
         ranks = {"so-odd": "2", "so-even": "3", "sp-cn": "2", "siegel": "2",
                  "gl-dualsum": "3", "gl4-wedge2": "4", "gspin-odd": "2",

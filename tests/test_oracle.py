@@ -55,6 +55,18 @@ def test_poly_arithmetic_and_eval() -> None:
     assert (x * y).coeffs == (((1, 1), 1),)
 
 
+def test_polys_compare_and_hash_by_their_terms() -> None:
+    """Equality and hash are those of (nvars, coeffs), but a polynomial is
+    no tuple: an int times it raises instead of repeating it."""
+    x = var(2, 0)
+    same = SparsePoly(2, x.coeffs)
+    assert same == x and hash(same) == hash(x) == hash((2, x.coeffs))
+    assert x != var(3, 0) and x != var(2, 1)
+    assert x != (2, x.coeffs)
+    with pytest.raises(TypeError):
+        2 * x
+
+
 def test_variable_index_is_checked() -> None:
     with pytest.raises(ValueError):
         SparsePoly.variable(2, 5)

@@ -86,6 +86,18 @@ def test_spin_module_is_weyl_stable() -> None:
 # -- tensor operations ---------------------------------------------------------
 
 
+def test_multisets_compare_and_hash_by_their_entries() -> None:
+    """However a multiset is built, equal entries give equal multisets with
+    one hash, that of the integer image; the entries tuple itself is not
+    equal to it."""
+    module = std_weights("B", 3)
+    rebuilt = WeightMultiset(module.entries)
+    assert rebuilt == module and hash(rebuilt) == hash(module)
+    assert hash(module) == hash(_to_ints(weight for weight, _ in module.entries))
+    assert module != std_weights("C", 3)
+    assert module != module.entries
+
+
 def test_wedge_dimensions_are_binomial() -> None:
     module = std_weights("A", 3)
     assert wedge(module, 2).dimension == 6

@@ -10,7 +10,9 @@ where the cell words leave the supported shapes or the table is slow) and
 the conjugate line position through the zip permutation model. Ogus'
 principle is the assertion that the two agree; the symplectic standard
 case is the known exception, failing exactly on the minimal stratum while
-the inequality still holds.
+the inequality still holds. A preset with a matrix model carries it as
+its ``oracle``, a check of the computed case: the GSp(2n) point orders
+for Siegel, the squared Pluecker coordinate for the dual-sum case.
 
 A case's datum, Hodge character and report columns (each stratum's label,
 reduced word, Bruhat class, line position and closed-form order) do not
@@ -32,6 +34,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 from .fzip import clp, clp_exterior_top, standard_zips
 from .oracle import (
     PRIME_MAX,
+    gl_plucker_order,
     gsp_point_order,
     gsp_psi_curve_point,
     gsp_witness,
@@ -108,8 +111,11 @@ class Preset(NamedTuple):
     weights of r. The case tabulates the ``power``-th power of the triple's
     Hasse invariant, so its eta and line positions are ``power`` times the
     triple's; ``order`` maps (rank, label) to a closed-form order of that
-    power. A named tuple, as the package's other records are (classes
-    with cached properties or their own equality are plain classes): the
+    power. ``oracle``, for a preset with a matrix model, checks a computed
+    case against it and returns a complaint, or None when it agrees; it
+    raises ``ValueError`` above the model's own ceiling. A named tuple, as
+    the package's other records are (classes with cached properties or
+    their own equality are plain classes): the
     package never imports ``dataclasses``, and ``import zipstrata.cli,
     zipstrata.oracle`` takes 5.8 ms from cached bytecode, against 15.6 ms
     with thirteen frozen dataclasses (median of 41 fresh interpreters,
@@ -122,6 +128,55 @@ class Preset(NamedTuple):
     order: Optional[Callable[[int, Perm], int]] = None
     max_rank: Optional[int] = None
     power: int = 1
+    oracle: Optional[Callable[[CaseResult], Optional[str]]] = None
+
+
+# -- matrix oracles of the presets -----------------------------------------------
+
+
+def _siegel_oracle(case: CaseResult) -> Optional[str]:
+    """Three-way check of the Siegel-type case at rank n.
+
+    The closed-form order table must agree with the zip line positions
+    stratum by stratum, be constant on Bruhat classes with each value
+    0..n taken by exactly one class, and match the matrix oracle on rank
+    witnesses and on the coordinate test curve.
+    """
+    n, p = case.spec.rank, case.spec.prime
+    for report in case.reports:
+        if not report.ogus_holds:
+            return (
+                f"stratum {report.word}: order {report.ord} but line "
+                f"position {report.clp}"
+            )
+    by_class: Dict[Perm, set] = {}
+    for report in case.reports:
+        by_class.setdefault(report.bruhat_class, set()).add(report.ord)
+    if any(len(values) != 1 for values in by_class.values()):
+        return "some Bruhat class carries two different orders"
+    class_values = sorted(next(iter(v)) for v in by_class.values())
+    if class_values != list(range(n + 1)):
+        return f"class orders {class_values} are not 0..{n}"
+    for i in range(n + 1):
+        got = gsp_point_order(n, p, gsp_witness(n, i))
+        if got != n - i:
+            return f"oracle order {got} at the rank-{i} witness"
+    for mask in range(2**n):
+        a = [1 if mask & (1 << k) else 0 for k in range(n)]
+        got = gsp_point_order(n, p, gsp_psi_curve_point(n, a))
+        if got != a.count(0):
+            return f"oracle order {got} on the test curve at {a}"
+    return None
+
+
+def _plucker_oracle(case: CaseResult) -> Optional[str]:
+    """Every stratum's order against the squared top Pluecker coordinate of
+    ``gl_plucker_order``, which refuses n above ``ORACLE_N_CAP``."""
+    for report in case.reports:
+        got = gl_plucker_order(case.spec.rank, report.w)
+        if got != report.ord:
+            return f"stratum {report.word}: oracle order {got}, formula {report.ord}"
+    return None
 
 
 PRESETS: Dict[str, Preset] = {
@@ -140,11 +195,12 @@ PRESETS: Dict[str, Preset] = {
     # Order n - |S| on the stratum flipping the signs of S (the slots 1..n
     # holding a slot beyond n). Once n reaches three the open cell would need
     # more distinct letters than the rank provides, so the word formulas
-    # cannot split it; ``siegel_cross_check`` checks the closed form.
+    # cannot split it; the preset's oracle checks the closed form.
     "GSp2n_wedge_dual": Preset(
         "siegel", 1, lambda r: (2 * r, 2**r),
         lambda r: ("C", r, vec(*([1] * r)), std_weights("C", r)),
         order=lambda n, label: n - sum(1 for k in label[:n] if k > n),
+        oracle=_siegel_oracle,
     ),
     # The last wedge of the standard module plus its dual: the square of the
     # Hasse invariant of the last wedge (the squared Pluecker coordinate of
@@ -157,6 +213,7 @@ PRESETS: Dict[str, Preset] = {
                    wedge(std_weights("A", r - 1), r - 1)),
         order=lambda n, label: 0 if label[0] == n else 2,
         power=2,
+        oracle=_plucker_oracle,
     ),
     "GL4_wedge2": Preset(
         "gl4-wedge2", 4, lambda r: (6, 6),
@@ -349,35 +406,6 @@ def functoriality_check_A3_D3(
 
 
 def siegel_cross_check(n: int, p: int) -> Tuple[bool, str]:
-    """Three-way check of the Siegel-type case at rank n.
-
-    The closed-form order table must agree with the zip line positions
-    stratum by stratum, be constant on Bruhat classes with each value
-    0..n taken by exactly one class, and match the matrix oracle on rank
-    witnesses and on the coordinate test curve.
-    """
-    case = run_case(CaseSpec("GSp2n_wedge_dual", n, p))
-    for report in case.reports:
-        if not report.ogus_holds:
-            return False, (
-                f"stratum {report.word}: order {report.ord} but line "
-                f"position {report.clp}"
-            )
-    by_class: Dict[Perm, set] = {}
-    for report in case.reports:
-        by_class.setdefault(report.bruhat_class, set()).add(report.ord)
-    if any(len(values) != 1 for values in by_class.values()):
-        return False, "some Bruhat class carries two different orders"
-    class_values = sorted(next(iter(v)) for v in by_class.values())
-    if class_values != list(range(n + 1)):
-        return False, f"class orders {class_values} are not 0..{n}"
-    for i in range(n + 1):
-        got = gsp_point_order(n, p, gsp_witness(n, i))
-        if got != n - i:
-            return False, f"oracle order {got} at the rank-{i} witness"
-    for mask in range(2**n):
-        a = [1 if mask & (1 << k) else 0 for k in range(n)]
-        got = gsp_point_order(n, p, gsp_psi_curve_point(n, a))
-        if got != a.count(0):
-            return False, f"oracle order {got} on the test curve at {a}"
-    return True, ""
+    """The Siegel preset's oracle on its case at rank n and prime p."""
+    complaint = _siegel_oracle(run_case(CaseSpec("GSp2n_wedge_dual", n, p)))
+    return complaint is None, complaint or ""

@@ -31,7 +31,7 @@ from .cases import (
     run_case,
     siegel_cross_check,
 )
-from .oracle import gl_cell_order, gl_plucker_order
+from .oracle import gl_cell_order
 from .rootsys import RootSystem, Vector, root_system, sum_vectors, unit, vec
 from .vanishing import (
     condition_closed,
@@ -183,31 +183,19 @@ def _render_csv(config: RunConfig, rows: List[Dict[str, object]]) -> str:
     return buffer.getvalue()
 
 
-def _oracle_recheck(config: RunConfig, result) -> Optional[str]:
-    """Re-derive the order column from matrix models where one exists."""
-    if config.case == "siegel":
-        ok, detail = siegel_cross_check(config.rank, config.prime)
-        return None if ok else detail
-    if config.case == "gl-dualsum" and config.rank <= 6:
-        for report in result.reports:
-            got = gl_plucker_order(config.rank, report.w)
-            if got != report.ord:
-                return (
-                    f"stratum {_word_str(report.word)}: oracle order {got}, "
-                    f"formula {report.ord}"
-                )
-        return None
-    return None
-
-
 def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
-    result = run_case(
-        CaseSpec(CASE_BY_FLAG[config.case], config.rank, config.prime)
-    )
+    """Print the case's table; with ``--oracle``, first check it against the
+    preset's matrix oracle, refusing a preset that has none before anything
+    is built."""
+    identifier = CASE_BY_FLAG[config.case]
+    oracle = PRESETS[identifier].oracle
+    if config.oracle and oracle is None:
+        raise ValueError(f"case {config.case} has no matrix oracle for --oracle")
+    result = run_case(CaseSpec(identifier, config.rank, config.prime))
     group = result.datum.group
     rows = [_stratum_row(report, group) for report in result.reports]
     if config.oracle:
-        complaint = _oracle_recheck(config, result)
+        complaint = oracle(result)
         if complaint is not None:
             print(f"oracle disagrees: {complaint}", file=sys.stderr)
             return 1
@@ -483,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     strata.add_argument("--output", help="write the table to a file")
     strata.add_argument(
         "--oracle", action="store_true",
-        help="re-derive the order column from the matrix oracle where possible",
+        help="check the table against the case's matrix oracle, where it has one",
     )
 
     verify = commands.add_parser(

@@ -17,21 +17,18 @@ permutation of coordinates, moves keys and weights alike. Only the simple
 reflections are applied to keys, once per ``standard_zips`` call: W acts on
 the slots of a W-stable module, so every other element's permutation is a
 composition of theirs (the slot action of the zip data of Pink, Wedhorn
-and Ziegler). Slots are sorted by the integer pairing of their keys with
-the scaled cocharacter, which orders them as the exact pairing does, and
-the slice dimensions are counted off the same sorted pairings. The slot
-weights, keys and slice dimensions of a (module, cocharacter) pair come
-from an ``lru_cache`` keyed by content, so equal modules built by separate
-calls share one entry.
+and Ziegler). The slots, their keys and the slice dimensions are the
+module's one mu-slicing, ``reps._slot_table``, which a case's Hodge
+character has already built: slots sorted by the integer pairing of their
+keys with the scaled cocharacter, which orders them as the exact pairing
+does, and slices counted off the same sorted pairings.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import groupby
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .reps import WeightMultiset
+from .reps import WeightMultiset, _slot_table
 from .rootsys import IntVector, Vector
 from .weyl import (
     CocharacterDatum,
@@ -52,31 +49,6 @@ class StandardZip(NamedTuple):
     sigma: Perm
 
 
-@lru_cache(maxsize=64)
-def _slot_table(
-    module: WeightMultiset, mu: Vector
-) -> Tuple[
-    Tuple[Vector, ...], Tuple[IntVector, ...], Dict[IntVector, int], Tuple[int, ...]
-]:
-    """Slot weights, their integer keys, slot number by key, and the slice
-    dimensions. Slots run through the weights by pairing with mu and then by
-    the weight, highest first; both orders are read off the integer image,
-    and each run of equal pairings in that order is one slice."""
-    values, _ = module._pairings(mu)
-    _, image = module._int_image
-    ranked = sorted(
-        range(len(image)), key=lambda k: (values[k], image[k]), reverse=True
-    )
-    order = [k for k in ranked for _ in range(module.entries[k][1])]
-    keys = tuple(image[k] for k in order)
-    index_of = {k: slot for slot, k in enumerate(keys, start=1)}
-    slots = tuple(module.entries[k][0] for k in order)
-    dims = tuple(
-        len(list(run)) for _, run in groupby(order, key=values.__getitem__)
-    )
-    return slots, keys, index_of, dims
-
-
 def standard_zips(
     datum: CocharacterDatum, module: WeightMultiset, elements: Sequence[Perm]
 ) -> Tuple[StandardZip, ...]:
@@ -91,17 +63,19 @@ def standard_zips(
     slots of a W-stable module, w = (w s_j) s_j for the last letter j of
     w's reduced word gives w's permutation as w s_j's composed with s_j's.
     The walk down to an element already known (the identity at the latest)
-    is iterative, and every element on it is remembered for the rest of the
-    call, so the strata of a case, whose labels are closed under dropping a
-    right descent, cost one composition each.
+    is iterative, each step s_j's slot swaps on the element, and every
+    element on it is remembered for the rest of the call, so the strata of
+    a case, whose labels are closed under dropping a right descent, cost one
+    composition each.
     """
     if any(mult != 1 for _, mult in module.entries):
         raise ValueError("the permutation model needs multiplicity-free weights")
     slots, keys, index_of, dims = _slot_table(module, datum.mu)
     group = datum.group
-    reflections = [group.simple_reflection(i) for i in range(1, group.rank + 1)]
+    swaps = group.system.simple_swaps
     steps = [
-        _reflection_slot_perm(group, s, slots, keys, index_of) for s in reflections
+        _reflection_slot_perm(group, group.simple_reflection(i), slots, keys, index_of)
+        for i in range(1, group.rank + 1)
     ]
     known: Dict[Perm, Perm] = {group.identity(): identity_perm(len(slots))}
     zips = []
@@ -112,7 +86,10 @@ def standard_zips(
         while key not in known:
             letter = word[len(word) - 1 - len(path)] - 1
             path.append((key, letter))
-            key = compose(key, reflections[letter])
+            step = list(key)
+            for x, y in swaps[letter]:
+                step[x], step[y] = step[y], step[x]
+            key = tuple(step)
         sigma = known[key]
         for key, letter in reversed(path):
             sigma = compose(sigma, steps[letter])

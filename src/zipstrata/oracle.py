@@ -121,17 +121,6 @@ class SparsePoly:
                 terms[m] = terms.get(m, 0) + c1 * c2
         return SparsePoly.build(self.nvars, terms)
 
-    def scale(self, c: int) -> "SparsePoly":
-        return SparsePoly.build(self.nvars, {m: c * v for m, v in self.coeffs})
-
-    def eval_int(self, point: Sequence[int]) -> int:
-        total = 0
-        for m, c in self.coeffs:
-            term = c
-            for e, x in zip(m, point):
-                term *= x**e
-            total += term
-        return total
 
 
 Matrix = Tuple[Tuple[SparsePoly, ...], ...]
@@ -154,13 +143,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(row)
     return poly_matrix(out)
-
-
-def mat_mul_all(ms: Sequence[Matrix]) -> Matrix:
-    out = ms[0]
-    for m in ms[1:]:
-        out = mat_mul(out, m)
-    return out
 
 
 def determinant(m: Matrix) -> SparsePoly:

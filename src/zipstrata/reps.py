@@ -4,18 +4,23 @@ A representation enters the computation only through its multiset of torus
 weights. The constructors here cover the standard and (half-)spin modules of
 the classical types plus exterior powers and duals; the standard module's
 weights are the root system's slot weights, laid out in ``rootsys``.
-``hodge_character`` is the one rule for the Hodge character of a case:
-minus the sum of the weights in the top mu-slice.
 
-Counting and pairing run on integers. ``from_weights`` counts and sorts
-the weights by their integer image, the weights times the lcm of their
-denominators, which keeps equality and order, and keeps that image with
-the multiset: the lcm L of its coordinate denominators (2 for the spin
-modules, 1 otherwise) and each entry's weight times L, computed on first
-use for a multiset built otherwise. Scaling mu by the lcm M of its own
-denominators, the integer pairing is the exact one times L * M > 0, so it
-groups and orders the weights identically. A multiset hashes its integer
-image, which equal multisets share, and exterior powers add integer rows.
+Counting and pairing run on integers. Every multiset is built by
+``from_weights``, which counts and sorts the weights by their integer image,
+the weights times the lcm of their denominators, which keeps equality and
+order, and keeps that image with the multiset: the lcm L of its coordinate
+denominators (2 for the spin modules, 1 otherwise) and each entry's weight
+times L. Scaling mu by the lcm M of its own denominators, the integer
+pairing is the exact one times L * M > 0, so it groups and orders the
+weights identically. A multiset hashes its integer image, which equal
+multisets share, and exterior powers add integer rows.
+
+The slicing of a module by a cocharacter mu has one owner, ``_slot_table``:
+the weights sorted by pairing with mu, highest first, as slots, with the
+slice dimensions. ``hodge_character``, the one rule for a case's Hodge
+character, sums the top slice's slots, and the zips of ``fzip`` are built
+on the same table. It is an ``lru_cache`` keyed by content, so a case's
+Hodge character builds the entry and its zips read it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from operator import mul
 from typing import Dict, Iterable, List, Tuple
 
@@ -35,12 +40,19 @@ WEDGE_CAP = 10_000_000
 
 class WeightMultiset:
     """Torus weights of a representation, with multiplicities, canonically
-    sorted so that equal multisets compare equal. The hash is computed once
-    per instance, on the integer image rather than the Fraction entries,
-    since multisets key the slot-table cache."""
+    sorted so that equal multisets compare equal. Built by ``from_weights``,
+    which hands over the integer image it counted on; the hash is that of
+    the image rather than of the Fraction entries, computed once, since
+    multisets key the slot-table cache."""
 
-    def __init__(self, entries: Tuple[Tuple[Vector, int], ...]) -> None:
+    def __init__(
+        self,
+        entries: Tuple[Tuple[Vector, int], ...],
+        int_image: Tuple[int, Tuple[IntVector, ...]],
+    ) -> None:
         self.entries = entries
+        self._int_image = int_image
+        self._hash = hash(int_image)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightMultiset):
@@ -50,16 +62,13 @@ class WeightMultiset:
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._int_image)
-
     @staticmethod
     def from_weights(weights: Iterable[Vector]) -> "WeightMultiset":
         """Count and sort the weights on their integer image: times the lcm
-        of their denominators, equal weights stay equal and the order stays
+        L of their denominators, equal weights stay equal and the order stays
         the same, and integer tuples hash and compare faster than Fraction
-        ones. Each entry keeps the first weight seen of its kind."""
+        ones. Each entry keeps the first weight seen of its kind; the
+        multiset keeps L and each entry's weight times L."""
         weights = tuple(weights)
         scale, image = _to_ints(weights)
         counts: Dict[IntVector, int] = {}
@@ -71,19 +80,13 @@ class WeightMultiset:
                 counts[key] = 1
                 first[key] = weight
         keys = tuple(sorted(counts))
-        multiset = WeightMultiset(tuple((first[key], counts[key]) for key in keys))
-        multiset.__dict__["_int_image"] = (scale, keys)  # seeds the cached property
-        return multiset
+        return WeightMultiset(
+            tuple((first[key], counts[key]) for key in keys), (scale, keys)
+        )
 
     @property
     def dimension(self) -> int:
         return sum(mult for _, mult in self.entries)
-
-    @cached_property
-    def _int_image(self) -> Tuple[int, Tuple[IntVector, ...]]:
-        """L and each entry's weight times L, for L the lcm of the
-        coordinate denominators."""
-        return _to_ints(weight for weight, _ in self.entries)
 
     def _pairings(self, mu: Vector) -> Tuple[List[int], int]:
         """Each entry's pairing with mu times a positive integer d, and d:
@@ -152,21 +155,44 @@ def wedge(module: WeightMultiset, k: int) -> WeightMultiset:
 
 
 def dual(module: WeightMultiset) -> WeightMultiset:
-    return WeightMultiset(
-        tuple(sorted((neg(weight), mult) for weight, mult in module.entries))
+    return WeightMultiset.from_weights(
+        neg(weight) for weight, mult in module.entries for _ in range(mult)
     )
+
+
+@lru_cache(maxsize=64)
+def _slot_table(
+    module: WeightMultiset, mu: Vector
+) -> Tuple[
+    Tuple[Vector, ...], Tuple[IntVector, ...], Dict[IntVector, int], Tuple[int, ...]
+]:
+    """Slot weights, their integer keys, slot number by key, and the slice
+    dimensions, top slice first. Slots run through the weights by pairing
+    with mu and then by the weight, highest first, each repeated by its
+    multiplicity; both orders are read off the integer image, and each run
+    of equal pairings in that order is one slice."""
+    values, _ = module._pairings(mu)
+    _, image = module._int_image
+    ranked = sorted(
+        range(len(image)), key=lambda k: (values[k], image[k]), reverse=True
+    )
+    order = [k for k in ranked for _ in range(module.entries[k][1])]
+    keys = tuple(image[k] for k in order)
+    index_of = {k: slot for slot, k in enumerate(keys, start=1)}
+    slots = tuple(module.entries[k][0] for k in order)
+    dims = tuple(
+        len(list(run)) for _, run in itertools.groupby(order, key=values.__getitem__)
+    )
+    return slots, keys, index_of, dims
 
 
 def hodge_character(module: WeightMultiset, mu: Vector) -> Vector:
     """Minus the sum of the weights in the top mu-slice, with their
-    multiplicities: the Hodge character eta, for any profile."""
+    multiplicities: the Hodge character eta, for any profile. The slice is
+    the first ``dims[0]`` slots of the module's slot table, whose keys
+    repeat by multiplicity."""
     if not module.entries:
         raise ValueError("the module has no weights, so no Hodge character")
-    values, _ = module._pairings(mu)
-    top = max(values)
-    scale, image = module._int_image
-    total = [0] * len(mu)
-    for value, key, (_, mult) in zip(values, image, module.entries):
-        if value == top:
-            total = [t - mult * c for t, c in zip(total, key)]
-    return tuple(Fraction(t, scale) for t in total)
+    _, keys, _, dims = _slot_table(module, mu)
+    scale, _ = module._int_image
+    return tuple(Fraction(-t, scale) for t in map(sum, zip(*keys[: dims[0]])))

@@ -75,10 +75,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 def _to_ints(vectors: Iterable[Vector]) -> Tuple[int, Tuple[IntVector, ...]]:
     """The lcm L of the denominators of every coordinate, and each vector
     times L as integers."""

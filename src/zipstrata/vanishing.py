@@ -72,18 +72,20 @@ def _closure_violation(
 def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
     """Roots swept out by the word: alpha_{i_1}, s_{i_1} alpha_{i_2}, and so
     on, each letter's simple root pushed once through the product of the
-    letters before it, which is then extended by that letter.
+    letters before it, which that letter's slot swaps then extend in place.
 
     For a reduced word these are exactly the inversions of the product, all
     positive and pairwise distinct; a non-reduced word revisits a root line
     and the sequence picks up repeats or negatives.
     """
     group = weyl_group(system.cartan_type, system.rank)
-    prefix = group.identity()
+    swaps = system.simple_swaps
+    prefix = list(group.identity())
     swept = []
     for letter in word:
         swept.append(group.act(prefix, system.simple(letter)))
-        prefix = compose(prefix, group.simple_reflection(letter))
+        for x, y in swaps[letter - 1]:
+            prefix[x], prefix[y] = prefix[y], prefix[x]
     return tuple(swept)
 
 

@@ -13,14 +13,16 @@ root exactly when w(a) > w(b). Each group therefore reads lengths and
 descents off the system's integer table of slot pairs, one per positive
 root, the simple roots first; every other combinatorial method goes
 through those two, and descent stripping tests only the letters it may
-strip (left ones on the inverse). A simple reflection swaps the system's
-one or two pairs of slots, so the stripping kernels (``reduced_word``,
-``min_in_double_coset``, ``longest_in``) multiply by it in place, as slot
-swaps on a list, instead of building a tuple per step; left descents are
-stripped on the inverse, which is built once. Coset enumeration
-(``min_coset_reps``) climbs W^I a length at a time by the same in-place
-swaps, keeping an ascent u s_j exactly when Deodhar's test passes: u sends
-alpha_j to no simple root of I, read off u's values on alpha_j's slot pair.
+strip (left ones on the inverse). A simple reflection is its one or two
+slot swaps (``RootSystem.simple_swaps``) and has no other form: every
+product by one, in ``from_word``, the stripping kernels (``reduced_word``,
+``min_in_double_coset``, ``longest_in``) and the enumerations, swaps slots
+of a list in place, and ``simple_reflection`` builds a tuple only for a
+caller that asks for one. Left descents are stripped on the inverse, which
+is built once. Coset enumeration (``min_coset_reps``) climbs W^I a length
+at a time by the same swaps, keeping an ascent u s_j exactly when
+Deodhar's test passes: u sends alpha_j to no simple root of I, read off
+u's values on alpha_j's slot pair.
 The action on coordinate vectors (``act``) is a signed permutation of
 coordinates; it serves Fraction weights and integer roots alike and keeps
 the entry type.
@@ -35,7 +37,7 @@ entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, TypeVar
 
@@ -63,21 +65,10 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple([a[x - 1] for x in b])
 
 
-def compose_all(perms: Sequence[Perm], n: int) -> Perm:
-    return reduce(compose, perms, identity_perm(n))
-
-
 def inverse(a: Perm) -> Perm:
     out = [0] * len(a)
     for i, x in enumerate(a, start=1):
         out[x - 1] = i
-    return tuple(out)
-
-
-def transpositions(n: int, *pairs: Tuple[int, int]) -> Perm:
-    out = list(range(1, n + 1))
-    for i, j in pairs:
-        out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
     return tuple(out)
 
 
@@ -106,14 +97,6 @@ class WeylGroup:
 
     def identity(self) -> Perm:
         return identity_perm(self.slots)
-
-    @cached_property
-    def _simple_reflections(self) -> Tuple[Perm, ...]:
-        n = self.slots
-        return tuple(
-            transpositions(n, *((a + 1, b + 1) for a, b in swaps))
-            for swaps in self.system.simple_swaps
-        )
 
     # -- the action on coordinate vectors ---------------------------------
 
@@ -154,12 +137,24 @@ class WeylGroup:
     # -- generators and words ---------------------------------------------
 
     def simple_reflection(self, i: int) -> Perm:
+        """s_i: the identity with the slots of ``simple_swaps[i-1]`` swapped."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple reflection index {i} out of range")
-        return self._simple_reflections[i - 1]
+        u = list(range(1, self.slots + 1))
+        for x, y in self.system.simple_swaps[i - 1]:
+            u[x], u[y] = u[y], u[x]
+        return tuple(u)
 
     def from_word(self, word: Sequence[int]) -> Perm:
-        return compose_all([self.simple_reflection(i) for i in word], self.slots)
+        """The product of the word's simple reflections, left to right: each
+        letter swaps its slots of the product so far, in place. The first
+        letter outside 1..rank raises."""
+        swaps = self.system.simple_swaps
+        u = list(range(1, self.slots + 1))
+        for i in self._letter_indices(word):
+            for x, y in swaps[i]:
+                u[x], u[y] = u[y], u[x]
+        return tuple(u)
 
     def length(self, w: Perm) -> int:
         """Number of positive roots w sends negative."""
@@ -273,30 +268,25 @@ class WeylGroup:
     # -- enumeration (guarded, small ranks only) --------------------------
 
     def elements(self, cap: int = ENUMERATION_CAP) -> Tuple[Perm, ...]:
+        """Every element, by breadth-first search from the identity over
+        right multiplication by the simple reflections, as slot swaps; a
+        group of more than cap elements raises before any is built."""
         if self.group_order() > cap:
             raise ValueError(
                 f"refusing to enumerate {self.group_order()} elements (cap {cap})"
             )
-        return self._closure(range(1, self.rank + 1))
-
-    def subgroup_elements(
-        self, I: Sequence[int], cap: int = ENUMERATION_CAP
-    ) -> Tuple[Perm, ...]:
-        """All elements of the parabolic subgroup W_I."""
-        return self._closure(I, cap=cap)
-
-    def _closure(self, gens: Iterable[int], cap: int = ENUMERATION_CAP) -> Tuple[Perm, ...]:
-        gen_perms = [self.simple_reflection(i) for i in gens]
+        swaps = self.system.simple_swaps
         seen = {self.identity()}
-        frontier = [self.identity()]
+        frontier = list(seen)
         while frontier:
             nxt: List[Perm] = []
             for u in frontier:
-                for s in gen_perms:
-                    v = compose(u, s)
+                for swap in swaps:
+                    step = list(u)
+                    for x, y in swap:
+                        step[x], step[y] = step[y], step[x]
+                    v = tuple(step)
                     if v not in seen:
-                        if len(seen) >= cap:
-                            raise ValueError(f"subgroup enumeration exceeded cap {cap}")
                         seen.add(v)
                         nxt.append(v)
             frontier = nxt

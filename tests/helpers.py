@@ -8,8 +8,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from zipstrata import cache_stats
 from zipstrata.cases import StratumReport
-from zipstrata.fzip import StandardZip, _slot_table, clp
-from zipstrata.reps import WeightMultiset
+from zipstrata.fzip import StandardZip, clp
+from zipstrata.reps import WeightMultiset, _slot_table
 from zipstrata.rootsys import RootSystem, Vector
 from zipstrata.vanishing import condition_closed, ord_for_word
 from zipstrata.weyl import (
@@ -18,7 +18,7 @@ from zipstrata.weyl import (
     Perm,
     WeylGroup,
     compose,
-    compose_all,
+    identity_perm,
     inverse,
 )
 
@@ -28,6 +28,37 @@ def clear_caches() -> None:
     for name in cache_stats():
         module, function = name.split(".")
         getattr(importlib.import_module(f"zipstrata.{module}"), function).cache_clear()
+
+
+def compose_all(perms: Sequence[Perm], n: int) -> Perm:
+    """The product of the permutations of n slots, left to right."""
+    out = identity_perm(n)
+    for perm in perms:
+        out = compose(out, perm)
+    return out
+
+
+def subgroup_elements(
+    group: WeylGroup, I: Sequence[int], cap: int = ENUMERATION_CAP
+) -> Tuple[Perm, ...]:
+    """All elements of the parabolic subgroup W_I, by breadth-first search
+    over right multiplication by its simple reflections; more than cap
+    elements raise."""
+    gens = [group.simple_reflection(i) for i in I]
+    seen = {group.identity()}
+    frontier = [group.identity()]
+    while frontier:
+        nxt: List[Perm] = []
+        for u in frontier:
+            for s in gens:
+                v = compose(u, s)
+                if v not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(f"subgroup enumeration exceeded cap {cap}")
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return tuple(seen)
 
 
 def is_reduced(group: WeylGroup, word: Sequence[int]) -> bool:
@@ -230,7 +261,7 @@ def eo_same_stratum(
     """
     g = datum.group
     z = datum.z
-    for y in g.subgroup_elements(datum.I, cap=cap):
+    for y in subgroup_elements(g, datum.I, cap=cap):
         candidate = compose_all([y, w_prime, z, inverse(y), z], g.slots)
         if candidate == w:
             return True

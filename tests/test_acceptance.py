@@ -34,7 +34,12 @@ from zipstrata.weyl import (
     inverse,
 )
 
-from helpers import eo_same_stratum, find_nonclosed_word, min_double_coset_reps
+from helpers import (
+    eo_same_stratum,
+    find_nonclosed_word,
+    min_double_coset_reps,
+    subgroup_elements,
+)
 
 
 def _class_map(result):
@@ -281,7 +286,7 @@ def test_criterion_8_property_suites():
         group = WeylGroup(root_system(cartan_type, m))
         datum = cocharacter_datum(group, mu)
         labels = group.min_coset_reps(datum.I)
-        subgroup = group.subgroup_elements(datum.I)
+        subgroup = subgroup_elements(group, datum.I)
         for _ in range(20):
             u = rng.choice(list(labels))
             y = rng.choice(list(subgroup))

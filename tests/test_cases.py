@@ -274,6 +274,16 @@ class TestCaseDataCache:
         with pytest.raises(ValueError, match="not a prime"):
             run_case(CaseSpec("SO_odd_std", 3, 9))
 
+    @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
+    def test_a_fresh_case_slices_its_module_once(self, identifier):
+        """The Hodge character builds the module's slot table, and the zips
+        read that entry instead of slicing the module again."""
+        clear_caches()
+        run_case(CaseSpec(identifier, PRESETS[identifier].min_rank, 3))
+        info = cache_stats()["reps._slot_table"]
+        assert info.misses == 1
+        assert info.hits >= 1
+
     def test_a_rejected_case_adds_no_entry(self):
         before = cache_stats()["cases._case_data"]
         with pytest.raises(ValueError, match="above the ceiling"):

@@ -110,6 +110,32 @@ class TestStrataOptions:
         assert code == 0
         assert err == ""
 
+    @pytest.mark.parametrize("flag", sorted(CASE_BY_FLAG))
+    def test_oracle_runs_where_the_preset_has_one(self, capsys, flag):
+        """A preset with a matrix oracle passes it at its minimum rank; any
+        other preset is refused before its case is built."""
+        preset = cli.PRESETS[CASE_BY_FLAG[flag]]
+        before = cache_stats()["cases._case_data"]
+        code, out, err = run_cli(
+            capsys, "strata", "--case", flag, "--n", str(preset.min_rank), "--oracle",
+        )
+        if preset.oracle is None:
+            assert (code, out) == (2, "")
+            assert f"case {flag} has no matrix oracle" in err
+            assert cache_stats()["cases._case_data"] == before
+        else:
+            assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("rank,code", [("7", 0), ("8", 2)])
+    def test_dual_sum_oracle_stops_at_its_ceiling(self, capsys, rank, code):
+        got, out, err = run_cli(
+            capsys, "strata", "--case", "gl-dualsum", "--n", rank, "--oracle",
+        )
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert "oracle needs 1 <= n <= 7" in err
+
     def test_fixed_rank_case_needs_no_rank_flag(self, capsys):
         code, out, _ = run_cli(capsys, "strata", "--case", "gl4-wedge2")
         assert code == 0

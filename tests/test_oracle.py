@@ -27,11 +27,34 @@ from zipstrata.oracle import (
     gsp_witness,
     is_symplectic_similitude,
     mat_mul,
-    mat_mul_all,
     minor_det,
     order_at_zero,
     poly_matrix,
 )
+
+
+def scale(f: SparsePoly, c: int) -> SparsePoly:
+    """c times f."""
+    return SparsePoly.build(f.nvars, {m: c * v for m, v in f.coeffs})
+
+
+def eval_int(f: SparsePoly, point) -> int:
+    """f at an integer point."""
+    total = 0
+    for m, c in f.coeffs:
+        term = c
+        for e, x in zip(m, point):
+            term *= x**e
+        total += term
+    return total
+
+
+def mat_mul_all(ms):
+    """The product of the matrices, left to right."""
+    out = ms[0]
+    for m in ms[1:]:
+        out = mat_mul(out, m)
+    return out
 
 
 def var(nvars: int, k: int) -> SparsePoly:
@@ -49,8 +72,8 @@ def const_matrix(nvars: int, entries) -> tuple:
 
 def test_poly_arithmetic_and_eval() -> None:
     x, y = var(2, 0), var(2, 1)
-    f = x * x + y.scale(3) - SparsePoly.const(2, 1)
-    assert f.eval_int((2, 5)) == 4 + 15 - 1
+    f = x * x + scale(y, 3) - SparsePoly.const(2, 1)
+    assert eval_int(f, (2, 5)) == 4 + 15 - 1
     assert (f - f).is_zero()
     assert (x * y).coeffs == (((1, 1), 1),)
 
@@ -95,10 +118,10 @@ def test_order_at_zero_rejects_zero_polynomial() -> None:
 
 def test_determinant_small_cases() -> None:
     m = const_matrix(0, [[1, 2], [3, 4]])
-    assert determinant(m).eval_int(()) == -2
+    assert eval_int(determinant(m), ()) == -2
     m3 = const_matrix(0, [[2, 0, 1], [1, 1, 0], [0, 3, 1]])
-    assert determinant(m3).eval_int(()) == 5
-    assert minor_det(m3, [0, 1], [0, 1]).eval_int(()) == 2
+    assert eval_int(determinant(m3), ()) == 5
+    assert eval_int(minor_det(m3, [0, 1], [0, 1]), ()) == 2
 
 
 def _reference_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -172,7 +195,7 @@ def test_one_term_products_equal_the_general_product(data) -> None:
 
 def test_one_term_products_with_signs_and_mixed_monomials() -> None:
     x, y, z = var(3, 0), var(3, 1), var(3, 2)
-    f = x * x - y.scale(2) + z * y + SparsePoly.const(3, 5)
+    f = x * x - scale(y, 2) + z * y + SparsePoly.const(3, 5)
     for g in (
         SparsePoly.build(3, {(0, 0, 0): -1}),
         SparsePoly.build(3, {(1, 2, 0): -1}),
@@ -190,7 +213,7 @@ def test_matrix_multiplication() -> None:
     a = const_matrix(0, [[1, 2], [0, 1]])
     b = const_matrix(0, [[1, 0], [3, 1]])
     ab = mat_mul(a, b)
-    assert [[e.eval_int(()) for e in row] for row in ab] == [[7, 2], [3, 1]]
+    assert [[eval_int(e, ()) for e in row] for row in ab] == [[7, 2], [3, 1]]
     assert mat_mul_all([a, b]) == ab
 
 
@@ -239,8 +262,8 @@ def test_gl_flambda_semi_invariance() -> None:
         low = const_matrix(
             0, [[1, 0, 0], [rng.randrange(-3, 4), 1, 0], [rng.randrange(-3, 4), rng.randrange(-3, 4), 1]]
         )
-        lhs = f.evaluate(mat_mul_all([u, g, low])).eval_int(())
-        assert lhs == f.evaluate(g).eval_int(())
+        lhs = eval_int(f.evaluate(mat_mul_all([u, g, low])), ())
+        assert lhs == eval_int(f.evaluate(g), ())
 
 
 def test_gl_flambda_torus_weight() -> None:
@@ -249,7 +272,7 @@ def test_gl_flambda_torus_weight() -> None:
     g = _symbolic_matrix(3)
     t = const_matrix(9, [[2, 0, 0], [0, 3, 0], [0, 0, 5]])
     lhs = f.evaluate(mat_mul(t, g))
-    rhs = f.evaluate(g).scale(5 * (3 * 5))
+    rhs = scale(f.evaluate(g), 5 * (3 * 5))
     assert lhs == rhs
 
 
@@ -589,7 +612,7 @@ def test_gsp_hasse_is_block_determinant() -> None:
     point = [0] * 16
     point[0], point[5] = 3, 7
     point[1], point[4] = 2, 5
-    assert h.eval_int(point) == 3 * 7 - 2 * 5
+    assert eval_int(h, point) == 3 * 7 - 2 * 5
 
 
 def _random_levi_similitude(n: int, p: int, rng: random.Random) -> list:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipstrata.fzip import _slot_table
 from zipstrata.reps import (
     WeightMultiset,
+    _slot_table,
     dual,
     hodge_character,
     spin_weights,
@@ -91,7 +91,7 @@ def test_multisets_compare_and_hash_by_their_entries() -> None:
     one hash, that of the integer image; the entries tuple itself is not
     equal to it."""
     module = std_weights("B", 3)
-    rebuilt = WeightMultiset(module.entries)
+    rebuilt = WeightMultiset.from_weights(expanded(module))
     assert rebuilt == module and hash(rebuilt) == hash(module)
     assert hash(module) == hash(_to_ints(weight for weight, _ in module.entries))
     assert module != std_weights("C", 3)
@@ -215,7 +215,7 @@ def test_hodge_character_of_three_slice_profiles() -> None:
 
 def test_hodge_character_of_an_empty_module_names_the_missing_weights() -> None:
     with pytest.raises(ValueError, match="no weights"):
-        hodge_character(WeightMultiset(()), e1(3))
+        hodge_character(WeightMultiset.from_weights(()), e1(3))
 
 
 # -- integer pairings against an exact reference ------------------------------
@@ -260,6 +260,13 @@ def _pairing_modules(cartan_type: str, rank: int):
         spin = spin_weights(cartan_type, rank)
         modules += [spin, dual(spin), dsum(std, spin)]
     return modules
+
+
+@pytest.mark.parametrize("cartan_type", "ABCD")
+def test_the_dual_of_the_dual_is_the_module(cartan_type) -> None:
+    for module in _pairing_modules(cartan_type, 3):
+        twice = dual(dual(module))
+        assert twice == module and hash(twice) == hash(module)
 
 
 _coords = st.builds(

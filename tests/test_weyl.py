@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from zipstrata.weyl import (
     WeylGroup,
     cocharacter_datum,
     compose,
-    compose_all,
     identity_perm,
     inverse,
     weyl_group,
@@ -30,6 +30,7 @@ from zipstrata.weyl import (
 
 from helpers import (
     clear_caches,
+    compose_all,
     eo_same_stratum,
     in_min_coset_reps,
     is_reduced,
@@ -39,6 +40,7 @@ from helpers import (
     reference_min_in_double_coset,
     reference_reduced_word,
     right_descents,
+    subgroup_elements,
 )
 
 GROUPS = [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("D", 5)]
@@ -58,6 +60,41 @@ def test_simple_reflections_are_involutions(cartan_type: str, rank: int) -> None
         s = g.simple_reflection(i)
         assert compose(s, s) == g.identity()
         assert g.length(s) == 1
+
+
+_WORD_GROUPS = (
+    [("A", r) for r in range(1, 7)]
+    + [(t, r) for t in "BC" for r in range(1, 6)]
+    + [("D", r) for r in range(2, 6)]
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_words_and_reflections_are_their_slot_swaps(data) -> None:
+    """Each simple reflection is the transposition of its ``simple_swaps``,
+    and ``from_word`` is the fold of ``compose`` over the word's simple
+    reflections; the first letter outside 1..rank raises the message it
+    always has."""
+    cartan_type, rank = data.draw(st.sampled_from(_WORD_GROUPS))
+    g = weyl_group(cartan_type, rank)
+    for i, swaps in enumerate(g.system.simple_swaps, start=1):
+        expected = list(range(1, g.slots + 1))
+        for a, b in swaps:
+            expected[a], expected[b] = b + 1, a + 1
+        assert g.simple_reflection(i) == tuple(expected)
+    word = data.draw(st.lists(st.integers(1, rank), max_size=16))
+    bad = data.draw(st.one_of(st.none(), st.sampled_from((0, -1, rank + 1, rank + 7))))
+    if bad is None:
+        fold = compose_all([g.simple_reflection(i) for i in word], g.slots)
+        assert g.from_word(word) == fold
+        return
+    word.insert(data.draw(st.integers(0, len(word))), bad)
+    message = re.escape(f"simple reflection index {bad} out of range")
+    with pytest.raises(ValueError, match=message):
+        g.from_word(word)
+    with pytest.raises(ValueError, match=message):
+        g.simple_reflection(bad)
 
 
 @pytest.mark.parametrize("cartan_type,rank", GROUPS)
@@ -252,7 +289,7 @@ def test_min_coset_reps_chain_cases(cartan_type: str, m: int) -> None:
     g = wg(cartan_type, m)
     I = tuple(range(2, m + 1))
     reps = g.min_coset_reps(I)
-    assert len(reps) == g.group_order() // len(g.subgroup_elements(I))
+    assert len(reps) == g.group_order() // len(subgroup_elements(g, I))
     assert len(reps) == 2 * m
     expected = {g.identity()}
     top = 2 * m - 1 if cartan_type in ("B", "C") else 2 * m - 2
@@ -287,7 +324,7 @@ def test_unique_parabolic_factorization() -> None:
     I = (2,)
     reps = g.min_coset_reps(I)
     seen = set()
-    for w_i in g.subgroup_elements(I):
+    for w_i in subgroup_elements(g, I):
         for u in reps:
             w = compose(w_i, u)
             assert w not in seen
@@ -319,8 +356,8 @@ def test_min_in_double_coset_matches_brute_force(
     cartan_type: str, rank: int, I: tuple, J: tuple
 ) -> None:
     g = wg(cartan_type, rank)
-    left = g.subgroup_elements(I)
-    right = g.subgroup_elements(J)
+    left = subgroup_elements(g, I)
+    right = subgroup_elements(g, J)
     for w in g.elements():
         coset = {compose_all([a, w, b], g.slots) for a in left for b in right}
         shortest = min(coset, key=g.length)
@@ -666,7 +703,7 @@ def test_eo_orbit_membership() -> None:
     datum = cocharacter_datum(g, (1, 1))
     rng = random.Random(7)
     labels = g.min_coset_reps(datum.I)
-    twists = g.subgroup_elements(datum.I)
+    twists = subgroup_elements(g, datum.I)
     for _ in range(20):
         w = rng.choice(labels)
         y = rng.choice(twists)

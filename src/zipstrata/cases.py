@@ -11,8 +11,10 @@ the conjugate line position through the zip permutation model. Ogus'
 principle is the assertion that the two agree; the symplectic standard
 case is the known exception, failing exactly on the minimal stratum while
 the inequality still holds. A preset with a matrix model carries it as
-its ``oracle``, a check of the computed case: the GSp(2n) point orders
-for Siegel, the squared Pluecker coordinate for the dual-sum case.
+its ``oracle``, which reads the spec, refusing a rank above the model's
+ceiling before anything is built, and returns a check of the computed
+case: the GSp(2n) point orders for Siegel, the squared Pluecker
+coordinate for the dual-sum case.
 
 A case's datum, Hodge character and report columns (each stratum's label,
 reduced word, Bruhat class, line position and closed-form order) do not
@@ -33,6 +35,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .fzip import clp, clp_exterior_top, standard_zips
 from .oracle import (
+    ORACLE_N_CAP,
     PRIME_MAX,
     gl_plucker_order,
     gsp_point_order,
@@ -111,9 +114,10 @@ class Preset(NamedTuple):
     weights of r. The case tabulates the ``power``-th power of the triple's
     Hasse invariant, so its eta and line positions are ``power`` times the
     triple's; ``order`` maps (rank, label) to a closed-form order of that
-    power. ``oracle``, for a preset with a matrix model, checks a computed
-    case against it and returns a complaint, or None when it agrees; it
-    raises ``ValueError`` above the model's own ceiling. A named tuple, as
+    power. ``oracle``, for a preset with a matrix model, takes the spec
+    before the case is built and raises ``ValueError`` above the model's own
+    ceiling; otherwise it returns the check of the computed case, which
+    gives a complaint, or None when the case agrees. A named tuple, as
     the package's other records are (classes with cached properties or
     their own equality are plain classes): the
     package never imports ``dataclasses``, and ``import zipstrata.cli,
@@ -128,13 +132,13 @@ class Preset(NamedTuple):
     order: Optional[Callable[[int, Perm], int]] = None
     max_rank: Optional[int] = None
     power: int = 1
-    oracle: Optional[Callable[[CaseResult], Optional[str]]] = None
+    oracle: Optional[Callable[[CaseSpec], Callable[[CaseResult], Optional[str]]]] = None
 
 
 # -- matrix oracles of the presets -----------------------------------------------
 
 
-def _siegel_oracle(case: CaseResult) -> Optional[str]:
+def _siegel_check(case: CaseResult) -> Optional[str]:
     """Three-way check of the Siegel-type case at rank n.
 
     The closed-form order table must agree with the zip line positions
@@ -169,14 +173,23 @@ def _siegel_oracle(case: CaseResult) -> Optional[str]:
     return None
 
 
-def _plucker_oracle(case: CaseResult) -> Optional[str]:
+def _plucker_check(case: CaseResult) -> Optional[str]:
     """Every stratum's order against the squared top Pluecker coordinate of
-    ``gl_plucker_order``, which refuses n above ``ORACLE_N_CAP``."""
+    ``gl_plucker_order``."""
     for report in case.reports:
         got = gl_plucker_order(case.spec.rank, report.w)
         if got != report.ord:
             return f"stratum {report.word}: oracle order {got}, formula {report.ord}"
     return None
+
+
+def _plucker_oracle(spec: CaseSpec) -> Callable[[CaseResult], Optional[str]]:
+    """``_plucker_check``, with n above ``ORACLE_N_CAP`` refused up front."""
+    if spec.rank > ORACLE_N_CAP:
+        raise ValueError(
+            f"GL(n) oracle needs 1 <= n <= {ORACLE_N_CAP}, got n = {spec.rank}"
+        )
+    return _plucker_check
 
 
 PRESETS: Dict[str, Preset] = {
@@ -200,7 +213,8 @@ PRESETS: Dict[str, Preset] = {
         "siegel", 1, lambda r: (2 * r, 2**r),
         lambda r: ("C", r, vec(*([1] * r)), std_weights("C", r)),
         order=lambda n, label: n - sum(1 for k in label[:n] if k > n),
-        oracle=_siegel_oracle,
+        # Every accepted rank (up to 6) is far below GSP_N_CAP.
+        oracle=lambda spec: _siegel_check,
     ),
     # The last wedge of the standard module plus its dual: the square of the
     # Hasse invariant of the last wedge (the squared Pluecker coordinate of
@@ -407,5 +421,5 @@ def functoriality_check_A3_D3(
 
 def siegel_cross_check(n: int, p: int) -> Tuple[bool, str]:
     """The Siegel preset's oracle on its case at rank n and prime p."""
-    complaint = _siegel_oracle(run_case(CaseSpec("GSp2n_wedge_dual", n, p)))
+    complaint = _siegel_check(run_case(CaseSpec(CASE_BY_FLAG["siegel"], n, p)))
     return complaint is None, complaint or ""

@@ -185,17 +185,20 @@ def _render_csv(config: RunConfig, rows: List[Dict[str, object]]) -> str:
 
 def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
     """Print the case's table; with ``--oracle``, first check it against the
-    preset's matrix oracle, refusing a preset that has none before anything
-    is built."""
-    identifier = CASE_BY_FLAG[config.case]
-    oracle = PRESETS[identifier].oracle
-    if config.oracle and oracle is None:
-        raise ValueError(f"case {config.case} has no matrix oracle for --oracle")
-    result = run_case(CaseSpec(identifier, config.rank, config.prime))
+    preset's matrix oracle, refusing a preset that has none, or a rank above
+    the oracle's ceiling, before anything is built."""
+    spec = CaseSpec(CASE_BY_FLAG[config.case], config.rank, config.prime)
+    check = None
+    if config.oracle:
+        oracle = PRESETS[spec.identifier].oracle
+        if oracle is None:
+            raise ValueError(f"case {config.case} has no matrix oracle for --oracle")
+        check = oracle(spec)
+    result = run_case(spec)
     group = result.datum.group
     rows = [_stratum_row(report, group) for report in result.reports]
-    if config.oracle:
-        complaint = oracle(result)
+    if check is not None:
+        complaint = check(result)
         if complaint is not None:
             print(f"oracle disagrees: {complaint}", file=sys.stderr)
             return 1
@@ -340,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "siegel" in selected:
         for n in ns:
             for p in primes:
-                check_spec(CaseSpec("GSp2n_wedge_dual", n, p))
+                check_spec(CaseSpec(CASE_BY_FLAG["siegel"], n, p))
     failures = 0
     for name in ("closedness", "functoriality", "siegel", "oracle"):
         if name not in selected:

@@ -11,8 +11,8 @@ open stratum the line lands in the bottom step and the Hasse section is
 invertible.
 
 Slot permutations are found by moving integer keys, not Fraction weights:
-the keys are the rows of the module's integer image (each weight times the
-lcm of the module's denominators), and the Weyl action, a signed
+the slot keys are the module's stored keys (each weight times the lcm,
+``scale``, of the module's denominators), and the Weyl action, a signed
 permutation of coordinates, moves keys and weights alike. Only the simple
 reflections are applied to keys, once per ``standard_zips`` call: W acts on
 the slots of a W-stable module, so every other element's permutation is a
@@ -68,7 +68,7 @@ def standard_zips(
     a case, whose labels are closed under dropping a right descent, cost one
     composition each.
     """
-    if any(mult != 1 for _, mult in module.entries):
+    if any(mult != 1 for mult in module.mults):
         raise ValueError("the permutation model needs multiplicity-free weights")
     slots, keys, index_of, dims = _slot_table(module, datum.mu)
     group = datum.group

@@ -122,7 +122,6 @@ class SparsePoly:
         return SparsePoly.build(self.nvars, terms)
 
 
-
 Matrix = Tuple[Tuple[SparsePoly, ...], ...]
 
 
@@ -386,28 +385,20 @@ def _antidiag_j(n: int) -> List[List[int]]:
     return [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
 
 
-def gsp_form(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Antidiagonal symplectic form: -J in the upper right, J lower left."""
-    j = _antidiag_j(n)
-    top = [[0] * n + [-x for x in row] for row in j]
-    bottom = [row + [0] * n for row in j]
-    return tuple(tuple(r) for r in top + bottom)
-
-
 def is_symplectic_similitude(x: Sequence[Sequence[int]], p: int) -> bool:
     """Whether x preserves the antidiagonal form up to a nonzero scalar mod p.
 
-    The form psi is antidiagonal with entries -1 then 1, so entry (i, j) of
-    x psi x^T is the sum over a of x[i][a] psi[a][m-1-a] x[j][m-1-a]: m^3
-    products in all. It must vanish off the antidiagonal and equal c times
-    psi on it, for one c nonzero mod p; psi is its own inverse there. A
-    matrix that is not square of even size preserves no such form.
+    The form psi is antidiagonal with entries n copies of -1 then n of 1
+    (-J in the upper right, J lower left), so entry (i, j) of x psi x^T is
+    the sum over a of x[i][a] psi[a][m-1-a] x[j][m-1-a]: m^3 products in
+    all. It must vanish off the antidiagonal and equal c times psi on it,
+    for one c nonzero mod p; psi is its own inverse there. A matrix that is
+    not square of even size preserves no such form.
     """
     m = len(x)
     if m % 2 or any(len(row) != m for row in x):
         return False
-    psi = gsp_form(m // 2)
-    sign = [psi[a][m - 1 - a] for a in range(m)]
+    sign = [-1] * (m // 2) + [1] * (m // 2)
     rows = [[v % p for v in row] for row in x]
     signed = [list(map(mul, row, sign)) for row in rows]
     reversed_rows = [row[::-1] for row in rows]
@@ -473,19 +464,11 @@ def gsp_point_order(n: int, p: int, x: Sequence[Sequence[int]]) -> int:
 
 
 def gsp_witness(n: int, i: int) -> Tuple[Tuple[int, ...], ...]:
-    """Similitude whose upper-left block is a rank-i diagonal idempotent.
-
-    The block layout [[A, -J], [J, 0]] preserves the antidiagonal form for
-    any symmetric-under-J choice of A; a diagonal 0/1 pattern is the
-    simplest one, and gives Hasse order n - i.
-    """
+    """Similitude whose upper-left block is a rank-i diagonal idempotent:
+    the test-curve point at (1^i, 0^(n-i)), of Hasse order n - i."""
     if not 0 <= i <= n:
         raise ValueError("rank must lie between 0 and n")
-    j = _antidiag_j(n)
-    a = [[1 if (r == c and r < i) else 0 for c in range(n)] for r in range(n)]
-    top = [arow + [-x for x in jrow] for arow, jrow in zip(a, j)]
-    bottom = [jrow + [0] * n for jrow in j]
-    return tuple(tuple(r) for r in top + bottom)
+    return gsp_psi_curve_point(n, [1] * i + [0] * (n - i))
 
 
 def gsp_psi_curve_point(n: int, a: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:

@@ -5,15 +5,18 @@ weights. The constructors here cover the standard and (half-)spin modules of
 the classical types plus exterior powers and duals; the standard module's
 weights are the root system's slot weights, laid out in ``rootsys``.
 
-Counting and pairing run on integers. Every multiset is built by
-``from_weights``, which counts and sorts the weights by their integer image,
-the weights times the lcm of their denominators, which keeps equality and
-order, and keeps that image with the multiset: the lcm L of its coordinate
-denominators (2 for the spin modules, 1 otherwise) and each entry's weight
-times L. Scaling mu by the lcm M of its own denominators, the integer
-pairing is the exact one times L * M > 0, so it groups and orders the
-weights identically. A multiset hashes its integer image, which equal
-multisets share, and exterior powers add integer rows.
+A multiset is stored as its integer image only: the lcm L of its coordinate
+denominators (2 for the spin modules, 1 otherwise), its distinct weights
+times L as sorted integer keys, and their multiplicities. The one
+constructor reduces L and the keys by their gcd, so equal multisets have
+equal images however they were built, and compare and hash by them. Every
+builder hands it counted integer keys: sign vectors over L = 2 for the spin
+modules, the slot weights over L = 1 for the standard ones, integer row
+sums for exterior powers, negated keys for duals. Scaling mu by the lcm M
+of its own denominators, the integer pairing is the exact one times
+L * M > 0, so it groups and orders the weights identically. Fractions are
+built only where a weight leaves the module, by ``_weights``: the derived
+``entries``, the slots of the slot table and the Hodge character.
 
 The slicing of a module by a cocharacter mu has one owner, ``_slot_table``:
 the weights sorted by pairing with mu, highest first, as slots, with the
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .rootsys import IntVector, Vector, _to_ints, neg, root_system
 
@@ -39,66 +43,69 @@ WEDGE_CAP = 10_000_000
 
 
 class WeightMultiset:
-    """Torus weights of a representation, with multiplicities, canonically
-    sorted so that equal multisets compare equal. Built by ``from_weights``,
-    which hands over the integer image it counted on; the hash is that of
-    the image rather than of the Fraction entries, computed once, since
-    multisets key the slot-table cache."""
+    """Torus weights of a representation, with multiplicities, as their
+    integer image: ``scale`` L, the sorted distinct ``keys`` (each weight
+    times L) and their ``mults``. The constructor takes L and a count per
+    integer key, and divides L and the keys by their gcd, so L is the lcm of
+    the weights' denominators and equal multisets have one image; the hash
+    is that of the image, computed once, since multisets key the slot-table
+    cache."""
 
-    def __init__(
-        self,
-        entries: Tuple[Tuple[Vector, int], ...],
-        int_image: Tuple[int, Tuple[IntVector, ...]],
-    ) -> None:
-        self.entries = entries
-        self._int_image = int_image
-        self._hash = hash(int_image)
+    def __init__(self, scale: int, counts: Mapping[IntVector, int]) -> None:
+        keys = sorted(counts)
+        self.mults = tuple(map(counts.__getitem__, keys))
+        common = math.gcd(scale, *itertools.chain.from_iterable(keys))
+        if common > 1:
+            keys = [tuple(c // common for c in key) for key in keys]
+        self.scale = scale // common
+        self.keys = tuple(keys)
+        self._hash = hash((self.scale, self.keys, self.mults))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightMultiset):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.scale, self.keys, self.mults) == (
+            other.scale, other.keys, other.mults
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
     @staticmethod
     def from_weights(weights: Iterable[Vector]) -> "WeightMultiset":
-        """Count and sort the weights on their integer image: times the lcm
-        L of their denominators, equal weights stay equal and the order stays
-        the same, and integer tuples hash and compare faster than Fraction
-        ones. Each entry keeps the first weight seen of its kind; the
-        multiset keeps L and each entry's weight times L."""
-        weights = tuple(weights)
+        """Count exact weights on their integer image: times the lcm L of
+        their denominators, equal weights stay equal and the order stays the
+        same."""
         scale, image = _to_ints(weights)
-        counts: Dict[IntVector, int] = {}
-        first: Dict[IntVector, Vector] = {}
-        for weight, key in zip(weights, image):
-            if key in counts:
-                counts[key] += 1
-            else:
-                counts[key] = 1
-                first[key] = weight
-        keys = tuple(sorted(counts))
-        return WeightMultiset(
-            tuple((first[key], counts[key]) for key in keys), (scale, keys)
-        )
+        return WeightMultiset(scale, Counter(image))
+
+    def _weights(self, keys: Sequence[IntVector]) -> Tuple[Vector, ...]:
+        """The exact weights of integer keys: each key over the scale, with
+        one Fraction per distinct coordinate value."""
+        exact = {
+            c: Fraction(c, self.scale) for c in set(itertools.chain.from_iterable(keys))
+        }
+        return tuple(tuple(map(exact.__getitem__, key)) for key in keys)
+
+    @property
+    def entries(self) -> Tuple[Tuple[Vector, int], ...]:
+        """Each distinct weight, exact, with its multiplicity, in key order."""
+        return tuple(zip(self._weights(self.keys), self.mults))
 
     @property
     def dimension(self) -> int:
-        return sum(mult for _, mult in self.entries)
+        return sum(self.mults)
 
     def _pairings(self, mu: Vector) -> Tuple[List[int], int]:
-        """Each entry's pairing with mu times a positive integer d, and d:
-        entry k pairs to ``values[k] / d`` exactly."""
-        scale, image = self._int_image
+        """Each key's pairing with mu times a positive integer d, and d:
+        key k pairs to ``values[k] / d`` exactly."""
         mu_scale, (mu_ints,) = _to_ints((mu,))
-        if image and len(image[0]) != len(mu_ints):
+        if self.keys and len(self.keys[0]) != len(mu_ints):
             raise ValueError(
                 f"a cocharacter of length {len(mu_ints)} does not pair with "
-                f"weights of length {len(image[0])}"
+                f"weights of length {len(self.keys[0])}"
             )
-        return [sum(map(mul, key, mu_ints)) for key in image], scale * mu_scale
+        return [sum(map(mul, key, mu_ints)) for key in self.keys], self.scale * mu_scale
 
 
 def std_weights(cartan_type: str, rank: int) -> WeightMultiset:
@@ -106,30 +113,26 @@ def std_weights(cartan_type: str, rank: int) -> WeightMultiset:
     ``root_system(cartan_type, rank)``, e_i for type A (dimension rank + 1),
     plus-minus e_i for C and D, and the same with an extra zero weight for
     the odd orthogonal type B."""
-    return WeightMultiset.from_weights(root_system(cartan_type, rank).slot_weights)
+    return WeightMultiset(1, Counter(root_system(cartan_type, rank).slot_weights))
 
 
 def spin_weights(cartan_type: str, rank: int) -> WeightMultiset:
     """Weights of the spin module (type B, dimension 2^m) or of one half-spin
-    module (type D, dimension 2^(m-1), even number of minus signs)."""
-    half = Fraction(1, 2)
-    if cartan_type == "B":
-        signs = itertools.product((half, -half), repeat=rank)
-        return WeightMultiset.from_weights(tuple(s) for s in signs)
+    module (type D, dimension 2^(m-1), even number of minus signs): the sign
+    vectors (+-1/2, ..., +-1/2), counted as the +-1 vectors over scale 2."""
+    if cartan_type not in ("B", "D"):
+        raise ValueError(f"no spin module for type {cartan_type}")
+    signs = itertools.product((1, -1), repeat=rank)
     if cartan_type == "D":
-        weights = [
-            tuple(s)
-            for s in itertools.product((half, -half), repeat=rank)
-            if sum(coord < 0 for coord in s) % 2 == 0
-        ]
-        return WeightMultiset.from_weights(weights)
-    raise ValueError(f"no spin module for type {cartan_type}")
+        signs = (s for s in signs if s.count(-1) % 2 == 0)
+    return WeightMultiset(2, Counter(signs))
 
 
 def wedge(module: WeightMultiset, k: int) -> WeightMultiset:
     """Exterior power: sums of the weights over k-element sub-multisets,
-    added as rows of the integer image and then divided by its scale."""
-    if not module.entries:
+    added as rows of the integer image at the module's scale; the
+    constructor reduces the scale where every sum is integral."""
+    if not module.keys:
         raise ValueError("empty module has no ambient dimension")
     dim = module.dimension
     if not 0 <= k <= dim:
@@ -138,26 +141,15 @@ def wedge(module: WeightMultiset, k: int) -> WeightMultiset:
         raise ValueError(
             f"exterior power would enumerate {math.comb(dim, k)} subsets"
         )
-    scale, image = module._int_image
-    flat = [key for key, (_, mult) in zip(image, module.entries) for _ in range(mult)]
-    zero = (0,) * len(image[0])
-    sums = [
-        tuple(map(sum, zip(zero, *subset)))
-        for subset in itertools.combinations(flat, k)
-    ]
-    # One Fraction per distinct coordinate value, shared by every sum.
-    exact = {
-        t: Fraction(t, scale) for t in set(itertools.chain.from_iterable(sums))
-    }
-    return WeightMultiset.from_weights(
-        tuple(map(exact.__getitem__, row)) for row in sums
-    )
+    flat = [key for key, mult in zip(module.keys, module.mults) for _ in range(mult)]
+    zero = (0,) * len(flat[0])
+    return WeightMultiset(module.scale, Counter(
+        tuple(map(sum, zip(zero, *subset))) for subset in itertools.combinations(flat, k)
+    ))
 
 
 def dual(module: WeightMultiset) -> WeightMultiset:
-    return WeightMultiset.from_weights(
-        neg(weight) for weight, mult in module.entries for _ in range(mult)
-    )
+    return WeightMultiset(module.scale, dict(zip(map(neg, module.keys), module.mults)))
 
 
 @lru_cache(maxsize=64)
@@ -172,18 +164,17 @@ def _slot_table(
     multiplicity; both orders are read off the integer image, and each run
     of equal pairings in that order is one slice."""
     values, _ = module._pairings(mu)
-    _, image = module._int_image
+    image = module.keys
     ranked = sorted(
         range(len(image)), key=lambda k: (values[k], image[k]), reverse=True
     )
-    order = [k for k in ranked for _ in range(module.entries[k][1])]
+    order = [k for k in ranked for _ in range(module.mults[k])]
     keys = tuple(image[k] for k in order)
     index_of = {k: slot for slot, k in enumerate(keys, start=1)}
-    slots = tuple(module.entries[k][0] for k in order)
     dims = tuple(
         len(list(run)) for _, run in itertools.groupby(order, key=values.__getitem__)
     )
-    return slots, keys, index_of, dims
+    return module._weights(keys), keys, index_of, dims
 
 
 def hodge_character(module: WeightMultiset, mu: Vector) -> Vector:
@@ -191,8 +182,8 @@ def hodge_character(module: WeightMultiset, mu: Vector) -> Vector:
     multiplicities: the Hodge character eta, for any profile. The slice is
     the first ``dims[0]`` slots of the module's slot table, whose keys
     repeat by multiplicity."""
-    if not module.entries:
+    if not module.keys:
         raise ValueError("the module has no weights, so no Hodge character")
     _, keys, _, dims = _slot_table(module, mu)
-    scale, _ = module._int_image
-    return tuple(Fraction(-t, scale) for t in map(sum, zip(*keys[: dims[0]])))
+    eta = tuple(-t for t in map(sum, zip(*keys[: dims[0]])))
+    return module._weights([eta])[0]

@@ -1,8 +1,9 @@
 """Classical root systems in their standard coordinate realizations.
 
 Everything is exact and no float ever appears. Weights are tuples of
-``Fraction``; every root of these types is an integer vector in the standard
-coordinates, so roots are plain int tuples (``Root``). Types A, B, C, D are
+``Fraction``, except for integer vectors in the standard coordinates, which
+are plain int tuples: every root of these types (``Root``) and every slot
+weight (0 or plus-minus e_i). Types A, B, C, D are
 supported; type A_{rank} lives in rank+1 coordinates (the GL weight lattice),
 the others in ``rank`` coordinates.
 
@@ -38,8 +39,6 @@ CLASSICAL_TYPES = ("A", "B", "C", "D")
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-# The shared Fraction of each coordinate of a slot weight.
-_SLOT_ENTRY = {0: _ZERO, 1: _ONE, -1: Fraction(-1)}
 
 
 def vec(*entries: int | Fraction) -> Vector:
@@ -90,11 +89,11 @@ class RootSystem:
 
     ``positive_roots`` is the full set of positive roots; ``roots`` adds the
     negatives. ``ambient_dim`` is the number of coordinates (rank+1 for A).
-    ``slot_weights`` are the standard module's weights in slot order (see
-    ``root_system``); ``root_pairs`` holds the zero-based slot pair (a, b),
-    a < b, of each positive root slot_weights[a] - slot_weights[b], simple
-    roots first, and ``simple_swaps`` the one or two slot pairs each simple
-    reflection swaps. Built only by ``root_system``, which checks the type
+    ``slot_weights`` are the standard module's weights in slot order, as
+    int tuples (see ``root_system``); ``root_pairs`` holds the zero-based
+    slot pair (a, b), a < b, of each positive root slot_weights[a] -
+    slot_weights[b], simple roots first, and ``simple_swaps`` the one or two
+    slot pairs each simple reflection swaps. Built only by ``root_system``, which checks the type
     and rank first; compares and hashes by identity.
     """
 
@@ -130,7 +129,7 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = rank
         self.ambient_dim = dim
-        self.slot_weights = tuple(tuple(map(_SLOT_ENTRY.__getitem__, u)) for u in slots)
+        self.slot_weights = tuple(slots)
         self.root_pairs = tuple(simple) + tuple(p for p in pairs if p not in simple_set)
         self.simple_swaps = tuple(swaps)
         self.simple_roots = tuple(sub(slots[a], slots[b]) for a, b in simple)

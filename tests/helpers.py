@@ -152,7 +152,7 @@ def reference_slot_perm(
 ) -> Perm:
     """The slot permutation of w on the module, one integer key at a time:
     slot k goes to the slot of w applied to its key."""
-    if any(mult != 1 for _, mult in module.entries):
+    if any(mult != 1 for mult in module.mults):
         raise ValueError("the permutation model needs multiplicity-free weights")
     slots, keys, index_of, _ = _slot_table(module, datum.mu)
     images = []
@@ -278,7 +278,7 @@ def mu_profile(
     each with the dimension of its slice."""
     values, denominator = module._pairings(mu)
     slices: Dict[int, int] = {}
-    for value, (_, mult) in zip(values, module.entries):
+    for value, mult in zip(values, module.mults):
         slices[value] = slices.get(value, 0) + mult
     return tuple(
         (Fraction(value, denominator), dim)
@@ -353,3 +353,15 @@ def hand_eta(identifier: str, rank: int) -> Vector:
     if identifier == "GSpin_spin_even":
         return first(-(2 ** (rank - 3)))
     raise ValueError(f"unknown case {identifier!r}")
+
+
+# -- the GSp(2n) form ------------------------------------------------------------
+
+
+def gsp_form(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Antidiagonal symplectic form of GSp(2n): -J in the upper right, J
+    lower left, with J the n x n antidiagonal identity."""
+    j = [[1 if r + c == n - 1 else 0 for c in range(n)] for r in range(n)]
+    top = [[0] * n + [-x for x in row] for row in j]
+    bottom = [row + [0] * n for row in j]
+    return tuple(tuple(r) for r in top + bottom)

@@ -136,6 +136,22 @@ class TestStrataOptions:
             assert out == ""
             assert "oracle needs 1 <= n <= 7" in err
 
+    @pytest.mark.parametrize("rank", ["8", "64"])
+    def test_dual_sum_oracle_refuses_before_building(self, capsys, monkeypatch, rank):
+        """Above the Pluecker oracle's ceiling, ``--oracle`` is refused from
+        the spec alone: no case is run and no case data is cached."""
+        def refuse(spec):
+            raise AssertionError(f"run_case called on {spec}")
+
+        monkeypatch.setattr(cli, "run_case", refuse)
+        before = cache_stats()["cases._case_data"]
+        code, out, err = run_cli(
+            capsys, "strata", "--case", "gl-dualsum", "--n", rank, "--oracle",
+        )
+        assert (code, out) == (2, "")
+        assert "oracle needs 1 <= n <= 7" in err
+        assert cache_stats()["cases._case_data"] == before
+
     def test_fixed_rank_case_needs_no_rank_flag(self, capsys):
         code, out, _ = run_cli(capsys, "strata", "--case", "gl4-wedge2")
         assert code == 0

@@ -21,7 +21,6 @@ from zipstrata.oracle import (
     gl_cell_point,
     gl_flambda,
     gl_plucker_order,
-    gsp_form,
     gsp_point_order,
     gsp_psi_curve_point,
     gsp_witness,
@@ -31,6 +30,8 @@ from zipstrata.oracle import (
     order_at_zero,
     poly_matrix,
 )
+
+from helpers import gsp_form
 
 
 def scale(f: SparsePoly, c: int) -> SparsePoly:

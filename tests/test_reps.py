@@ -17,7 +17,7 @@ from zipstrata.reps import (
     std_weights,
     wedge,
 )
-from zipstrata.rootsys import _to_ints, root_system, sum_vectors, unit, vec
+from zipstrata.rootsys import root_system, sum_vectors, unit, vec
 from zipstrata.weyl import WeylGroup
 
 from helpers import dsum, expanded, is_cy, mu_profile, multiplicity, reference_entries
@@ -86,6 +86,50 @@ def test_spin_module_is_weyl_stable() -> None:
 # -- tensor operations ---------------------------------------------------------
 
 
+def test_every_constructor_stores_the_reduced_integer_image() -> None:
+    """Whichever constructor builds a multiset, it stores only integers: its
+    scale is the lcm of its exact weights' denominators and its keys are
+    those weights times the scale, sorted; and equal multisets built along
+    different paths compare and hash equally."""
+    half = Fraction(1, 2)
+    spin, even = spin_weights("B", 3), spin_weights("D", 4)
+    modules = {
+        "from_weights": WeightMultiset.from_weights(
+            [vec(half, 0), vec(1, Fraction(1, 3)), vec(half, 0), vec(-2, 0)]
+        ),
+        "from_weights of integral Fractions": WeightMultiset.from_weights(
+            [vec(1, 0), vec(0, -1)]
+        ),
+        "empty": WeightMultiset.from_weights(()),
+        **{f"std {t}": std_weights(t, 3) for t in "ABCD"},
+        "spin B": spin,
+        "half-spin D": even,
+        "wedge std": wedge(std_weights("A", 3), 2),
+        "wedge spin": wedge(spin, 1),
+        "wedge^2 spin": wedge(spin, 2),
+        "wedge^2 half-spin": wedge(even, 2),
+        "dual": dual(wedge(std_weights("A", 3), 3)),
+        "dual dual spin": dual(dual(spin)),
+    }
+    for name, module in modules.items():
+        entries = module.entries
+        scale = lcm(*(c.denominator for weight, _ in entries for c in weight))
+        assert module.scale == scale, name
+        assert module.keys == tuple(
+            tuple(int(c * scale) for c in weight) for weight, _ in entries
+        ), name
+        assert module.mults == tuple(mult for _, mult in entries), name
+        assert list(module.keys) == sorted(set(module.keys)), name
+        stored = (module.scale, *module.mults, *itertools.chain.from_iterable(module.keys))
+        assert all(type(c) is int for c in stored), name
+        for twin in (WeightMultiset.from_weights(expanded(module)), dual(dual(module))):
+            assert twin == module and hash(twin) == hash(module), name
+    assert modules["wedge^2 spin"].scale == 1
+    assert modules["wedge spin"] == spin
+    assert WeightMultiset(4, {(4, -8): 2}) == WeightMultiset(1, {(1, -2): 2})
+    assert WeightMultiset(4, {(2, -4): 1}).entries == ((vec(half, -1), 1),)
+
+
 def test_multisets_compare_and_hash_by_their_entries() -> None:
     """However a multiset is built, equal entries give equal multisets with
     one hash, that of the integer image; the entries tuple itself is not
@@ -93,7 +137,7 @@ def test_multisets_compare_and_hash_by_their_entries() -> None:
     module = std_weights("B", 3)
     rebuilt = WeightMultiset.from_weights(expanded(module))
     assert rebuilt == module and hash(rebuilt) == hash(module)
-    assert hash(module) == hash(_to_ints(weight for weight, _ in module.entries))
+    assert hash(module) == hash((module.scale, module.keys, module.mults))
     assert module != std_weights("C", 3)
     assert module != module.entries
 
@@ -325,8 +369,32 @@ def test_from_weights_equals_counting_the_fraction_weights(width, data) -> None:
 )
 @settings(max_examples=100, deadline=None)
 def test_from_weights_seeds_the_integer_image(width, data) -> None:
-    """The image kept by ``from_weights`` is the one the entries give."""
+    """The image kept by ``from_weights`` is the one the entries give: the
+    lcm of their denominators, each weight times it, and the counts."""
     weight = st.lists(_coords, min_size=width, max_size=width).map(tuple)
     multiset = WeightMultiset.from_weights(data.draw(st.lists(weight, max_size=12)))
-    seeded = multiset.__dict__["_int_image"]
-    assert seeded == _to_ints(entry for entry, _ in multiset.entries)
+    scale = lcm(*(c.denominator for entry, _ in multiset.entries for c in entry))
+    assert multiset.scale == scale
+    assert multiset.keys == tuple(
+        tuple(int(c * scale) for c in entry) for entry, _ in multiset.entries
+    )
+    assert multiset.mults == tuple(mult for _, mult in multiset.entries)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank",
+    [("B", rank) for rank in range(1, 9)] + [("D", rank) for rank in range(2, 9)],
+)
+def test_spin_weights_are_the_fraction_sign_vectors(cartan_type, rank) -> None:
+    """The sign vectors counted over scale 2 are the multiset of the exact
+    vectors (+-1/2, ..., +-1/2), with an even number of minus signs in
+    type D."""
+    half = Fraction(1, 2)
+    signs = [
+        s for s in itertools.product((half, -half), repeat=rank)
+        if cartan_type == "B" or sum(c < 0 for c in s) % 2 == 0
+    ]
+    module = spin_weights(cartan_type, rank)
+    reference = WeightMultiset.from_weights(signs)
+    assert module == reference and hash(module) == hash(reference)
+    assert module.entries == reference_entries(signs)

@@ -43,7 +43,14 @@ from .oracle import (
     gsp_witness,
     is_prime,
 )
-from .reps import WeightMultiset, hodge_character, spin_weights, std_weights, wedge
+from .reps import (
+    MODULE_DIM_CAP,
+    WeightMultiset,
+    hodge_character,
+    spin_weights,
+    std_weights,
+    wedge,
+)
 from .rootsys import Vector, neg, smul, unit, vec
 from .vanishing import Word, d_w0, strata_ord_table
 from .weyl import CocharacterDatum, Perm, cocharacter_datum, weyl_group
@@ -248,14 +255,14 @@ CASE_IDENTIFIERS = tuple(PRESETS)
 CASE_BY_FLAG = {preset.flag: identifier for identifier, preset in PRESETS.items()}
 
 
-# Ceilings on the module dimension and on the number of strata |W^I|,
-# checked before a case builds anything. At the ceilings a cold table takes
-# well under 1 s from the command line on a 2-vCPU Xeon (min of 3 runs):
-# 0.23 to 0.24 s for the standard cases at rank 32 (64 strata), 0.40 s for
-# the spin modules of dimension 4096 (GSpin_spin_odd at rank 12,
-# GSpin_spin_even at 13), 0.25 s for GLn_wedge_dualsum at rank 64 and
-# 0.15 s for Siegel, which stops at rank 6 (2^6 strata).
-MODULE_DIM_CAP = 4096
+# Ceilings on the module dimension (``reps.MODULE_DIM_CAP``) and on the
+# number of strata |W^I|, checked before a case builds anything. At the
+# ceilings a cold table takes well under 1 s from the command line on a
+# 2-vCPU Xeon (min of 3 runs): 0.23 to 0.24 s for the standard cases at
+# rank 32 (64 strata), 0.40 s for the spin modules of dimension 4096
+# (GSpin_spin_odd at rank 12, GSpin_spin_even at 13), 0.25 s for
+# GLn_wedge_dualsum at rank 64 and 0.15 s for Siegel, which stops at rank 6
+# (2^6 strata).
 STRATA_CAP = 64
 
 

@@ -41,6 +41,10 @@ from .rootsys import IntVector, Vector, _to_ints, neg, root_system
 # Ceiling on the subset enumeration behind exterior powers.
 WEDGE_CAP = 10_000_000
 
+# Ceiling on a module's dimension, checked before its weights are built: by
+# ``spin_weights`` here and by ``cases.check_spec`` for every case.
+MODULE_DIM_CAP = 4096
+
 
 class WeightMultiset:
     """Torus weights of a representation, with multiplicities, as their
@@ -53,6 +57,8 @@ class WeightMultiset:
 
     def __init__(self, scale: int, counts: Mapping[IntVector, int]) -> None:
         keys = sorted(counts)
+        if len(set(map(len, keys))) > 1:
+            raise ValueError("the weights of a module must all have one length")
         self.mults = tuple(map(counts.__getitem__, keys))
         common = math.gcd(scale, *itertools.chain.from_iterable(keys))
         if common > 1:
@@ -119,9 +125,17 @@ def std_weights(cartan_type: str, rank: int) -> WeightMultiset:
 def spin_weights(cartan_type: str, rank: int) -> WeightMultiset:
     """Weights of the spin module (type B, dimension 2^m) or of one half-spin
     module (type D, dimension 2^(m-1), even number of minus signs): the sign
-    vectors (+-1/2, ..., +-1/2), counted as the +-1 vectors over scale 2."""
+    vectors (+-1/2, ..., +-1/2), counted as the +-1 vectors over scale 2.
+    A dimension above ``MODULE_DIM_CAP`` raises before any vector is built."""
     if cartan_type not in ("B", "D"):
         raise ValueError(f"no spin module for type {cartan_type}")
+    exponent = rank - (cartan_type == "D")
+    # 2^exponent exceeds the ceiling exactly when exponent reaches its bit length.
+    if exponent >= MODULE_DIM_CAP.bit_length():
+        raise ValueError(
+            f"the spin module of {cartan_type}{rank} has dimension 2^{exponent}, "
+            f"above the ceiling of {MODULE_DIM_CAP}"
+        )
     signs = itertools.product((1, -1), repeat=rank)
     if cartan_type == "D":
         signs = (s for s in signs if s.count(-1) % 2 == 0)

@@ -4,11 +4,12 @@ import importlib
 import itertools
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from zipstrata import cache_stats
 from zipstrata.cases import StratumReport
 from zipstrata.fzip import StandardZip, clp
+from zipstrata.oracle import Matrix, SparsePoly, _bottom_minor, gl_cell_point, order_at_zero
 from zipstrata.reps import WeightMultiset, _slot_table
 from zipstrata.rootsys import RootSystem, Vector
 from zipstrata.vanishing import condition_closed, ord_for_word
@@ -365,3 +366,66 @@ def gsp_form(n: int) -> Tuple[Tuple[int, ...], ...]:
     top = [[0] * n + [-x for x in row] for row in j]
     bottom = [row + [0] * n for row in j]
     return tuple(tuple(r) for r in top + bottom)
+
+
+# -- the GL(n) weight section as a full product ----------------------------------
+
+
+def gl_flambda(n: int, lam: Sequence[int]) -> "MinorProduct":
+    """Highest-weight section of weight lambda on GL(n), as a product of
+    principal minors anchored at the lower-right corner.
+
+    lambda must be dominant (weakly decreasing). The k-th trailing minor
+    appears with exponent lambda_{n-k} - lambda_{n-k+1}, and det appears
+    with exponent lambda_n; negative det exponents are tracked separately
+    so integral weights with negative entries work.
+    """
+    lam = list(lam)
+    if len(lam) != n:
+        raise ValueError("weight length must equal n")
+    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+        raise ValueError("weight must be dominant (weakly decreasing)")
+    exponents = {k: lam[n - k - 1] - lam[n - k] for k in range(1, n)}
+    return MinorProduct(n=n, trailing_exponents=exponents, det_exponent=lam[n - 1])
+
+
+class MinorProduct(NamedTuple):
+    """Product of trailing principal minors with integer exponents."""
+
+    n: int
+    trailing_exponents: Dict[int, int]
+    det_exponent: int
+
+    def evaluate(self, m: Matrix) -> SparsePoly:
+        """The product on m, multiplied out in full. Each trailing k-minor is
+        the minor of the bottom k rows on the last k columns, so one table of
+        bottom-row minors serves every factor and the determinant."""
+        nvars = m[0][0].nvars
+        acc = SparsePoly.const(nvars, 1)
+        minors: Dict[Tuple[int, ...], SparsePoly] = {}
+        for k, e in sorted(self.trailing_exponents.items()):
+            if e < 0:
+                raise ValueError("negative exponent on a non-det minor")
+            if e == 0:
+                continue
+            mk = _bottom_minor(m, tuple(range(self.n - k, self.n)), minors)
+            for _ in range(e):
+                acc = acc * mk
+        if self.det_exponent < 0:
+            raise ValueError("cannot evaluate a negative det power on a polynomial point")
+        if self.det_exponent:
+            d = _bottom_minor(m, tuple(range(self.n)), minors)
+            for _ in range(self.det_exponent):
+                acc = acc * d
+        return acc
+
+
+def full_product_cell_order(n: int, lam: Sequence[int], w: Sequence[int]) -> int:
+    """Order of the weight-lambda section along the cell of w, read off the
+    section multiplied out in full: the reference for ``gl_cell_order``.
+    lambda is first shifted to end in zero, since det is a unit on the
+    cell."""
+    shifted = [x - lam[-1] for x in lam]
+    point, matrix = gl_cell_point(n, w)
+    section = gl_flambda(n, shifted).evaluate(matrix)
+    return order_at_zero(section, point.distinguished_vars)

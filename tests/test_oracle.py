@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +13,12 @@ from zipstrata.oracle import (
     GSP_N_CAP,
     ORACLE_N_CAP,
     PRIME_MAX,
-    WEIGHT_SPREAD_CAP,
     CellPoint,
     SparsePoly,
     _plucker_point,
     determinant,
     gl_cell_order,
     gl_cell_point,
-    gl_flambda,
     gl_plucker_order,
     gsp_point_order,
     gsp_psi_curve_point,
@@ -31,7 +30,7 @@ from zipstrata.oracle import (
     poly_matrix,
 )
 
-from helpers import gsp_form
+from helpers import full_product_cell_order, gl_flambda, gsp_form
 
 
 def scale(f: SparsePoly, c: int) -> SparsePoly:
@@ -427,21 +426,41 @@ def test_gl_oracles_reject_n_above_the_ceiling() -> None:
         gl_cell_order(0, (), ())
 
 
-def test_gl_cell_order_rejects_a_wide_weight() -> None:
-    n = ORACLE_N_CAP
-    w0 = tuple(range(n, 0, -1))
-    wide = (WEIGHT_SPREAD_CAP + 1,) + (0,) * (n - 1)
-    with pytest.raises(ValueError, match="weight spread"):
-        gl_cell_order(n, wide, w0)
-    shifted = tuple(x - 5 for x in wide)
-    with pytest.raises(ValueError, match="weight spread"):
-        gl_cell_order(n, shifted, w0)
+def test_gl_cell_order_takes_a_wide_weight_at_the_ceiling() -> None:
+    """GL(7), the largest accepted n, at a spread of 9. At w0 the trailing
+    k-minor vanishes to order min(k, n - k), so the order is the sum of
+    e_k * min(k, n - k)."""
+    n, lam = 7, (9, 8, 6, 5, 3, 1, 0)
+    exponents = [lam[n - k - 1] - lam[n - k] for k in range(1, n)]
+    expected = sum(e * min(k, n - k) for k, e in enumerate(exponents, start=1))
+    assert gl_cell_order(n, lam, tuple(range(n, 0, -1))) == expected == 19
 
 
-def test_gl_cell_order_accepts_the_ceilings() -> None:
-    """The widest accepted weight on the largest accepted n."""
-    lam = (WEIGHT_SPREAD_CAP,) + (0,) * (ORACLE_N_CAP - 1)
-    assert gl_cell_order(ORACLE_N_CAP, lam, tuple(range(ORACLE_N_CAP, 0, -1))) == WEIGHT_SPREAD_CAP
+@pytest.mark.parametrize(
+    "lam", [(Fraction(3, 2), Fraction(1, 2), 0), (2.0, 1.0, 0.0), (Fraction(2), 1, 0)]
+)
+def test_gl_cell_order_rejects_a_non_integral_weight(lam) -> None:
+    with pytest.raises(ValueError, match="weight entries must be integers"):
+        gl_cell_order(3, lam, (3, 2, 1))
+
+
+def _seeded_weight(rng: random.Random, n: int, spread: int) -> tuple:
+    """A dominant weight of length n with lambda_1 - lambda_n = spread (0 for
+    n = 1), shifted by a seeded integer."""
+    inner = [rng.randint(0, spread) for _ in range(n - 2)]
+    shift = rng.randint(-2, 2)
+    return tuple(sorted((x + shift for x in ([spread] + inner + [0])[:n]), reverse=True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gl_cell_order_matches_the_full_product(n: int) -> None:
+    """Summing the minors' orders gives the order of the section multiplied
+    out in full, on every cell and at spreads up to 5."""
+    rng = random.Random(n)
+    for w in itertools.permutations(range(1, n + 1)):
+        for spread in (rng.randint(0, 3), 4, 5):
+            lam = _seeded_weight(rng, n, spread)
+            assert gl_cell_order(n, lam, w) == full_product_cell_order(n, lam, w), (w, lam)
 
 
 # -- Pluecker coordinate orders ---------------------------------------------------

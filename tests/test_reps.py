@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zipstrata import reps
 from zipstrata.reps import (
+    MODULE_DIM_CAP,
     WeightMultiset,
     _slot_table,
     dual,
@@ -47,6 +49,21 @@ def test_standard_module_of_b3_has_a_zero_weight() -> None:
 @pytest.mark.parametrize("cartan_type,rank,dim", [("B", 3, 8), ("B", 4, 16), ("D", 4, 8), ("D", 5, 16)])
 def test_spin_module_dimensions(cartan_type: str, rank: int, dim: int) -> None:
     assert spin_weights(cartan_type, rank).dimension == dim
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("B", 13), ("D", 14)])
+def test_spin_module_above_the_dimension_ceiling_is_refused_before_building(
+    monkeypatch, cartan_type: str, rank: int
+) -> None:
+    """2^13 is the first power of two above the ceiling of 4096: the rank
+    alone refuses it, and no multiset is constructed."""
+    def refuse(*args):
+        raise AssertionError("a spin module was built")
+
+    assert MODULE_DIM_CAP == 4096
+    monkeypatch.setattr(reps, "WeightMultiset", refuse)
+    with pytest.raises(ValueError, match="above the ceiling of 4096"):
+        spin_weights(cartan_type, rank)
 
 
 def test_half_spin_weights_have_even_sign_parity() -> None:
@@ -346,6 +363,17 @@ def test_a_cocharacter_of_the_wrong_length_is_rejected(module) -> None:
         for pairing in (mu_profile, hodge_character, _slot_table):
             with pytest.raises(ValueError):
                 pairing(module, mu)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeightMultiset.from_weights([(Fraction(1),), (Fraction(1), Fraction(5))]),
+    lambda: WeightMultiset(1, {(1, 0): 1, (1,): 2}),
+])
+def test_weights_of_different_lengths_are_rejected(build) -> None:
+    """A multiset has one ambient dimension; otherwise the pairing would
+    silently drop the extra coordinates."""
+    with pytest.raises(ValueError, match="one length"):
+        build()
 
 
 @given(

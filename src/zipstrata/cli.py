@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -106,28 +107,34 @@ def fundamental_weights(system: RootSystem) -> Tuple[Vector, ...]:
     return tuple(weights)
 
 
+# An integer, a decimal or p/q with q nonzero: ``Fraction`` also reads an
+# exponent, and 1e10000000 would build a ten-million-digit integer.
+_COORDINATE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+|\d+/0*[1-9]\d*)")
+
+
+def _coordinates(spec: str) -> List[Fraction]:
+    """The comma-separated numbers of ``--lambda``, each checked first."""
+    parts = [part.strip() for part in spec.split(",")]
+    for part in parts:
+        if not _COORDINATE.fullmatch(part):
+            raise ValueError(f"cannot read {part!r} as an integer, a decimal or p/q, q != 0")
+    return [Fraction(part) for part in parts]
+
+
 def _parse_lambda(spec: str, system: RootSystem, basis: str) -> Vector:
-    spec = spec.strip()
-    if basis == "fundamental":
-        coeffs = [Fraction(part) for part in spec.split(",")]
-        if len(coeffs) != system.rank:
-            raise ValueError(
-                f"expected {system.rank} fundamental coefficients, "
-                f"got {len(coeffs)}"
-            )
-        weights = fundamental_weights(system)
-        return sum_vectors(
-            [vec(*(c * x for x in w)) for c, w in zip(coeffs, weights)],
-            system.ambient_dim,
-        )
-    if spec.startswith("e") and spec[1:].isdigit():
-        return unit(system.ambient_dim, int(spec[1:]))
-    coords = [Fraction(part) for part in spec.split(",")]
-    if len(coords) != system.ambient_dim:
-        raise ValueError(
-            f"expected {system.ambient_dim} coordinates, got {len(coords)}"
-        )
-    return vec(*coords)
+    spec, dim = spec.strip(), system.ambient_dim
+    if basis == "e" and spec.startswith("e") and spec[1:].isdigit():
+        return unit(dim, int(spec[1:]))
+    coords = _coordinates(spec)
+    fundamental = basis == "fundamental"
+    size = system.rank if fundamental else dim
+    if len(coords) != size:
+        kind = "fundamental coefficients" if fundamental else "coordinates"
+        raise ValueError(f"expected {size} {kind}, got {len(coords)}")
+    if not fundamental:
+        return vec(*coords)
+    weights = fundamental_weights(system)
+    return sum_vectors([vec(*(c * x for x in w)) for c, w in zip(coords, weights)], dim)
 
 
 # -- strata ---------------------------------------------------------------------
@@ -210,9 +217,12 @@ def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
     rendered = renderer(config, rows)
     if output is None:
         sys.stdout.write(rendered)
-    else:
+        return 0
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(rendered)
+    except OSError as err:
+        raise ValueError(f"cannot write the table: {err}") from err
     return 0
 
 

@@ -8,9 +8,9 @@ supported; type A_{rank} lives in rank+1 coordinates (the GL weight lattice),
 the others in ``rank`` coordinates.
 
 Each system owns its type's slot layout (``slot_weights``, ``root_pairs``,
-``simple_swaps``): the Weyl group (``weyl``) permutes these slots, the
-standard module (``reps.std_weights``) is their weights, and the roots are
-read off the slot pairs.
+``simple_swaps``, ``mirror``) and |W|: the Weyl group (``weyl``) permutes
+these slots, the standard module (``reps.std_weights``) is their weights,
+and the roots are read off the slot pairs.
 
 ``root_system`` is an ``lru_cache`` and the only constructor: it builds each
 system once per type and rank and hands out the same instance
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import factorial, lcm
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
@@ -93,8 +93,11 @@ class RootSystem:
     int tuples (see ``root_system``); ``root_pairs`` holds the zero-based
     slot pair (a, b), a < b, of each positive root slot_weights[a] -
     slot_weights[b], simple roots first, and ``simple_swaps`` the one or two
-    slot pairs each simple reflection swaps. Built only by ``root_system``, which checks the type
-    and rank first; compares and hashes by identity.
+    slot pairs each simple reflection swaps. ``mirror`` maps a slot to the
+    slot of its negated weight, looked up among the slots: none in type A,
+    and type B's zero slot is its own. ``weyl_order`` is |W|. Built only by
+    ``root_system``, which checks the type and rank first; compares and
+    hashes by identity.
     """
 
     def __init__(self, cartan_type: str, rank: int) -> None:
@@ -105,8 +108,10 @@ class RootSystem:
             slots = e
             pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
             swaps = [((i, i + 1),) for i in range(rank)]
+            self.weyl_order = factorial(dim)
         else:
             m = rank
+            self.weyl_order = 2**m * factorial(m)
             zero = [(0,) * m] if cartan_type == "B" else []
             slots = e + zero + [neg(u) for u in reversed(e)]
             n = len(slots)
@@ -124,14 +129,17 @@ class RootSystem:
             else:
                 simple[-1] = (m - 2, m)
                 swaps.append(((m - 2, m), (m - 1, m + 1)))
+                self.weyl_order //= 2
 
         simple_set = set(simple)
+        index = {u: k for k, u in enumerate(slots)}
         self.cartan_type = cartan_type
         self.rank = rank
         self.ambient_dim = dim
         self.slot_weights = tuple(slots)
         self.root_pairs = tuple(simple) + tuple(p for p in pairs if p not in simple_set)
         self.simple_swaps = tuple(swaps)
+        self.mirror = {k: index[neg(u)] for k, u in enumerate(slots) if neg(u) in index}
         self.simple_roots = tuple(sub(slots[a], slots[b]) for a, b in simple)
         self.positive_roots = tuple(sub(slots[a], slots[b]) for a, b in pairs)
 

@@ -29,7 +29,7 @@ from operator import add
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .rootsys import Root, RootSystem, Vector, simple_pairings
-from .weyl import CocharacterDatum, Perm, compose, weyl_group
+from .weyl import CocharacterDatum, Perm, _group_of, compose
 
 Word = Tuple[int, ...]
 
@@ -78,7 +78,7 @@ def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
     positive and pairwise distinct; a non-reduced word revisits a root line
     and the sequence picks up repeats or negatives.
     """
-    group = weyl_group(system.cartan_type, system.rank)
+    group = _group_of(system)
     swaps = system.simple_swaps
     prefix = list(group.identity())
     swept = []
@@ -137,7 +137,7 @@ def _condition_closed(
             stage = t
     if stage is None:
         return True, None, reduced
-    group = weyl_group(system.cartan_type, system.rank)
+    group = _group_of(system)
     back = group.from_word(word[:stage][::-1])
     found = _closure_violation(system, swept[stage:])
     return False, ClosednessWitness(stage, *group._act_all(back, found)), reduced
@@ -331,8 +331,7 @@ def d_w0(lam: Vector, p: int, datum: CocharacterDatum) -> Vector:
     Applied to the Hasse weight it recovers (p - 1) times the Hodge character,
     which is the standard consistency check on a case's lambda.
     """
-    group = datum.group
-    twisted = group.act(compose(datum.z, group.longest_element()), lam)
+    twisted = datum.group.act(compose(datum.z, datum.w0), lam)
     return tuple(a - p * b for a, b in zip(lam, twisted, strict=True))
 
 
@@ -349,11 +348,10 @@ def strata_ord_table(datum: CocharacterDatum, lam: Vector) -> Dict[Perm, int]:
     """
     group = datum.group
     system = group.system
-    w0 = group.longest_element()
     pairings = _dominant_pairings(system, lam)
     table: Dict[Perm, int] = {}
     for label in group.min_coset_reps(datum.I):
-        cell = compose(datum.w0_I, compose(label, w0))
+        cell = compose(datum.w0_I, compose(label, datum.w0))
         word = group.reduced_word(cell)
         try:
             table[label] = _ord_for_word(system, lam, word, pairings)

@@ -2,10 +2,11 @@
 
 An element is a tuple ``perm`` with ``perm[i-1]`` the image of slot i
 (one-line notation, 1-indexed). The slots and their weights are the root
-system's (``RootSystem.slot_weights``, laid out in ``rootsys``): N = r+1
-slots e_1, ..., e_N in type A_r, and outside type A the slots e_1, ...,
-e_m, then 0 in type B, then -e_m, ..., -e_1, so that every group element
-sigma satisfies sigma(i) + sigma(N+1-i) = N+1.
+system's (``RootSystem.slot_weights``, laid out in ``rootsys``), as are
+the mirror table (the slot of each slot's negated weight, none in type A)
+and |W|. An element is a permutation of the slots that commutes with the
+mirror and that descent stripping takes to the identity (in type D an odd
+number of sign changes strips down to one, which has no descent).
 
 The slot order e_1 > ... > e_m > (0) > -e_m > ... > -e_1 refines
 positivity: w sends the root weight(a) - weight(b), a < b, to a negative
@@ -24,8 +25,8 @@ at a time by the same swaps, keeping an ascent u s_j exactly when
 Deodhar's test passes: u sends alpha_j to no simple root of I, read off
 u's values on alpha_j's slot pair.
 The action on coordinate vectors (``act``) is a signed permutation of
-coordinates; it serves Fraction weights and integer roots alike and keeps
-the entry type.
+coordinates, the sign flipped where a coordinate lands on a mirror slot; it
+serves Fraction weights and integer roots alike and keeps the entry type.
 
 ``weyl_group`` hands out one shared group per root system, and so per type
 and rank. ``reduced_word`` per element and ``min_coset_reps`` per parabolic
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, TypeVar
 
 from .rootsys import (
@@ -114,18 +114,19 @@ class WeylGroup:
     ) -> Tuple[Tuple[T, ...], ...]:
         """``act`` of one element on many vectors, which share the table of
         where each coordinate lands. Coordinate i goes to coordinate w(i),
-        or, when w(i) lies past the coordinate slots, to coordinate
-        N + 1 - w(i) with its sign flipped. Each image picks its coordinates
-        by index and then negates the flipped ones."""
-        dim, n = self.system.ambient_dim, self.slots
+        or, when w(i) lies past the coordinate slots, to the coordinate of
+        its mirror slot with its sign flipped. Each image picks its
+        coordinates by index and then negates the flipped ones."""
+        dim, mirror = self.system.ambient_dim, self.system.mirror
         sources = [0] * dim
         flipped = []
         for i, k in enumerate(w[:dim]):
             if k <= dim:
                 sources[k - 1] = i
             else:
-                sources[n - k] = i
-                flipped.append(n - k)
+                j = mirror[k - 1]
+                sources[j] = i
+                flipped.append(j)
         images = []
         for v in vectors:
             image = list(map(v.__getitem__, sources))
@@ -169,19 +170,6 @@ class WeylGroup:
                 raise ValueError(f"simple reflection index {k + 1} out of range")
         return indices
 
-    def _check_element(self, w: Perm) -> None:
-        """Raise unless w is an element: a permutation of the slots, outside
-        type A a signed one, and in type D one with an even number of sign
-        changes."""
-        t, m, n = self.system.cartan_type, self.rank, self.slots
-        ok = sorted(w) == list(range(1, n + 1)) and (
-            t == "A" or tuple(w[::-1]) == tuple(map((n + 1).__sub__, w))
-        )
-        if ok and t == "D":
-            ok = sum(map(m.__lt__, w[:m])) % 2 == 0
-        if not ok:
-            raise ValueError(f"{w} is not an element of W({t}{m})")
-
     def reduced_word(self, w: Perm) -> Tuple[int, ...]:
         """Reduced word by stripping the smallest left descent; w not in W raises."""
         return _reduced_word(self, w)
@@ -189,38 +177,19 @@ class WeylGroup:
     # -- distinguished elements -------------------------------------------
 
     def longest_element(self) -> Perm:
-        t, m, n = self.system.cartan_type, self.system.rank, self.slots
-        rev = tuple(range(n, 0, -1))
-        if t == "D" and m % 2 == 1:
-            out = list(rev)
-            out[m - 1], out[m] = m, m + 1
-            return tuple(out)
-        return rev
+        """w0, the longest element of the parabolic subgroup of every letter."""
+        return self.longest_in(range(1, self.rank + 1))
 
     def longest_in(self, I: Sequence[int]) -> Perm:
-        """Longest element of the parabolic subgroup generated by I: from the
-        identity, multiply on the right by the first ascent in I, in place,
-        until every letter of I is a descent."""
-        letters = self._letter_indices(I)
-        pairs, swaps = self.system.root_pairs, self.system.simple_swaps
+        """Longest element of the parabolic subgroup generated by I: the
+        identity, with ascents in I stripped until every letter of I is a
+        descent."""
         u = list(range(1, self.slots + 1))
-        while True:
-            for i in letters:
-                a, b = pairs[i]
-                if u[a] < u[b]:
-                    for x, y in swaps[i]:
-                        u[x], u[y] = u[y], u[x]
-                    break
-            else:
-                return tuple(u)
+        self._strip(u, self._letter_indices(I), descent=False)
+        return tuple(u)
 
     def group_order(self) -> int:
-        t, m = self.system.cartan_type, self.system.rank
-        if t == "A":
-            return factorial(m + 1)
-        if t in ("B", "C"):
-            return 2**m * factorial(m)
-        return 2 ** (m - 1) * factorial(m)
+        return self.system.weyl_order
 
     # -- coset combinatorics ----------------------------------------------
 
@@ -241,24 +210,25 @@ class WeylGroup:
         left, stripping a right descent brings none back (the minimal
         representatives of W_I \\ W are closed under dropping a right
         descent), so the two phases need not alternate. A w that is not an
-        element raises.
+        element raises, through the cached ``reduced_word``.
         """
         left, right = self._letter_indices(I), self._letter_indices(J)
-        self._check_element(w)
+        _reduced_word(self, w)
         inv = list(inverse(w))
         self._strip(inv, left)
         u = list(inverse(inv))
         self._strip(u, right)
         return tuple(u)
 
-    def _strip(self, u: List[int], letters: List[int]) -> None:
+    def _strip(self, u: List[int], letters: List[int], descent: bool = True) -> None:
         """Multiply u on the right, in place, by the first of the (zero-based)
-        letters that is a right descent, until none of them is."""
+        letters that is a right descent (an ascent if ``descent`` is false),
+        until none of them is."""
         pairs, swaps = self.system.root_pairs, self.system.simple_swaps
         while True:
             for i in letters:
                 a, b = pairs[i]
-                if u[a] > u[b]:
+                if (u[a] > u[b]) == descent:
                     for x, y in swaps[i]:
                         u[x], u[y] = u[y], u[x]
                     break
@@ -296,28 +266,36 @@ class WeylGroup:
 @lru_cache(maxsize=4096)
 def _reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
     """Strips the smallest left descent on the inverse, kept as a list: s_i w
-    has inverse w^-1 s_i, which swaps slots of the list in place. A w that is
-    not an element raises before any stripping. Stripping s_i can change
-    only the letters whose simple root's slot pair meets a slot it swaps,
-    and those below i are at most two below it (two in type D, one
-    otherwise); every letter below i was an ascent, so the next scan starts
-    two letters below i."""
-    group._check_element(w)
-    inv = list(inverse(w))
-    pairs, swaps, rank = group.system.root_pairs, group.system.simple_swaps, group.rank
-    word: List[int] = []
-    start = 0
-    while True:
-        for i in range(start, rank):
-            a, b = pairs[i]
-            if inv[a] > inv[b]:
+    has inverse w^-1 s_i, which swaps slots of the list in place. Stripping
+    s_i can change only the letters whose simple root's slot pair meets a
+    slot it swaps, and those below i are at most two below it (two in type
+    D, one otherwise); every letter below i was an ascent, so the next scan
+    starts two letters below i. A w that is not an element raises: before
+    any stripping unless it is a slot permutation commuting with the mirror
+    (stripping one that is not may never end), and otherwise once stripping
+    runs out of descents away from the identity, as a lone sign change of D
+    does."""
+    system = group.system
+    ident, mirror = list(range(1, group.slots + 1)), system.mirror
+    if sorted(w) == ident and all(w[j] - 1 == mirror[w[k] - 1] for k, j in mirror.items()):
+        inv = list(inverse(w))
+        pairs, swaps, rank = system.root_pairs, system.simple_swaps, group.rank
+        word: List[int] = []
+        start = 0
+        while True:
+            for i in range(start, rank):
+                a, b = pairs[i]
+                if inv[a] > inv[b]:
+                    break
+            else:
+                if inv == ident:
+                    return tuple(word)
                 break
-        else:
-            return tuple(word)
-        word.append(i + 1)
-        for x, y in swaps[i]:
-            inv[x], inv[y] = inv[y], inv[x]
-        start = max(0, i - 2)
+            word.append(i + 1)
+            for x, y in swaps[i]:
+                inv[x], inv[y] = inv[y], inv[x]
+            start = max(0, i - 2)
+    raise ValueError(f"{w} is not an element of W({system.cartan_type}{group.rank})")
 
 
 @lru_cache(maxsize=64)
@@ -330,16 +308,16 @@ def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Tuple[Perm, ...]:
     descent). By Deodhar's lemma, u s_j is in W^I unless u(alpha_j) is a
     simple root alpha_i with i in I. In slot terms u(alpha_j) is the root of
     the slot pair (u[a], u[b]) for alpha_j's pair (a, b), so the test is
-    that this pair is not one of I's simple pairs; outside type A a root has
-    a second, mirrored pair (N + 1 - y, N + 1 - x) for (x, y), which is
-    blocked too. Each level is built by slot swaps on a list, freed of
-    duplicates and sorted by reduced word.
+    that this pair is not one of I's simple pairs; a root on mirrored slots
+    has a second pair, the mirrors of (b, a) for (a, b), which is blocked
+    too. Each level is built by slot swaps on a list, freed of duplicates
+    and sorted by reduced word.
     """
-    pairs, swaps = group.system.root_pairs, group.system.simple_swaps
-    n = group.slots
-    blocked = {(a + 1, b + 1) for a, b in (pairs[i - 1] for i in I)}
-    if group.system.cartan_type != "A":
-        blocked |= {(n + 1 - y, n + 1 - x) for x, y in blocked}
+    system = group.system
+    pairs, swaps, mirror = system.root_pairs, system.simple_swaps, system.mirror
+    simple = [pairs[i - 1] for i in I]
+    blocked = {(a + 1, b + 1) for a, b in simple}
+    blocked |= {(mirror[b] + 1, mirror[a] + 1) for a, b in simple if a in mirror}
     steps = list(zip(pairs, swaps))
     level = [group.identity()]
     reps = list(level)
@@ -374,14 +352,16 @@ class CocharacterDatum(NamedTuple):
 
     I is the set of simple indices orthogonal to mu, J its image under the
     -w0 diagram involution, and z = w0 * w_{0,J}, the longest element of the
-    minimal coset representatives W^J. ``w0_I`` is the longest element of
-    W_I, which twists stratum labels into cells.
+    minimal coset representatives W^J. ``w0`` is the longest element of
+    W, built once here for every reader of the datum, and ``w0_I`` the
+    longest element of W_I, which twists stratum labels into cells.
     """
 
     group: WeylGroup
     mu: Vector
     I: Tuple[int, ...]
     J: Tuple[int, ...]
+    w0: Perm
     z: Perm
     w0_I: Perm
 
@@ -401,4 +381,5 @@ def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> Cochara
             raise ValueError(f"-w0(alpha_{i}) is not a simple root")
         J.append(j)
     z = compose(w0, group.longest_in(J))
-    return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), z, group.longest_in(I))
+    w0_I = group.longest_in(I)
+    return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), w0, z, w0_I)

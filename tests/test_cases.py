@@ -22,7 +22,8 @@ from zipstrata.fzip import build_standard, clp, clp_exterior_top
 from zipstrata.oracle import gl_plucker_order
 from zipstrata.reps import dual, hodge_character, spin_weights, std_weights, wedge
 from zipstrata.rootsys import vec
-from zipstrata.weyl import WeylGroup, compose
+from zipstrata.vanishing import strata_ord_table
+from zipstrata.weyl import WeylGroup, cocharacter_datum, compose, weyl_group
 
 from helpers import clear_caches, dsum, hand_eta, reference_reports
 
@@ -192,6 +193,19 @@ class TestPresets:
             _, _, mu, module = preset.triple(rank)
             eta = tuple(preset.power * c for c in hodge_character(module, mu))
             assert eta == hand_eta(identifier, rank)
+
+    @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
+    def test_the_datum_keeps_the_longest_element(self, identifier, sweep_caches):
+        """At the smallest and largest accepted rank, the datum's w0 is the
+        group's longest element, as in the case data that ``run_case``
+        reads."""
+        ranks = _accepted_ranks(identifier)
+        for rank in (ranks[0], ranks[-1]):
+            cartan_type, group_rank, mu, _ = PRESETS[identifier].triple(rank)
+            group = weyl_group(cartan_type, group_rank)
+            assert cocharacter_datum(group, mu).w0 == group.longest_element()
+        datum = run_case(CaseSpec(identifier, ranks[0], 3)).datum
+        assert datum.w0 == datum.group.longest_element()
 
     @pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
     def test_each_case_carries_its_hand_eta(self, identifier):
@@ -441,6 +455,14 @@ class TestSiegel:
         ok, detail = siegel_cross_check(rank, prime)
         assert ok, detail
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_the_closed_form_equals_the_word_formulas(self, rank):
+        """The word formulas refuse rank 3, whose open cell needs more
+        distinct letters than the rank provides."""
+        result = run_case(CaseSpec("GSp2n_wedge_dual", rank, 3))
+        table = strata_ord_table(result.datum, result.hodge_weight)
+        assert [table[r.w] for r in result.reports] == ords(result)
+
     def test_rank_four_needs_the_closed_form_but_still_matches(self):
         result = run_case(CaseSpec("GSp2n_wedge_dual", 4, 3))
         assert result.ogus_everywhere
@@ -460,11 +482,14 @@ def sweep_caches():
 class TestDualSum:
     def test_the_squared_triple_gives_the_hand_closed_forms(self, sweep_caches):
         """At every accepted rank, 2 to 64, the orders, line positions and
-        eta equal the closed forms of the former hand-coded case."""
+        eta equal the closed forms of the former hand-coded case, and the
+        orders equal the word formulas' table too."""
         for rank in _accepted_ranks("GLn_wedge_dualsum"):
             result = run_case(CaseSpec("GLn_wedge_dualsum", rank, 3))
             ord_of, clp_of = _reference_invariants("GLn_wedge_dualsum", rank, None)
             assert ords(result) == [ord_of(r.w) for r in result.reports]
+            table = strata_ord_table(result.datum, result.hodge_weight)
+            assert ords(result) == [table[r.w] for r in result.reports], rank
             assert clps(result) == [clp_of(r.w) for r in result.reports]
             assert result.eta == hand_eta("GLn_wedge_dualsum", rank)
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,11 +13,12 @@ from zipstrata import cache_stats, cli, rootsys
 from zipstrata.cli import (
     CASE_BY_FLAG,
     CLOSEDNESS_RANK_CAP,
+    _parse_lambda,
     _parse_word,
     fundamental_weights,
     main,
 )
-from zipstrata.rootsys import pairing, root_system
+from zipstrata.rootsys import pairing, root_system, vec
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,16 @@ class TestStrataOptions:
         assert out == ""
         payload = json.loads(target.read_text())
         assert [row["ord"] for row in payload["strata"]] == [0, 1, 1, 2]
+
+    def test_output_into_a_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.json"
+        code, out, err = run_cli(
+            capsys, "strata", "--case", "siegel", "--n", "2", "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot write the table:") and str(target) in err
+        assert not target.parent.exists()
 
     @pytest.mark.parametrize("case,rank", [("siegel", "3"), ("gl-dualsum", "4")])
     def test_oracle_recheck_passes(self, capsys, case, rank):
@@ -373,6 +385,32 @@ class TestOrd:
         assert code == 2
         assert out == ""
         assert "above the ceiling of 64" in err
+
+    @pytest.mark.parametrize("basis", ["e", "fundamental"])
+    @pytest.mark.parametrize("argv,coordinate", [
+        (("--type", "A", "--n", "2", "--lambda", "1/0,0,0"), "1/0"),
+        (("--type", "B", "--m", "2", "--lambda", "1e10000000,0"), "1e10000000"),
+    ])
+    def test_unreadable_coordinates_are_refused_before_they_are_read(
+        self, capsys, argv, coordinate, basis
+    ):
+        """A zero denominator, or an exponent that would build a
+        ten-million-digit integer, exits 2 naming the coordinate."""
+        code, out, err = run_cli(
+            capsys, "ord", *argv, "--basis", basis, "--word", "s1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"cannot read {coordinate!r}" in err
+
+    def test_coordinates_may_be_integers_decimals_or_fractions(self) -> None:
+        system = root_system("B", 3)
+        half = Fraction(1, 2)
+        assert _parse_lambda(" +2, -1/2 ,.5", system, "e") == vec(2, -half, half)
+        assert _parse_lambda("1.,0/3,2/04", system, "e") == vec(1, 0, Fraction(1, 2))
+        for spec in ("1_0,0,0", "1/00,0,0", "1/-2,0,0", "inf,0,0", "1,,0"):
+            with pytest.raises(ValueError, match="cannot read"):
+                _parse_lambda(spec, system, "e")
 
     def test_wrong_coordinate_count_is_a_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -337,3 +337,31 @@ def test_slot_tables_match_the_reflection_formula(cartan_type: str, rank: int) -
         expected += [neg(unit(dim, i)) for i in range(1, dim + 1)]
     assert sorted(weights) == sorted(expected)
     assert sorted(weights) == sorted(expanded(std_weights(cartan_type, rank)))
+
+
+@pytest.mark.parametrize("cartan_type,rank,expected", [
+    ("A", 1, {}),
+    ("A", 3, {}),
+    ("B", 1, {0: 2, 1: 1, 2: 0}),
+    ("B", 2, {0: 4, 1: 3, 2: 2, 3: 1, 4: 0}),
+    ("C", 1, {0: 1, 1: 0}),
+    ("C", 2, {0: 3, 1: 2, 2: 1, 3: 0}),
+    ("D", 2, {0: 3, 1: 2, 2: 1, 3: 0}),
+    ("D", 3, {0: 5, 1: 4, 2: 3, 3: 2, 4: 1, 5: 0}),
+])
+def test_mirror_tables(cartan_type: str, rank: int, expected) -> None:
+    """No slot of type A has a mirror; type B's zero slot is its own."""
+    assert root_system(cartan_type, rank).mirror == expected
+
+
+@pytest.mark.parametrize("cartan_type,rank", SLOT_LAYOUTS)
+def test_the_mirror_holds_each_negated_slot_weight(cartan_type: str, rank: int) -> None:
+    """``mirror`` sends a slot to the slot of its negated weight, for every
+    slot whose negated weight is a slot, and is an involution."""
+    system = root_system(cartan_type, rank)
+    weights = system.slot_weights
+    negated = {k for k, weight in enumerate(weights) if neg(weight) in weights}
+    assert set(system.mirror) == negated
+    for k, j in system.mirror.items():
+        assert weights[j] == neg(weights[k])
+        assert system.mirror[j] == k

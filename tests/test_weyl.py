@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,32 @@ def test_longest_element_minus_one_cases() -> None:
         for i in range(1, rank + 1):
             e_i = unit(g.system.ambient_dim, i)
             assert g.act(g.longest_element(), e_i) == vec(*(-c for c in e_i))
+
+
+@pytest.mark.parametrize("cartan_type", "ABCD")
+def test_longest_element_and_order_keep_their_former_closed_forms(
+    cartan_type: str,
+) -> None:
+    """At every rank up to the ceiling, ``longest_element`` (stripped from
+    the identity) is the slot reversal, with D's middle pair kept at odd
+    rank, and ``group_order`` (read off the root system) is (r+1)! in type
+    A, 2^r r! in B and C and 2^(r-1) r! in D."""
+    orders = {
+        "A": lambda r: factorial(r + 1),
+        "B": lambda r: 2**r * factorial(r),
+        "C": lambda r: 2**r * factorial(r),
+        "D": lambda r: 2 ** (r - 1) * factorial(r),
+    }
+    try:
+        for rank in range(2 if cartan_type == "D" else 1, 65):
+            g = weyl_group(cartan_type, rank)
+            expected = list(range(g.slots, 0, -1))
+            if cartan_type == "D" and rank % 2:
+                expected[rank - 1], expected[rank] = rank, rank + 1
+            assert g.longest_element() == tuple(expected), rank
+            assert g.group_order() == orders[cartan_type](rank), rank
+    finally:
+        clear_caches()
 
 
 def test_longest_element_d_odd_fixes_last_axis() -> None:
@@ -494,6 +521,19 @@ def test_in_place_kernels_equal_the_tuple_references(cartan_type: str, rank: int
             )
 
 
+def _sign_change(m: int, k: int) -> tuple:
+    """The signed permutation of D_m's 2m slots that swaps e_k with -e_k."""
+    n = 2 * m
+    return tuple(n + 1 - x if x in (k, n + 1 - k) else x for x in range(1, n + 1))
+
+
+# Every single sign change of D2-D6: a signed permutation, so it passes the
+# mirror check, but outside W(D), so stripping ends away from the identity.
+SINGLE_SIGN_CHANGES = [
+    ("D", m, _sign_change(m, k)) for m in range(2, 7) for k in range(1, m + 1)
+]
+
+
 @pytest.mark.parametrize(
     "cartan_type,rank,perm",
     [
@@ -503,7 +543,7 @@ def test_in_place_kernels_equal_the_tuple_references(cartan_type: str, rank: int
         ("D", 3, (1, 2, 4, 3, 5, 6)),
         ("A", 2, (1, 1, 3)),
         ("A", 2, (1, 2, 4)),
-    ],
+    ] + SINGLE_SIGN_CHANGES,
 )
 def test_kernels_refuse_a_tuple_outside_the_group(
     cartan_type: str, rank: int, perm: tuple
@@ -519,6 +559,24 @@ def test_kernels_refuse_a_tuple_outside_the_group(
     assert str(raised.value) == str(reference.value)
     with pytest.raises(ValueError, match="not an element"):
         g.min_in_double_coset(perm, (1,), (2,))
+
+
+@pytest.mark.parametrize("cartan_type,rank,perm", [
+    ("B", 2, (1, 3, 2, 4, 5)),
+    ("B", 3, (1, 2, 4, 3, 5, 6, 7)),
+    ("C", 2, (1, 2, 4, 3)),
+    ("D", 3, (2, 1, 3, 4, 5, 6)),
+])
+def test_a_tuple_off_the_mirror_is_refused_before_any_stripping(
+    monkeypatch, cartan_type: str, rank: int, perm: tuple
+) -> None:
+    """A slot permutation that does not commute with the mirror raises
+    without reading a single slot swap: in type B stripping such a tuple
+    would never end."""
+    g = weyl_group(cartan_type, rank)
+    monkeypatch.setattr(g.system, "simple_swaps", None)
+    with pytest.raises(ValueError, match="not an element"):
+        g.reduced_word(perm)
 
 
 @pytest.mark.parametrize("I,J", [((0,), ()), ((1, 5), ()), ((), (2, 4)), ((4,), (0,))])

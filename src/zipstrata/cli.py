@@ -518,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--m", dest="rank", type=int)
     group.add_argument("--n", dest="rank", type=int)
     order.add_argument("--lambda", dest="lam", default="e1",
-                       help="weight: e<k>, or comma-separated coordinates")
+                       help="weight: e<k>, or comma-separated coordinates; "
+                       "write one starting with a minus sign as --lambda=-1,-2")
     order.add_argument("--basis", choices=("e", "fundamental"), default="e",
                        help="how to read a comma-separated --lambda")
     order.add_argument("--word", required=True,

@@ -8,7 +8,7 @@ supported; type A_{rank} lives in rank+1 coordinates (the GL weight lattice),
 the others in ``rank`` coordinates.
 
 Each system owns its type's slot layout (``slot_weights``, ``root_pairs``,
-``simple_swaps``, ``mirror``) and |W|: the Weyl group (``weyl``) permutes
+``simple_swaps``, ``mirror``): the Weyl group (``weyl``) permutes
 these slots, the standard module (``reps.std_weights``) is their weights,
 and the roots are read off the slot pairs.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import lcm
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
@@ -95,9 +95,8 @@ class RootSystem:
     slot_weights[b], simple roots first, and ``simple_swaps`` the one or two
     slot pairs each simple reflection swaps. ``mirror`` maps a slot to the
     slot of its negated weight, looked up among the slots: none in type A,
-    and type B's zero slot is its own. ``weyl_order`` is |W|. Built only by
-    ``root_system``, which checks the type and rank first; compares and
-    hashes by identity.
+    and type B's zero slot is its own. Built only by ``root_system``,
+    which checks the type and rank first; compares and hashes by identity.
     """
 
     def __init__(self, cartan_type: str, rank: int) -> None:
@@ -108,10 +107,8 @@ class RootSystem:
             slots = e
             pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
             swaps = [((i, i + 1),) for i in range(rank)]
-            self.weyl_order = factorial(dim)
         else:
             m = rank
-            self.weyl_order = 2**m * factorial(m)
             zero = [(0,) * m] if cartan_type == "B" else []
             slots = e + zero + [neg(u) for u in reversed(e)]
             n = len(slots)
@@ -129,7 +126,6 @@ class RootSystem:
             else:
                 simple[-1] = (m - 2, m)
                 swaps.append(((m - 2, m), (m - 1, m + 1)))
-                self.weyl_order //= 2
 
         simple_set = set(simple)
         index = {u: k for k, u in enumerate(slots)}

@@ -5,26 +5,26 @@ shape prefix + reversed(alphas) + center + alphas with pairwise distinct
 letters and a center of one or two letters. A word of distinct letters is
 the shape with no alphas, s_a s_b s_a is the one-letter center with no
 prefix, and the two centers cover the odd and even orthogonal stratum
-families. The formula is guarded by the closedness condition on the root
-sets swept out by the word's suffixes, by a reduced-word check read off the
-same root sequence (a word is reduced exactly when every root it sweeps is
-positive), and by dominance of the weight. ``strata_ord_table`` drives it
-over a full set of stratum representatives, and ``d_w0`` is the twisted
-character difference that ties the Hasse weight to its section.
+families. The formula assumes that the root sets swept by the word's
+suffixes are closed, which every reduced word satisfies (each suffix sweeps
+an inversion set), so its one word guard is reducedness. The public entry
+points check the shape, distinct letters, dominance of the weight and then
+reducedness. ``strata_ord_table`` drives the formula over a full set of
+stratum representatives, checking no word, since ``reduced_word`` built
+each one; ``d_w0`` is the twisted character difference that ties the Hasse
+weight to its section. The weight's pairings come from ``simple_pairings``,
+once per call or per table, and Cartan entries from the system's matrix.
 
-The formula reads the weight's pairings from ``simple_pairings``, once per
-call and once per table in ``strata_ord_table``, and Cartan entries from
-the system's cached matrix.
-Roots are integer tuples: ``root_sequence`` pushes the integer simple roots
-through the Weyl action, and the closedness test adds them in one backward
-pass (closedness is W-invariant) and looks the sums up in the root set.
+``condition_closed`` is a diagnostic off the order path, with a witness
+when it fails: ``root_sequence`` pushes the integer simple roots through
+the Weyl action, and one backward pass adds them (closedness is
+W-invariant) and looks the sums up in the root set.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -102,25 +102,10 @@ def condition_closed(
     backward pass adds the tail's roots and keeps the root sums still
     missing; a stage fails while one is. Sums decide: 2a + b is the sum of
     a + b and a. Only the first failing stage's witness is searched for.
-    Verdicts come from an ``lru_cache`` keyed by the system and the word,
-    which also keeps the order formula's reducedness verdict, read off the
-    same root sequence.
     """
-    ok, witness, _ = _condition_closed(system, tuple(word))
-    return ok, witness
-
-
-@lru_cache(maxsize=50_000)
-def _condition_closed(
-    system: RootSystem, word: Word
-) -> Tuple[bool, Optional[ClosednessWitness], bool]:
-    """The verdict and witness of ``condition_closed``, and whether the word
-    is reduced: exactly when every root it sweeps is positive, that is has a
-    positive first nonzero coordinate and so sorts above the zero vector."""
     if not word:
-        return True, None, True
+        return True, None
     swept = root_sequence(system, word)
-    reduced = min(swept) > (0,) * system.ambient_dim
     present: set = set()
     missing: set = set()  # roots summing two present roots, not present
     stage = None
@@ -136,11 +121,11 @@ def _condition_closed(
         if missing:
             stage = t
     if stage is None:
-        return True, None, reduced
+        return True, None
     group = _group_of(system)
     back = group.from_word(word[:stage][::-1])
     found = _closure_violation(system, swept[stage:])
-    return False, ClosednessWitness(stage, *group._act_all(back, found)), reduced
+    return False, ClosednessWitness(stage, *group._act_all(back, found))
 
 
 # -- validation helpers ------------------------------------------------------
@@ -165,26 +150,12 @@ def _int_pairing(pairings: Sequence[Fraction], lam: Vector, i: int) -> int:
     return value.numerator
 
 
-def _require_letters(system: RootSystem, letters: Iterable[int]) -> None:
-    for i in letters:
-        if not 1 <= i <= system.rank:
-            raise ValueError(
-                f"simple root index {i} out of range for rank {system.rank}"
-            )
-
-
-def _require_reduced_and_closed(system: RootSystem, word: Word) -> None:
-    """Raise unless the word is reduced and passes the closedness condition,
-    the reducedness error first. ``condition_closed`` runs first: it sweeps
-    the word's roots and caches the reducedness verdict read off them."""
-    ok, witness = condition_closed(system, word)
-    if not _condition_closed(system, word)[2]:
+def _require_reduced(system: RootSystem, word: Word) -> None:
+    """Raise unless the word is reduced; a letter outside 1..rank raises
+    through ``from_word``."""
+    group = _group_of(system)
+    if group.length(group.from_word(word)) != len(word):
         raise ValueError(f"word {word} is not reduced")
-    if not ok:
-        raise ValueError(
-            f"word {word} fails the closedness condition at suffix "
-            f"{witness.stage}: {witness.combination} escapes"
-        )
 
 
 def _require_distinct(groups: Sequence[Sequence[int]]) -> None:
@@ -201,12 +172,17 @@ def mirror_orders(
 ) -> Tuple[int, ...]:
     """Orders of the coordinate functions attached to alphas in the mirrored
     shape with the given center: the E orders for a one-letter center, the
-    F orders for a two-letter one."""
+    F orders for a two-letter one. The letters must be pairwise distinct
+    and in 1..rank."""
     alphas, center = tuple(alphas), tuple(center)
     _require_distinct([alphas, center])
-    _require_letters(system, alphas + center)
-    cartan = system.cartan
-    orders: list[int] = []
+    _group_of(system)._letter_indices(alphas + center)
+    return _mirror_orders(system, alphas, center)
+
+
+def _mirror_orders(system: RootSystem, alphas: Word, center: Word) -> Tuple[int, ...]:
+    """``mirror_orders`` without its checks."""
+    cartan, orders = system.cartan, []
     for i, letter in enumerate(alphas):
         drop = -sum(cartan[c - 1][letter - 1] for c in center)
         for j in range(i):
@@ -225,29 +201,23 @@ def ord_mirrored(
     """Order of f_lam on the cell of prefix + reversed(alphas) + center + alphas,
     all letters pairwise distinct: the pairings of lam with the prefix and
     center letters, plus each alpha's pairing times its ``mirror_orders``
-    value. A word of distinct letters is the shape with no alphas.
+    value. A word of distinct letters is the shape with no alphas. Checks
+    distinct letters, then dominance of lam, then that the word is reduced.
     """
-    return _ord_mirrored(system, lam, tuple(prefix), tuple(alphas), tuple(center))
-
-
-def _ord_mirrored(
-    system: RootSystem,
-    lam: Vector,
-    prefix: Word,
-    alphas: Word,
-    center: Word,
-    pairings: Optional[Tuple[Fraction, ...]] = None,
-) -> int:
-    """``ord_mirrored`` on tuples. ``pairings``, when given, are the simple
-    pairings of lam already checked dominant, so a table pairs its weight
-    once; every word is still checked for distinct letters, reducedness and
-    closedness."""
-    word = prefix + alphas[::-1] + center + alphas
+    prefix, alphas, center = tuple(prefix), tuple(alphas), tuple(center)
     _require_distinct([prefix, alphas, center])
-    if pairings is None:
-        pairings = _dominant_pairings(system, lam)
-    _require_reduced_and_closed(system, word)
-    orders = mirror_orders(system, alphas, center)
+    pairings = _dominant_pairings(system, lam)
+    _require_reduced(system, prefix + alphas[::-1] + center + alphas)
+    return _order(system, lam, pairings, (prefix, alphas, center))
+
+
+def _order(
+    system: RootSystem, lam: Vector, pairings: Sequence[Fraction], shape: Sequence[Word]
+) -> int:
+    """The order formula on a reduced word split as (prefix, alphas, center),
+    given lam's simple pairings checked dominant; checks no word."""
+    prefix, alphas, center = shape
+    orders = _mirror_orders(system, alphas, center)
     total = sum(_int_pairing(pairings, lam, i) for i in prefix + center)
     total += sum(_int_pairing(pairings, lam, a) * o for a, o in zip(alphas, orders))
     return total
@@ -303,23 +273,19 @@ def _parse_mirrored(word: Word) -> Optional[Tuple[Word, Word, Word]]:
     return None
 
 
-def ord_for_word(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
-    """Order of f_lam on the cell of the given reduced word, through
-    ``ord_mirrored``; words with no mirrored split are an error."""
-    return _ord_for_word(system, lam, tuple(word))
-
-
-def _ord_for_word(
-    system: RootSystem,
-    lam: Vector,
-    word: Word,
-    pairings: Optional[Tuple[Fraction, ...]] = None,
-) -> int:
-    """``ord_for_word`` on a tuple, with ``pairings`` as in ``_ord_mirrored``."""
+def _split(word: Word) -> Tuple[Word, Word, Word]:
+    """``_parse_mirrored``, with no split an error."""
     parsed = _parse_mirrored(word)
     if parsed is None:
         raise ValueError(f"word {word} matches no supported shape")
-    return _ord_mirrored(system, lam, *parsed, pairings=pairings)
+    return parsed
+
+
+def ord_for_word(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
+    """Order of f_lam on the cell of the given reduced word, split into the
+    mirrored shape and checked by ``ord_mirrored``; words with no mirrored
+    split are an error."""
+    return ord_mirrored(system, lam, *_split(tuple(word)))
 
 
 # -- stratum tables and the twisted character --------------------------------
@@ -344,7 +310,8 @@ def strata_ord_table(datum: CocharacterDatum, lam: Vector) -> Dict[Perm, int]:
     the open stratum gets the empty word and orders grow toward the identity
     label. The twist happens here and nowhere else. The weight is checked
     dominant and paired once for the whole table; each cell word goes
-    through the ``ord_for_word`` formula with its own word checks.
+    through the order formula unchecked: ``reduced_word`` built it and
+    ``_parse_mirrored`` splits it into distinct letters.
     """
     group = datum.group
     system = group.system
@@ -354,7 +321,7 @@ def strata_ord_table(datum: CocharacterDatum, lam: Vector) -> Dict[Perm, int]:
         cell = compose(datum.w0_I, compose(label, datum.w0))
         word = group.reduced_word(cell)
         try:
-            table[label] = _ord_for_word(system, lam, word, pairings)
+            table[label] = _order(system, lam, pairings, _split(word))
         except ValueError as err:
             raise ValueError(
                 f"stratum {label} has cell word {word}: {err}"

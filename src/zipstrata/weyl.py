@@ -2,11 +2,12 @@
 
 An element is a tuple ``perm`` with ``perm[i-1]`` the image of slot i
 (one-line notation, 1-indexed). The slots and their weights are the root
-system's (``RootSystem.slot_weights``, laid out in ``rootsys``), as are
-the mirror table (the slot of each slot's negated weight, none in type A)
-and |W|. An element is a permutation of the slots that commutes with the
-mirror and that descent stripping takes to the identity (in type D an odd
-number of sign changes strips down to one, which has no descent).
+system's (``RootSystem.slot_weights``, laid out in ``rootsys``), as is
+the mirror table (the slot of each slot's negated weight, none in type A).
+An element is a permutation of the slots that commutes with the mirror and
+that descent stripping takes to the identity (in type D an odd number of
+sign changes strips down to one, which has no descent). |W_I|, and so |W|,
+is read off the Dynkin components of I in the Cartan matrix.
 
 The slot order e_1 > ... > e_m > (0) > -e_m > ... > -e_1 refines
 positivity: w sends the root weight(a) - weight(b), a < b, to a negative
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, TypeVar
 
 from .rootsys import (
@@ -189,13 +191,38 @@ class WeylGroup:
         return tuple(u)
 
     def group_order(self) -> int:
-        return self.system.weyl_order
+        """|W|, the order of the parabolic subgroup of every letter."""
+        return self.parabolic_order(range(1, self.rank + 1))
+
+    def parabolic_order(self, I: Iterable[int]) -> int:
+        """|W_I|: the product over the Dynkin components of I, read off the
+        Cartan matrix, of 2^(k-1) k! for a component with a node of degree
+        three (D_k), 2^k k! for one with a double bond (B_k or C_k), and
+        (k+1)! for any other (A_k); a letter outside 1..rank raises."""
+        cartan = self.system.cartan
+        left, order = set(self._letter_indices(I)), 1
+        while left:
+            component = [left.pop()]
+            for i in component:  # grows to the component of its first letter
+                near = {j for j in left if cartan[i][j]}
+                left -= near
+                component += near
+            k = len(component)
+            # A node of degree three has four nonzero entries in its row.
+            if any(sum(1 for j in component if cartan[i][j]) == 4 for i in component):
+                order *= 2 ** (k - 1) * factorial(k)
+            elif any(cartan[i][j] == -2 for i in component for j in component):
+                order *= 2**k * factorial(k)
+            else:
+                order *= factorial(k + 1)
+        return order
 
     # -- coset combinatorics ----------------------------------------------
 
     def min_coset_reps(self, I: Sequence[int]) -> Tuple[Perm, ...]:
         """All minimal-length representatives of W_I \\ W, sorted by length
-        and then by reduced word; a letter outside 1..rank raises."""
+        and then by reduced word; a letter outside 1..rank raises, and so
+        do more than ``ENUMERATION_CAP`` of them, before any is built."""
         self._letter_indices(I)
         return _min_coset_reps(self, tuple(sorted(set(I))))
 
@@ -311,8 +338,12 @@ def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Tuple[Perm, ...]:
     that this pair is not one of I's simple pairs; a root on mirrored slots
     has a second pair, the mirrors of (b, a) for (a, b), which is blocked
     too. Each level is built by slot swaps on a list, freed of duplicates
-    and sorted by reduced word.
+    and sorted by reduced word. First |W^I| = |W| / |W_I| is checked
+    against ``ENUMERATION_CAP``.
     """
+    count = group.group_order() // group.parabolic_order(I)
+    if count > ENUMERATION_CAP:
+        raise ValueError(f"refusing to enumerate {count} cosets (cap {ENUMERATION_CAP})")
     system = group.system
     pairs, swaps, mirror = system.root_pairs, system.simple_swaps, system.mirror
     simple = [pairs[i - 1] for i in I]

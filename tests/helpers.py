@@ -68,6 +68,16 @@ def is_reduced(group: WeylGroup, word: Sequence[int]) -> bool:
     return group.length(group.from_word(word)) == len(word)
 
 
+def int_reflect(v: Sequence[int], alpha: Sequence[int]) -> Tuple[int, ...]:
+    """``reflect`` on integer vectors: v - <v, alpha^vee> alpha, with the
+    pairing 2 (v, alpha) / (alpha, alpha) asserted to divide exactly."""
+    twice = 2 * sum(a * b for a, b in zip(v, alpha, strict=True))
+    norm = sum(a * a for a in alpha)
+    assert twice % norm == 0, (v, alpha)
+    c = twice // norm
+    return tuple(a - c * b for a, b in zip(v, alpha))
+
+
 # -- descent tests read off the system's slot pairs ------------------------------
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from zipstrata import cache_stats
-from zipstrata import cases, fzip
+from zipstrata import cases, fzip, vanishing
 from zipstrata.cases import (
     CASE_BY_FLAG,
     CASE_IDENTIFIERS,
@@ -241,6 +241,21 @@ def test_rerunning_a_case_builds_no_zip_and_no_bruhat_class(monkeypatch):
     first = run_case(spec)
     _refuse_rebuilding_columns(monkeypatch)
     assert run_case(spec).reports == first.reports
+
+
+@pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
+def test_order_tables_sweep_no_roots(identifier, monkeypatch):
+    """At each preset's two smallest ranks, ``run_case`` gives the same
+    reports with the root sweep and the closedness check made to fail: the
+    stratum table checks no word that ``reduced_word`` built."""
+    def refuse(*args):
+        raise AssertionError("swept roots on the table path")
+
+    specs = [CaseSpec(identifier, rank, 3) for rank in _accepted_ranks(identifier)[:2]]
+    before = [run_case(spec).reports for spec in specs]
+    monkeypatch.setattr(vanishing, "root_sequence", refuse)
+    monkeypatch.setattr(vanishing, "condition_closed", refuse)
+    assert [run_case(spec).reports for spec in specs] == before
 
 
 class TestCaseDataCache:

@@ -412,6 +412,18 @@ class TestOrd:
             with pytest.raises(ValueError, match="cannot read"):
                 _parse_lambda(spec, system, "e")
 
+    def test_a_negative_first_coordinate_is_written_with_an_equals_sign(
+        self, capsys
+    ):
+        argv = ("ord", "--type", "A", "--n", "1")
+        code, out, _ = run_cli(capsys, *argv, "--lambda=-1,-2", "--word", "s1")
+        assert code == 0
+        assert out.strip() == "1"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--lambda", "-1,-2", "--word", "s1"])
+        assert exc.value.code == 2
+        assert "--lambda: expected one argument" in capsys.readouterr().err
+
     def test_wrong_coordinate_count_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "ord", "--type", "B", "--m", "3",

@@ -1,4 +1,5 @@
-"""Order formula: closedness guard, the mirrored word shape, stratum tables."""
+"""Order formula: the reducedness guard, closedness as a diagnostic, the
+mirrored word shape, stratum tables."""
 
 import itertools
 from fractions import Fraction
@@ -275,33 +276,42 @@ def test_every_reduced_word_is_closed(cartan_type: str, ranks: tuple) -> None:
 
 
 def test_empty_word_is_closed_without_a_root_sequence(monkeypatch) -> None:
+    """The empty word is closed, with no witness, and passes the order
+    formula's reducedness guard, all without sweeping a root."""
     def refuse(*args):
         raise AssertionError("swept roots for the empty word")
 
     monkeypatch.setattr(vanishing, "root_sequence", refuse)
-    assert vanishing._condition_closed.__wrapped__(root_system("B", 3), ()) == (
-        True, None, True
-    )
+    system = root_system("B", 3)
+    assert condition_closed(system, ()) == (True, None)
+    vanishing._require_reduced(system, ())
+    assert ord_for_word(system, e1(3), ()) == 0
 
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_reducedness_read_off_the_roots_equals_is_reduced(
     cartan_type: str, rank: int
 ) -> None:
-    """Every word of at most five letters: the order formula's word check
-    passes exactly on reduced words, and on the others it names
-    reducedness, not closedness, as the failure."""
+    """Every word of at most five letters: the order formula's word guard
+    passes exactly on reduced words, which are exactly the words whose
+    swept roots are all positive, and on the others it names reducedness
+    as the failure. ``condition_closed`` passes every reduced word."""
     group = weyl_group(cartan_type, rank)
+    system = group.system
+    zero = (0,) * system.ambient_dim
     for length in range(6):
         for word in itertools.product(range(1, rank + 1), repeat=length):
             try:
-                vanishing._require_reduced_and_closed(group.system, word)
+                vanishing._require_reduced(system, word)
             except ValueError as err:
                 assert str(err) == f"word {word} is not reduced"
                 passed = False
             else:
                 passed = True
             assert passed == is_reduced(group, word), word
+            assert passed == all(root > zero for root in root_sequence(system, word))
+            if passed:
+                assert condition_closed(system, word) == (True, None), word
 
 
 # -- distinct-letter words ---------------------------------------------------

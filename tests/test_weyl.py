@@ -150,7 +150,7 @@ def test_longest_element_and_order_keep_their_former_closed_forms(
 ) -> None:
     """At every rank up to the ceiling, ``longest_element`` (stripped from
     the identity) is the slot reversal, with D's middle pair kept at odd
-    rank, and ``group_order`` (read off the root system) is (r+1)! in type
+    rank, and ``group_order`` (read off the Cartan matrix) is (r+1)! in type
     A, 2^r r! in B and C and 2^(r-1) r! in D."""
     orders = {
         "A": lambda r: factorial(r + 1),
@@ -290,6 +290,45 @@ def test_enumeration_cap_is_enforced() -> None:
     g = wg("B", 3)
     with pytest.raises(ValueError):
         g.elements(cap=10)
+
+
+_PARABOLIC_GROUPS = (
+    [(t, r) for t in "AC" for r in range(1, 6)]
+    + [(t, r) for t in "BD" for r in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("cartan_type,rank", _PARABOLIC_GROUPS)
+def test_parabolic_order_counts_the_subgroup_and_its_cosets(
+    cartan_type: str, rank: int
+) -> None:
+    """For every letter set I, |W_I| read off I's Dynkin components is the
+    number of elements of W_I, and |W| / |W_I| the number of minimal coset
+    representatives."""
+    g = weyl_group(cartan_type, rank)
+    for k in range(rank + 1):
+        for I in itertools.combinations(range(1, rank + 1), k):
+            order = g.parabolic_order(I)
+            assert order == len(subgroup_elements(g, I)), I
+            assert g.group_order() // order == len(g.min_coset_reps(I)), I
+
+
+@pytest.mark.parametrize("cartan_type,rank,I,count", [
+    ("A", 8, (), factorial(9)),
+    ("D", 9, (1,), 2**8 * factorial(9) // 2),
+    ("C", 64, tuple(range(1, 63)), 2**64 * 64),
+])
+def test_min_coset_reps_above_the_cap_are_refused_before_enumerating(
+    cartan_type: str, rank: int, I: tuple, count: int, monkeypatch
+) -> None:
+    """More than ``ENUMERATION_CAP`` representatives are refused before the
+    identity, the first of them, is built."""
+    def refuse(*args):
+        raise AssertionError("started enumerating")
+
+    monkeypatch.setattr(WeylGroup, "identity", refuse)
+    with pytest.raises(ValueError, match=f"refusing to enumerate {count} cosets"):
+        weyl_group(cartan_type, rank).min_coset_reps(I)
 
 
 # -- minimal coset representatives ------------------------------------------

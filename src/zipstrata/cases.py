@@ -21,7 +21,8 @@ reduced word, Bruhat class, line position and closed-form order) do not
 depend on the working prime, which only enters the twist check ``d_w0``.
 They are built once per (identifier, rank) by ``_case_data``, an
 ``lru_cache`` reported by ``cache_stats()``, after ``check_spec`` has
-accepted the spec, so a rejected spec adds no entry. The order table from
+accepted the spec, so a rejected spec adds no entry; the labels and words
+come from ``min_coset_reps``, which strips no word. The order table from
 the word formulas is still computed on every call: caching it too pushed
 the benchmark's peak memory past its bound, through the one latency sample
 the benchmark keeps per operation, and waits until it keeps a fixed-size
@@ -309,25 +310,28 @@ def _case_data(identifier: str, rank: int) -> _CaseData:
     line positions from one ``standard_zips`` call (``clp`` where the Hodge
     slice is a line, ``clp_exterior_top`` of its top exterior power
     otherwise), and the orders from the closed form, if the preset has one;
-    eta and the line positions are scaled by the preset's power. The strata
-    are sorted open first: longest label first, then by reduced word."""
+    eta and the line positions are scaled by the preset's power. Labels and
+    words are ``min_coset_reps``, sorted stably by descending word length:
+    open first, then by word. A label has no left descent in I, so its
+    Bruhat class strips only its right descents in J."""
     preset = PRESETS[identifier]
     cartan_type, group_rank, mu, module = preset.triple(rank)
     group = weyl_group(cartan_type, group_rank)
     datum = cocharacter_datum(group, mu)
-    labels = tuple(sorted(
-        group.min_coset_reps(datum.I),
-        key=lambda w: (-group.length(w), group.reduced_word(w)),
-    ))
+    table = group.min_coset_reps(datum.I)
+    labels, words = zip(*sorted(table.items(), key=lambda item: len(item[1]), reverse=True))
+    right = [j - 1 for j in datum.J]
+    bruhat_classes = []
+    for u in map(list, labels):
+        group._strip(u, right)
+        bruhat_classes.append(tuple(u))
     power, order = preset.power, preset.order
     return _CaseData(
         datum=datum,
         eta=smul(power, hodge_character(module, mu)),
         labels=labels,
-        words=tuple(map(group.reduced_word, labels)),
-        bruhat_classes=tuple(
-            group.min_in_double_coset(w, datum.I, datum.J) for w in labels
-        ),
+        words=words,
+        bruhat_classes=tuple(bruhat_classes),
         clps=tuple(
             power * (clp(z) if z.dims[0] == 1 else clp_exterior_top(z))
             for z in standard_zips(datum, module, labels)

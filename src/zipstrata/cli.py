@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cases import (
     CASE_BY_FLAG,
@@ -35,12 +35,13 @@ from .cases import (
 from .oracle import gl_cell_order
 from .rootsys import RootSystem, Vector, root_system, sum_vectors, unit, vec
 from .vanishing import (
+    Word,
     condition_closed,
     family_word_typeB,
     family_word_typeD,
     ord_for_word,
 )
-from .weyl import WeylGroup, weyl_group
+from .weyl import Perm, weyl_group
 
 SCHEMA_VERSION = 1
 
@@ -140,11 +141,11 @@ def _parse_lambda(spec: str, system: RootSystem, basis: str) -> Vector:
 # -- strata ---------------------------------------------------------------------
 
 
-def _stratum_row(report: StratumReport, group: WeylGroup) -> Dict[str, object]:
+def _stratum_row(report: StratumReport, words: Mapping[Perm, Word]) -> Dict[str, object]:
     return {
         "word": _word_str(report.word),
         "length": len(report.word),
-        "bruhat": _word_str(group.reduced_word(report.bruhat_class)),
+        "bruhat": _word_str(words[report.bruhat_class]),
         "ord": report.ord,
         "clp": report.clp,
         "ogus": report.ogus_holds,
@@ -169,15 +170,19 @@ def _render_text(config: RunConfig, rows: List[Dict[str, object]]) -> str:
     return "\n".join(out) + "\n"
 
 
+# The item separators of ``indent=2`` at the header's and at a row's depth,
+# for the C encoder (``indent`` itself runs the pure-Python one).
+_HEAD_JSON = json.JSONEncoder(separators=(",\n  ", ": "))
+_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def _render_json(config: RunConfig, rows: List[Dict[str, object]]) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "case": config.case,
-        "rank": config.rank,
-        "prime": config.prime,
-        "strata": rows,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"`` byte for byte: the C-encoded
+    header and flat rows, each with its braces opened onto lines."""
+    head = _HEAD_JSON.encode({"schema_version": SCHEMA_VERSION, "case": config.case,
+                              "rank": config.rank, "prime": config.prime})
+    body = ",\n    ".join("{\n      " + _ROW_JSON.encode(row)[1:-1] + "\n    }" for row in rows)
+    return "{\n  " + head[1:-1] + ',\n  "strata": [\n    ' + body + "\n  ]\n}\n"
 
 
 def _render_csv(config: RunConfig, rows: List[Dict[str, object]]) -> str:
@@ -202,8 +207,8 @@ def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
             raise ValueError(f"case {config.case} has no matrix oracle for --oracle")
         check = oracle(spec)
     result = run_case(spec)
-    group = result.datum.group
-    rows = [_stratum_row(report, group) for report in result.reports]
+    words = result.datum.group.min_coset_reps(result.datum.I)
+    rows = [_stratum_row(report, words) for report in result.reports]
     if check is not None:
         complaint = check(result)
         if complaint is not None:

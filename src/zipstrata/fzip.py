@@ -30,14 +30,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .reps import WeightMultiset, _slot_table
 from .rootsys import IntVector, Vector
-from .weyl import (
-    CocharacterDatum,
-    Perm,
-    WeylGroup,
-    _reduced_word,
-    compose,
-    identity_perm,
-)
+from .weyl import CocharacterDatum, Perm, WeylGroup, compose, identity_perm
 
 
 class StandardZip(NamedTuple):
@@ -60,19 +53,21 @@ def standard_zips(
     reflection is mapped once to the slot permutation of its action on the
     integer slot keys; a module that is not W-stable fails there, naming a
     weight that leaves the slots, whatever the elements. Since W acts on the
-    slots of a W-stable module, w = (w s_j) s_j for the last letter j of
-    w's reduced word gives w's permutation as w s_j's composed with s_j's.
-    The walk down to an element already known (the identity at the latest)
-    is iterative, each step s_j's slot swaps on the element, and every
-    element on it is remembered for the rest of the call, so the strata of
-    a case, whose labels are closed under dropping a right descent, cost one
-    composition each.
+    slots of a W-stable module, w = (w s_j) s_j for w's first right descent
+    s_j gives w's permutation as w s_j's composed with s_j's. The walk down
+    to an element already known (the identity at the latest) is iterative,
+    each step s_j's slot swaps on the element, and every element on it is
+    remembered for the rest of the call, so the strata of a case, whose
+    labels are closed under dropping a right descent, cost one composition
+    each. A non-element never meets one, and raises once its walk runs out
+    of descents or outgrows w_0.
     """
     if any(mult != 1 for mult in module.mults):
         raise ValueError("the permutation model needs multiplicity-free weights")
     slots, keys, index_of, dims = _slot_table(module, datum.mu)
-    group = datum.group
-    swaps = group.system.simple_swaps
+    group, system = datum.group, datum.group.system
+    pairs, swaps = system.root_pairs, system.simple_swaps
+    simple = list(enumerate(pairs[: group.rank]))
     steps = [
         _reflection_slot_perm(group, group.simple_reflection(i), slots, keys, index_of)
         for i in range(1, group.rank + 1)
@@ -80,11 +75,13 @@ def standard_zips(
     known: Dict[Perm, Perm] = {group.identity(): identity_perm(len(slots))}
     zips = []
     for w in map(tuple, elements):
-        word = _reduced_word(group, w)
         path = []
         key = w
+        letters = simple if len(w) == group.slots else ()
         while key not in known:
-            letter = word[len(word) - 1 - len(path)] - 1
+            letter = next((i for i, (a, b) in letters if key[a] > key[b]), None)
+            if letter is None or len(path) == len(pairs):
+                raise ValueError(f"{w} is not an element of W({system.cartan_type}{group.rank})")
             path.append((key, letter))
             step = list(key)
             for x, y in swaps[letter]:

@@ -10,9 +10,9 @@ suffixes are closed, which every reduced word satisfies (each suffix sweeps
 an inversion set), so its one word guard is reducedness. The public entry
 points check the shape, distinct letters, dominance of the weight and then
 reducedness. ``strata_ord_table`` drives the formula over a full set of
-stratum representatives, checking no word, since ``reduced_word`` built
-each one; ``d_w0`` is the twisted character difference that ties the Hasse
-weight to its section. The weight's pairings come from ``simple_pairings``,
+stratum representatives, checking no word, since the coset enumeration
+built each one; ``d_w0`` is the twisted character difference that ties the
+Hasse weight to its section. The weight's pairings come from ``simple_pairings``,
 once per call or per table, and Cartan entries from the system's matrix.
 
 ``condition_closed`` is a diagnostic off the order path, with a witness
@@ -309,17 +309,18 @@ def strata_ord_table(datum: CocharacterDatum, lam: Vector) -> Dict[Perm, int]:
     the label w is paired with w_{0,I} w w_0, the unique twist under which
     the open stratum gets the empty word and orders grow toward the identity
     label. The twist happens here and nowhere else. The weight is checked
-    dominant and paired once for the whole table; each cell word goes
-    through the order formula unchecked: ``reduced_word`` built it and
-    ``_parse_mirrored`` splits it into distinct letters.
+    dominant and paired once for the whole table. The cell is a label too:
+    its word, read off ``min_coset_reps``, goes through the order formula
+    unchecked, and ``_parse_mirrored`` splits it into distinct letters.
     """
     group = datum.group
     system = group.system
     pairings = _dominant_pairings(system, lam)
+    words = group.min_coset_reps(datum.I)
     table: Dict[Perm, int] = {}
-    for label in group.min_coset_reps(datum.I):
+    for label in words:
         cell = compose(datum.w0_I, compose(label, datum.w0))
-        word = group.reduced_word(cell)
+        word = words[cell]
         try:
             table[label] = _order(system, lam, pairings, _split(word))
         except ValueError as err:

@@ -247,7 +247,7 @@ def test_rerunning_a_case_builds_no_zip_and_no_bruhat_class(monkeypatch):
 def test_order_tables_sweep_no_roots(identifier, monkeypatch):
     """At each preset's two smallest ranks, ``run_case`` gives the same
     reports with the root sweep and the closedness check made to fail: the
-    stratum table checks no word that ``reduced_word`` built."""
+    stratum table checks no word that the coset enumeration built."""
     def refuse(*args):
         raise AssertionError("swept roots on the table path")
 
@@ -354,6 +354,23 @@ def test_reports_equal_the_label_by_label_reference(identifier, rank):
         ord_of, clp_of = _reference_invariants(identifier, rank, result.datum)
         expected = reference_reports(result.datum, result.hodge_weight, ord_of, clp_of)
         assert result.reports == expected
+
+
+
+@pytest.mark.parametrize("identifier", CASE_IDENTIFIERS)
+def test_cells_and_bruhat_classes_are_labels(identifier):
+    """At every rank up to 5, each label's cell w_{0,I} w w_0 and its Bruhat
+    class, the minimum of its double coset, are keys of the case's
+    ``min_coset_reps``, which holds their words."""
+    for rank in [r for r in _accepted_ranks(identifier) if r <= 5]:
+        data = cases._case_data(identifier, rank)
+        datum = data.datum
+        group = datum.group
+        table = group.min_coset_reps(datum.I)
+        for label, bruhat_class in zip(data.labels, data.bruhat_classes):
+            assert compose(datum.w0_I, compose(label, datum.w0)) in table
+            assert bruhat_class == group.min_in_double_coset(label, datum.I, datum.J)
+            assert bruhat_class in table
 
 
 class TestReportShape:

@@ -9,16 +9,24 @@ from fractions import Fraction
 
 import pytest
 
-from zipstrata import cache_stats, cli, rootsys
+from zipstrata import cache_stats, cases, cli, rootsys, weyl
+from zipstrata.cases import PRESETS, CaseSpec, run_case
 from zipstrata.cli import (
     CASE_BY_FLAG,
     CLOSEDNESS_RANK_CAP,
+    SCHEMA_VERSION,
+    RunConfig,
     _parse_lambda,
     _parse_word,
+    _render_json,
+    _stratum_row,
+    _word_str,
     fundamental_weights,
     main,
 )
 from zipstrata.rootsys import pairing, root_system, vec
+
+from helpers import reference_min_in_double_coset, reference_reduced_word
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +85,57 @@ class TestStrataJson:
         last = json.loads(out)["strata"][-1]
         assert last["word"] == "e"
         assert (last["ord"], last["clp"], last["ogus"]) == (1, 2, False)
+
+
+
+# Every preset at its two smallest ranks (gl4-wedge2 has only rank 4).
+_SMALL_CASES = [
+    (preset.flag, rank)
+    for preset in PRESETS.values()
+    for rank in range(preset.min_rank, min(preset.min_rank + 1, preset.max_rank or 99) + 1)
+]
+
+
+def _payload(flag, rank, rows):
+    return {"schema_version": SCHEMA_VERSION, "case": flag, "rank": rank, "prime": 3,
+            "strata": rows}
+
+
+@pytest.mark.parametrize("flag,rank", _SMALL_CASES)
+def test_render_json_is_the_indented_dump(flag, rank):
+    """The hand-laid JSON is ``json.dumps(payload, indent=2)`` byte for byte."""
+    result = run_case(CaseSpec(CASE_BY_FLAG[flag], rank, 3))
+    words = result.datum.group.min_coset_reps(result.datum.I)
+    rows = [_stratum_row(report, words) for report in result.reports]
+    rendered = _render_json(RunConfig(flag, rank, 3, "json", False), rows)
+    assert rendered == json.dumps(_payload(flag, rank, rows), indent=2) + "\n"
+
+
+def test_a_cold_strata_run_strips_no_word(capsys):
+    """With the case data, the coset tables and the reduced words uncached,
+    ``strata --format json`` prints the table of the stripping references
+    and strips no word: the words come from the coset enumeration."""
+    expected = {}
+    for flag, rank in _SMALL_CASES:
+        result = run_case(CaseSpec(CASE_BY_FLAG[flag], rank, 3))
+        group, datum = result.datum.group, result.datum
+        rows = [{
+            "word": _word_str(reference_reduced_word(group, r.w)),
+            "length": len(reference_reduced_word(group, r.w)),
+            "bruhat": _word_str(reference_reduced_word(
+                group, reference_min_in_double_coset(group, r.w, datum.I, datum.J))),
+            "ord": r.ord,
+            "clp": r.clp,
+            "ogus": r.ogus_holds,
+        } for r in result.reports]
+        expected[flag, rank] = json.dumps(_payload(flag, rank, rows), indent=2) + "\n"
+    for cached in (cases._case_data, weyl._min_coset_reps, weyl._reduced_word):
+        cached.cache_clear()
+    for flag, rank in _SMALL_CASES:
+        code, out, _ = run_cli(capsys, "strata", "--case", flag, "--n", str(rank),
+                               "--format", "json")
+        assert (code, out) == (0, expected[flag, rank])
+    assert cache_stats()["weyl._reduced_word"].misses == 0
 
 
 class TestStrataCsv:

@@ -10,9 +10,10 @@ A generic point of a GL(n) chart is the product of a permutation matrix,
 one elementary factor X_ij(a) per coordinate and a diagonal torus. It is
 built by the column operations those factors perform (right-multiplying by
 X_ij(a) adds a times column i to column j), which gives the same matrix as
-the product without multiplying the mostly-zero factors. Each of those
-steps multiplies by a single variable, a one-term product that shifts the
-exponents without re-sorting.
+the product without multiplying the mostly-zero factors. A variable
+first enters at its own step, so each step adds terms that are new to
+their entry: the entries are plain monomial maps until the end, and each
+is sorted once.
 
 Determinants are Laplace expansions along the top row in which each minor
 of the bottom rows on a given set of columns is expanded once per call. A
@@ -44,10 +45,11 @@ Monomial = Tuple[int, ...]
 
 # Ceiling on the GL(n) oracles, checked before any matrix is built. A cell
 # order expands each trailing minor once, whatever the weight, so lambda = rho
-# (every minor needed) is the worst weight. Over all 5040 cells of GL(7) the
-# worst, w = (5, 6, 7, 4, 3, 2, 1), takes about 12 ms on a 2-vCPU Intel Xeon,
-# and the whole sweep peaks at 18 MB RSS (about 15 MB of it the interpreter
-# and package).
+# (every minor needed) is the worst weight. On a 2-vCPU Intel Xeon the slowest
+# cells of GL(7), such as w0 and (5, 6, 7, 4, 3, 2, 1), take 9 to 10 ms, and
+# all 5040 cells take 8 s and 18 MB peak RSS (15 MB of it the interpreter).
+# The Laplace expansion sets that cost (the frame is 0.4 ms of it at w0);
+# GL(8) and GL(9) at w0 would take about 0.1 s and 0.8 s.
 ORACLE_N_CAP = 7
 
 
@@ -78,17 +80,6 @@ class SparsePoly:
     @staticmethod
     def zero(nvars: int) -> "SparsePoly":
         return SparsePoly.build(nvars, {})
-
-    @staticmethod
-    def const(nvars: int, c: int) -> "SparsePoly":
-        return SparsePoly.build(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def variable(nvars: int, index: int) -> "SparsePoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
-        expo = tuple(1 if k == index else 0 for k in range(nvars))
-        return SparsePoly.build(nvars, {expo: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -171,12 +162,14 @@ def _bottom_minor(
     if len(cols) == 1:
         result = row[cols[0]]
     else:
-        result = SparsePoly.zero(row[0].nvars)
+        terms: Dict[Monomial, int] = {}
         for k, c in enumerate(cols):
             if row[c].is_zero():
                 continue
-            term = row[c] * _bottom_minor(m, cols[:k] + cols[k + 1:], memo)
-            result = result + (term if k % 2 == 0 else -term)
+            sign = -1 if k % 2 else 1
+            for mono, coeff in (row[c] * _bottom_minor(m, cols[:k] + cols[k + 1:], memo)).coeffs:
+                terms[mono] = terms.get(mono, 0) + sign * coeff
+        result = SparsePoly.build(row[0].nvars, terms)
     memo[cols] = result
     return result
 
@@ -213,6 +206,11 @@ def _frame_anchor(n: int, w: Sequence[int]) -> Tuple[int, ...]:
     return tuple(w)
 
 
+def _times_new_variable(entry: Dict[Monomial, int], k: int) -> Dict[Monomial, int]:
+    """entry times variable k, which no monomial of entry contains yet."""
+    return {m[:k] + (1,) + m[k + 1:]: c for m, c in entry.items()}
+
+
 def _moving_frame(
     nvars: int, w: Sequence[int], positions: Sequence[Tuple[int, int]]
 ) -> Matrix:
@@ -221,21 +219,21 @@ def _moving_frame(
     Starts from the permutation matrix of w, whose column i has its 1 in
     row w(i). Right-multiplying by X_ij(a_k) adds a_k times column i to
     column j; the torus then scales column b by t_b. Variable k is a_k and
-    variable len(positions) + b is t_b.
+    variable len(positions) + b is t_b. Entries stay monomial maps until the
+    end: a_k is new at step k, so each step adds terms its entries lack.
     """
     n = len(w)
-    zero, one = SparsePoly.zero(nvars), SparsePoly.const(nvars, 1)
-    cols = [[one if r == w[c] - 1 else zero for r in range(n)] for c in range(n)]
+    cols = [[{(0,) * nvars: 1} if r == w[c] - 1 else {} for r in range(n)] for c in range(n)]
     for k, (i, j) in enumerate(positions):
-        a = SparsePoly.variable(nvars, k)
         src, dst = cols[i - 1], cols[j - 1]
         for r in range(n):
-            if not src[r].is_zero():
-                dst[r] = dst[r] + src[r] * a
+            if src[r]:
+                dst[r].update(_times_new_variable(src[r], k))
+    zero, frame = SparsePoly.zero(nvars), []
     for b, col in enumerate(cols):
-        t = SparsePoly.variable(nvars, len(positions) + b)
-        cols[b] = [e if e.is_zero() else e * t for e in col]
-    return poly_matrix(list(zip(*cols)))
+        scaled = [_times_new_variable(e, len(positions) + b) for e in col]
+        frame.append([SparsePoly(nvars, tuple(sorted(e.items()))) if e else zero for e in scaled])
+    return poly_matrix(list(zip(*frame)))
 
 
 def _gl_inversions(w: Sequence[int]) -> List[Tuple[int, int]]:

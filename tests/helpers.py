@@ -378,6 +378,22 @@ def gsp_form(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(r) for r in top + bottom)
 
 
+# -- polynomial constructors -------------------------------------------------------
+
+
+def const(nvars: int, c: int) -> SparsePoly:
+    """The constant c in nvars variables."""
+    return SparsePoly.build(nvars, {(0,) * nvars: c})
+
+
+def variable(nvars: int, index: int) -> SparsePoly:
+    """Variable number index of nvars; an index out of range raises."""
+    if not 0 <= index < nvars:
+        raise ValueError(f"variable index {index} out of range")
+    expo = tuple(1 if k == index else 0 for k in range(nvars))
+    return SparsePoly.build(nvars, {expo: 1})
+
+
 # -- the GL(n) weight section as a full product ----------------------------------
 
 
@@ -411,7 +427,7 @@ class MinorProduct(NamedTuple):
         the minor of the bottom k rows on the last k columns, so one table of
         bottom-row minors serves every factor and the determinant."""
         nvars = m[0][0].nvars
-        acc = SparsePoly.const(nvars, 1)
+        acc = const(nvars, 1)
         minors: Dict[Tuple[int, ...], SparsePoly] = {}
         for k, e in sorted(self.trailing_exponents.items()):
             if e < 0:

@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 def cache_stats() -> dict:
     """``cache_info()`` of every ``functools.lru_cache`` function in the
     package, keyed by ``module.function`` (for example
-    ``"weyl._reduced_word"``). Evictions are ``misses - currsize``."""
+    ``"cases._case_data"``). Evictions are ``misses - currsize``."""
     # Imported here: pkgutil would add about a millisecond to every import
     # of the package, which the command line pays on each run.
     import importlib

@@ -88,14 +88,6 @@ class CaseResult(NamedTuple):
     def ogus_everywhere(self) -> bool:
         return all(r.ogus_holds for r in self.reports)
 
-    @property
-    def inequality_everywhere(self) -> bool:
-        return all(r.ineq_holds for r in self.reports)
-
-    @property
-    def open_report(self) -> StratumReport:
-        return self.reports[0]
-
 
 class _CaseData(NamedTuple):
     """The prime-independent part of a case, shared by every ``run_case`` of
@@ -430,9 +422,3 @@ def functoriality_check_A3_D3(
     if len(matched) != len(orthogonal.reports):
         return False, "the relabeling is not a bijection on strata"
     return True, ""
-
-
-def siegel_cross_check(n: int, p: int) -> Tuple[bool, str]:
-    """The Siegel preset's oracle on its case at rank n and prime p."""
-    complaint = _siegel_check(run_case(CaseSpec(CASE_BY_FLAG["siegel"], n, p)))
-    return complaint is None, complaint or ""

@@ -30,7 +30,6 @@ from .cases import (
     functoriality_check_A3_D3,
     is_prime,
     run_case,
-    siegel_cross_check,
 )
 from .oracle import gl_cell_order
 from .rootsys import RootSystem, Vector, root_system, sum_vectors, unit, vec
@@ -279,11 +278,15 @@ def _check_functoriality(
 def _check_siegel(
     ns: Sequence[int], primes: Sequence[int]
 ) -> Tuple[bool, str]:
+    """The Siegel preset's oracle on its case at every rank and prime, the
+    check ``strata --oracle`` runs."""
+    identifier = CASE_BY_FLAG["siegel"]
     for n in ns:
         for p in primes:
-            ok, detail = siegel_cross_check(n, p)
-            if not ok:
-                return False, f"n={n} p={p}: {detail}"
+            spec = CaseSpec(identifier, n, p)
+            complaint = PRESETS[identifier].oracle(spec)(run_case(spec))
+            if complaint is not None:
+                return False, f"n={n} p={p}: {complaint}"
     return True, f"n in {list(ns)}, p in {list(primes)}"
 
 
@@ -303,16 +306,17 @@ def _dominant_lambdas(dim: int, seed: int) -> List[Tuple[int, ...]]:
 
 def _check_oracle(seed: int, mutate: bool) -> Tuple[bool, str]:
     """Compare the word formulas against polynomial cell orders on small
-    linear groups, for every element whose word the formulas cover.
+    linear groups, for every element whose word the formulas cover; the
+    elements and their words are ``min_coset_reps(())``: W^I with I empty
+    is W.
     """
     checked = 0
     for n in (3, 4):
         system = root_system("A", n - 1)
-        group = weyl_group("A", n - 1)
+        words = weyl_group("A", n - 1).min_coset_reps(())
         for lam_ints in _dominant_lambdas(n, seed):
             lam = vec(*lam_ints)
-            for w in group.elements():
-                word = group.reduced_word(w)
+            for w, word in words.items():
                 try:
                     expected = ord_for_word(system, lam, word)
                 except ValueError:

@@ -90,12 +90,6 @@ class SparsePoly:
             terms[m] = terms.get(m, 0) + c
         return SparsePoly.build(self.nvars, terms)
 
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.nvars, tuple((m, -c) for m, c in self.coeffs))
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
-
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         if len(self.coeffs) == 1:
             self, other = other, self

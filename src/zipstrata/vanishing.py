@@ -7,12 +7,14 @@ the shape with no alphas, s_a s_b s_a is the one-letter center with no
 prefix, and the two centers cover the odd and even orthogonal stratum
 families. The formula assumes that the root sets swept by the word's
 suffixes are closed, which every reduced word satisfies (each suffix sweeps
-an inversion set), so its one word guard is reducedness. The public entry
-points check the shape, distinct letters, dominance of the weight and then
-reducedness. ``strata_ord_table`` drives the formula over a full set of
-stratum representatives, checking no word, since the coset enumeration
-built each one; ``d_w0`` is the twisted character difference that ties the
-Hasse weight to its section. The weight's pairings come from ``simple_pairings``,
+an inversion set), so its one word guard is reducedness. It has one entry
+point, ``ord_for_word``, which splits the word into the shape (``_split``,
+which keeps the letters distinct), checks dominance of the weight and then
+reducedness, and runs the unchecked kernel ``_order``.
+``strata_ord_table`` drives the same kernel over a full set of stratum
+representatives, checking no word, since the coset enumeration built each
+one; ``d_w0`` is the twisted character difference that ties the Hasse
+weight to its section. The weight's pairings come from ``simple_pairings``,
 once per call or per table, and Cartan entries from the system's matrix.
 
 ``condition_closed`` is a diagnostic off the order path, with a witness
@@ -158,68 +160,28 @@ def _require_reduced(system: RootSystem, word: Word) -> None:
         raise ValueError(f"word {word} is not reduced")
 
 
-def _require_distinct(groups: Sequence[Sequence[int]]) -> None:
-    letters = [letter for group in groups for letter in group]
-    if len(set(letters)) != len(letters):
-        raise ValueError(f"letters {letters} are not pairwise distinct")
-
-
-# -- the mirrored order formula ---------------------------------------------
-
-
-def mirror_orders(
-    system: RootSystem, alphas: Sequence[int], center: Sequence[int]
-) -> Tuple[int, ...]:
-    """Orders of the coordinate functions attached to alphas in the mirrored
-    shape with the given center: the E orders for a one-letter center, the
-    F orders for a two-letter one. The letters must be pairwise distinct
-    and in 1..rank."""
-    alphas, center = tuple(alphas), tuple(center)
-    _require_distinct([alphas, center])
-    _group_of(system)._letter_indices(alphas + center)
-    return _mirror_orders(system, alphas, center)
-
-
-def _mirror_orders(system: RootSystem, alphas: Word, center: Word) -> Tuple[int, ...]:
-    """``mirror_orders`` without its checks."""
-    cartan, orders = system.cartan, []
-    for i, letter in enumerate(alphas):
-        drop = -sum(cartan[c - 1][letter - 1] for c in center)
-        for j in range(i):
-            drop -= cartan[alphas[j] - 1][letter - 1] * orders[j]
-        orders.append(min(2, drop))
-    return tuple(orders)
-
-
-def ord_mirrored(
-    system: RootSystem,
-    lam: Vector,
-    prefix: Sequence[int],
-    alphas: Sequence[int],
-    center: Sequence[int],
-) -> int:
-    """Order of f_lam on the cell of prefix + reversed(alphas) + center + alphas,
-    all letters pairwise distinct: the pairings of lam with the prefix and
-    center letters, plus each alpha's pairing times its ``mirror_orders``
-    value. A word of distinct letters is the shape with no alphas. Checks
-    distinct letters, then dominance of lam, then that the word is reduced.
-    """
-    prefix, alphas, center = tuple(prefix), tuple(alphas), tuple(center)
-    _require_distinct([prefix, alphas, center])
-    pairings = _dominant_pairings(system, lam)
-    _require_reduced(system, prefix + alphas[::-1] + center + alphas)
-    return _order(system, lam, pairings, (prefix, alphas, center))
+# -- the order formula -------------------------------------------------------
 
 
 def _order(
     system: RootSystem, lam: Vector, pairings: Sequence[Fraction], shape: Sequence[Word]
 ) -> int:
     """The order formula on a reduced word split as (prefix, alphas, center),
-    given lam's simple pairings checked dominant; checks no word."""
+    given lam's simple pairings checked dominant; checks no word. It is the
+    pairings of lam with the prefix and center letters, plus each alpha's
+    pairing times the order of its coordinate function: the drop of the
+    Cartan pairings of the center and of the earlier alphas (weighted by
+    their orders) against that alpha, capped at two. A one-letter center
+    gives the E orders, a two-letter one the F orders."""
     prefix, alphas, center = shape
-    orders = _mirror_orders(system, alphas, center)
+    cartan, orders = system.cartan, []
     total = sum(_int_pairing(pairings, lam, i) for i in prefix + center)
-    total += sum(_int_pairing(pairings, lam, a) * o for a, o in zip(alphas, orders))
+    for i, letter in enumerate(alphas):
+        drop = -sum(cartan[c - 1][letter - 1] for c in center)
+        for j in range(i):
+            drop -= cartan[alphas[j] - 1][letter - 1] * orders[j]
+        orders.append(min(2, drop))
+        total += _int_pairing(pairings, lam, letter) * orders[i]
     return total
 
 
@@ -248,44 +210,39 @@ def family_word_typeD(m: int, j: int, l: int) -> Word:
 # -- word-shape dispatch -----------------------------------------------------
 
 
-def _parse_mirrored(word: Word) -> Optional[Tuple[Word, Word, Word]]:
+def _split(word: Word) -> Tuple[Word, Word, Word]:
     """Split as (prefix, alphas, center) with pairwise distinct letters: a
     word of distinct letters is its own prefix, otherwise a one-letter
     center is tried before a two-letter one, each with the longest alphas
-    first; None when no split fits, at once for a word longer than twice
+    first. Raises when no split fits, at once for a word longer than twice
     its number of distinct letters, since a split uses each letter at most
     twice."""
     distinct, length = len(set(word)), len(word)
     if distinct == length:
         return word, (), ()
-    if length > 2 * distinct:
-        return None
-    for size in (1, 2):
-        for k in range((length - size) // 2, 0, -1):
-            alphas = word[length - k :]
-            start = length - 2 * k - size
-            if word[start : start + k] != alphas[::-1]:
-                continue
-            prefix, center = word[:start], word[start + k : length - k]
-            letters = prefix + alphas + center
-            if len(set(letters)) == len(letters):
-                return prefix, alphas, center
-    return None
-
-
-def _split(word: Word) -> Tuple[Word, Word, Word]:
-    """``_parse_mirrored``, with no split an error."""
-    parsed = _parse_mirrored(word)
-    if parsed is None:
-        raise ValueError(f"word {word} matches no supported shape")
-    return parsed
+    if length <= 2 * distinct:
+        for size in (1, 2):
+            for k in range((length - size) // 2, 0, -1):
+                alphas = word[length - k :]
+                start = length - 2 * k - size
+                if word[start : start + k] != alphas[::-1]:
+                    continue
+                prefix, center = word[:start], word[start + k : length - k]
+                letters = prefix + alphas + center
+                if len(set(letters)) == len(letters):
+                    return prefix, alphas, center
+    raise ValueError(f"word {word} matches no supported shape")
 
 
 def ord_for_word(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
-    """Order of f_lam on the cell of the given reduced word, split into the
-    mirrored shape and checked by ``ord_mirrored``; words with no mirrored
-    split are an error."""
-    return ord_mirrored(system, lam, *_split(tuple(word)))
+    """Order of f_lam on the cell of the given reduced word: the order
+    formula on its mirrored split. Checks the shape (a word with no split
+    is an error), then dominance of lam, then that the word is reduced."""
+    word = tuple(word)
+    shape = _split(word)
+    pairings = _dominant_pairings(system, lam)
+    _require_reduced(system, word)
+    return _order(system, lam, pairings, shape)
 
 
 # -- stratum tables and the twisted character --------------------------------
@@ -310,8 +267,9 @@ def strata_ord_table(datum: CocharacterDatum, lam: Vector) -> Dict[Perm, int]:
     the open stratum gets the empty word and orders grow toward the identity
     label. The twist happens here and nowhere else. The weight is checked
     dominant and paired once for the whole table. The cell is a label too:
-    its word, read off ``min_coset_reps``, goes through the order formula
-    unchecked, and ``_parse_mirrored`` splits it into distinct letters.
+    its word, read off ``min_coset_reps``, is split by ``_split`` and goes
+    through ``_order``, the kernel ``ord_for_word`` runs, unchecked; a cell
+    word with no split raises with its stratum named.
     """
     group = datum.group
     system = group.system

@@ -34,10 +34,11 @@ coordinates, the sign flipped where a coordinate lands on a mirror slot; it
 serves Fraction weights and integer roots alike and keeps the entry type.
 
 ``weyl_group`` hands out one shared group per root system, and so per type
-and rank. ``reduced_word`` per element and ``min_coset_reps`` (with the
-words) per parabolic type are served by module-level ``lru_cache``
-functions keyed by the group, which hashes on its system, so every group
-of the same system shares their entries.
+and rank. ``min_coset_reps`` (with the words) per parabolic type is served
+by a module-level ``lru_cache`` function keyed by the group, which hashes
+on its system, so every group of the same system shares its entries. It is
+the one store of words: W itself is ``min_coset_reps(())``, and
+``reduced_word`` strips afresh on every call.
 """
 
 from __future__ import annotations
@@ -180,8 +181,42 @@ class WeylGroup:
         return indices
 
     def reduced_word(self, w: Perm) -> Tuple[int, ...]:
-        """Reduced word by stripping the smallest left descent; w not in W raises."""
-        return _reduced_word(self, w)
+        """Reduced word by stripping the smallest left descent, on the
+        inverse kept as a list: s_i w has inverse w^-1 s_i, which swaps
+        slots of the list in place. Stripping s_i can change only the
+        letters whose simple root's slot pair meets a slot it swaps, and
+        those below i are at most two below it (two in type D, one
+        otherwise); every letter below i was an ascent, so the next scan
+        starts two letters below i. A w that is not an element raises:
+        before any stripping unless it is a slot permutation commuting with
+        the mirror (stripping one that is not may never end), and otherwise
+        once stripping runs out of descents away from the identity, as a
+        lone sign change of D does. Nothing is cached: the tables read
+        their words from ``min_coset_reps``, which hands out the same
+        words."""
+        system = self.system
+        ident, mirror = list(range(1, self.slots + 1)), system.mirror
+        if sorted(w) == ident and all(
+            w[j] - 1 == mirror[w[k] - 1] for k, j in mirror.items()
+        ):
+            inv = list(inverse(w))
+            pairs, swaps, rank = system.root_pairs, system.simple_swaps, self.rank
+            word: List[int] = []
+            start = 0
+            while True:
+                for i in range(start, rank):
+                    a, b = pairs[i]
+                    if inv[a] > inv[b]:
+                        break
+                else:
+                    if inv == ident:
+                        return tuple(word)
+                    break
+                word.append(i + 1)
+                for x, y in swaps[i]:
+                    inv[x], inv[y] = inv[y], inv[x]
+                start = max(0, i - 2)
+        raise ValueError(f"{w} is not an element of W({system.cartan_type}{self.rank})")
 
     # -- distinguished elements -------------------------------------------
 
@@ -244,10 +279,10 @@ class WeylGroup:
         left, stripping a right descent brings none back (the minimal
         representatives of W_I \\ W are closed under dropping a right
         descent), so the two phases need not alternate. A w that is not an
-        element raises, through the cached ``reduced_word``.
+        element raises, through ``reduced_word``.
         """
         left, right = self._letter_indices(I), self._letter_indices(J)
-        _reduced_word(self, w)
+        self.reduced_word(w)
         inv = list(inverse(w))
         self._strip(inv, left)
         u = list(inverse(inv))
@@ -295,41 +330,6 @@ class WeylGroup:
                         nxt.append(v)
             frontier = nxt
         return tuple(seen)
-
-
-@lru_cache(maxsize=4096)
-def _reduced_word(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
-    """Strips the smallest left descent on the inverse, kept as a list: s_i w
-    has inverse w^-1 s_i, which swaps slots of the list in place. Stripping
-    s_i can change only the letters whose simple root's slot pair meets a
-    slot it swaps, and those below i are at most two below it (two in type
-    D, one otherwise); every letter below i was an ascent, so the next scan
-    starts two letters below i. A w that is not an element raises: before
-    any stripping unless it is a slot permutation commuting with the mirror
-    (stripping one that is not may never end), and otherwise once stripping
-    runs out of descents away from the identity, as a lone sign change of D
-    does."""
-    system = group.system
-    ident, mirror = list(range(1, group.slots + 1)), system.mirror
-    if sorted(w) == ident and all(w[j] - 1 == mirror[w[k] - 1] for k, j in mirror.items()):
-        inv = list(inverse(w))
-        pairs, swaps, rank = system.root_pairs, system.simple_swaps, group.rank
-        word: List[int] = []
-        start = 0
-        while True:
-            for i in range(start, rank):
-                a, b = pairs[i]
-                if inv[a] > inv[b]:
-                    break
-            else:
-                if inv == ident:
-                    return tuple(word)
-                break
-            word.append(i + 1)
-            for x, y in swaps[i]:
-                inv[x], inv[y] = inv[y], inv[x]
-            start = max(0, i - 2)
-    raise ValueError(f"{w} is not an element of W({system.cartan_type}{group.rank})")
 
 
 @lru_cache(maxsize=64)

@@ -111,10 +111,11 @@ def test_render_json_is_the_indented_dump(flag, rank):
     assert rendered == json.dumps(_payload(flag, rank, rows), indent=2) + "\n"
 
 
-def test_a_cold_strata_run_strips_no_word(capsys):
-    """With the case data, the coset tables and the reduced words uncached,
-    ``strata --format json`` prints the table of the stripping references
-    and strips no word: the words come from the coset enumeration."""
+def test_a_cold_strata_run_strips_no_word(capsys, monkeypatch):
+    """With the case data and the coset tables uncached, ``strata --format
+    json`` prints the table of the stripping references and strips no word
+    (``reduced_word`` raises if called): the words come from the coset
+    enumeration."""
     expected = {}
     for flag, rank in _SMALL_CASES:
         result = run_case(CaseSpec(CASE_BY_FLAG[flag], rank, 3))
@@ -129,13 +130,17 @@ def test_a_cold_strata_run_strips_no_word(capsys):
             "ogus": r.ogus_holds,
         } for r in result.reports]
         expected[flag, rank] = json.dumps(_payload(flag, rank, rows), indent=2) + "\n"
-    for cached in (cases._case_data, weyl._min_coset_reps, weyl._reduced_word):
+    for cached in (cases._case_data, weyl._min_coset_reps):
         cached.cache_clear()
+
+    def no_stripping(self, w):
+        raise AssertionError(f"reduced_word({w}) called")
+
+    monkeypatch.setattr(weyl.WeylGroup, "reduced_word", no_stripping)
     for flag, rank in _SMALL_CASES:
         code, out, _ = run_cli(capsys, "strata", "--case", flag, "--n", str(rank),
                                "--format", "json")
         assert (code, out) == (0, expected[flag, rank])
-    assert cache_stats()["weyl._reduced_word"].misses == 0
 
 
 class TestStrataCsv:

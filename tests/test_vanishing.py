@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipstrata.rootsys import add, neg, reflect, root_system, smul, unit, vec
+from zipstrata.cli import fundamental_weights
+from zipstrata.rootsys import add, neg, reflect, root_system, simple_pairings, smul, unit, vec
 from zipstrata.oracle import gl_cell_order
 from zipstrata import vanishing
 from zipstrata.vanishing import (
@@ -17,9 +18,7 @@ from zipstrata.vanishing import (
     d_w0,
     family_word_typeB,
     family_word_typeD,
-    mirror_orders,
     ord_for_word,
-    ord_mirrored,
     root_sequence,
     strata_ord_table,
 )
@@ -318,34 +317,38 @@ def test_reducedness_read_off_the_roots_equals_is_reduced(
 
 
 def test_ord_distinct_empty_word_is_zero() -> None:
-    assert ord_mirrored(root_system("B", 3), e1(3), (), (), ()) == 0
+    assert ord_for_word(root_system("B", 3), e1(3), ()) == 0
 
 
 def test_ord_distinct_single_reflection() -> None:
-    assert ord_mirrored(root_system("B", 4), e1(4), (1,), (), ()) == 1
+    assert ord_for_word(root_system("B", 4), e1(4), (1,)) == 1
 
 
 def test_ord_distinct_rho_on_a2() -> None:
-    assert ord_mirrored(root_system("A", 2), vec(1, 0, -1), (1, 2), (), ()) == 2
+    assert ord_for_word(root_system("A", 2), vec(1, 0, -1), (1, 2)) == 2
 
 
 def test_ord_distinct_rejects_repeated_letters() -> None:
-    with pytest.raises(ValueError, match="distinct"):
-        ord_mirrored(root_system("A", 3), vec(1, 0, 0, -1), (1, 2, 1), (), ())
+    """The reduced word s1 s2 s1 s3 repeats a letter, and every split of it
+    would repeat one too."""
+    with pytest.raises(ValueError, match="no supported shape"):
+        ord_for_word(root_system("A", 3), vec(1, 0, 0, -1), (1, 2, 1, 3))
 
 
 def test_ord_distinct_rejects_a_non_integral_pairing() -> None:
     """A dominant weight whose pairing with a letter is 1/2."""
     lam = vec(Fraction(1, 2), 0, Fraction(-1, 2))
     with pytest.raises(ValueError, match="not integral"):
-        ord_mirrored(root_system("A", 2), lam, (1,), (), ())
+        ord_for_word(root_system("A", 2), lam, (1,))
 
 
 def test_e_and_f_orders_reject_letters_out_of_range() -> None:
+    """A letter outside 1..rank in the alphas of a one-letter center or in a
+    two-letter center raises through ``from_word``."""
     with pytest.raises(ValueError, match="out of range"):
-        mirror_orders(root_system("B", 3), (0,), (3,))
+        ord_for_word(root_system("B", 3), e1(3), (0, 3, 0))
     with pytest.raises(ValueError, match="out of range"):
-        mirror_orders(root_system("D", 4), (1,), (3, 5))
+        ord_for_word(root_system("D", 4), e1(4), (1, 3, 5, 1))
 
 
 def test_empty_word_rejects_nondominant_weight() -> None:
@@ -356,7 +359,7 @@ def test_empty_word_rejects_nondominant_weight() -> None:
 
 def test_ord_distinct_rejects_nondominant_weight() -> None:
     with pytest.raises(ValueError, match="dominant"):
-        ord_mirrored(root_system("A", 2), vec(-1, 0, 1), (1,), (), ())
+        ord_for_word(root_system("A", 2), vec(-1, 0, 1), (1,))
 
 
 @given(data=st.data())
@@ -378,7 +381,7 @@ def test_ord_distinct_ignores_letter_order(data) -> None:
         group = wg("B", 4)
         if not is_reduced(group, word):
             return
-        orders.append(ord_mirrored(system, lam, word, (), ()))
+        orders.append(ord_for_word(system, lam, word))
     assert orders[0] == orders[1]
 
 
@@ -398,95 +401,119 @@ def test_ord_aba_standard_weight_on_b2() -> None:
 
 def test_ord_aba_degenerate_outer_pairing() -> None:
     """With the outer letter orthogonal to the weight only gamma contributes."""
-    assert ord_mirrored(root_system("A", 2), vec(1, 1, 0), (), (1,), (2,)) == 1
+    assert ord_for_word(root_system("A", 2), vec(1, 1, 0), (1, 2, 1)) == 1
 
 
 def test_ord_aba_rejects_orthogonal_letters() -> None:
     with pytest.raises(ValueError, match="not reduced"):
-        ord_mirrored(root_system("A", 3), vec(1, 0, 0, -1), (), (1,), (3,))
+        ord_for_word(root_system("A", 3), vec(1, 0, 0, -1), (1, 3, 1))
 
 
 def test_ord_aba_rejects_equal_letters() -> None:
-    with pytest.raises(ValueError, match="distinct"):
-        ord_mirrored(root_system("A", 2), vec(1, 0, -1), (), (2,), (2,))
+    """s2 s2 s2 has a letter for the center equal to the alpha: no split."""
+    with pytest.raises(ValueError, match="no supported shape"):
+        ord_for_word(root_system("A", 2), vec(1, 0, -1), (2, 2, 2))
 
 
 # -- coordinate order recursions ---------------------------------------------
+# Each alpha's coordinate order is the order of ord_for_word at the
+# fundamental weight of that alpha, which pairs to 1 on it and to 0 on every
+# other letter of the word.
 
 
 def test_e_orders_saturate_on_the_odd_orthogonal_chain() -> None:
     """Down the B chain toward the short root every pairing drop is at least
     two, so each order caps at two."""
-    assert mirror_orders(root_system("B", 4), (3, 2, 1), (4,)) == (2, 2, 2)
-    assert mirror_orders(root_system("B", 3), (2,), (3,)) == (2,)
+    system = root_system("B", 4)
+    omega = fundamental_weights(system)
+    for a in (3, 2, 1):
+        assert ord_for_word(system, omega[a - 1], (1, 2, 3, 4, 3, 2, 1)) == 2, a
+    assert ord_for_word(root_system("B", 3), vec(1, 1, 0), (2, 3, 2)) == 2
 
 
 def test_e_orders_stay_at_one_on_the_symplectic_chain() -> None:
     """The long root of C pairs to -1 against its neighbour, halving every
     drop along the chain."""
-    assert mirror_orders(root_system("C", 3), (2, 1), (3,)) == (1, 1)
-    assert mirror_orders(root_system("C", 4), (3, 2, 1), (4,)) == (1, 1, 1)
+    system = root_system("C", 3)
+    omega = fundamental_weights(system)
+    for a in (2, 1):
+        assert ord_for_word(system, omega[a - 1], (1, 2, 3, 2, 1)) == 1, a
+    system = root_system("C", 4)
+    omega = fundamental_weights(system)
+    for a in (3, 2, 1):
+        assert ord_for_word(system, omega[a - 1], (1, 2, 3, 4, 3, 2, 1)) == 1, a
 
 
 def test_e_orders_simply_laced_first_step() -> None:
-    assert mirror_orders(root_system("A", 2), (1,), (2,)) == (1,)
+    assert ord_for_word(root_system("A", 2), vec(1, 0, 0), (1, 2, 1)) == 1
 
 
 def test_f_orders_saturate_on_the_even_orthogonal_fork() -> None:
-    assert mirror_orders(root_system("D", 4), (2, 1), (3, 4)) == (2, 2)
-    assert mirror_orders(root_system("D", 5), (3, 2, 1), (4, 5)) == (2, 2, 2)
+    system = root_system("D", 4)
+    omega = fundamental_weights(system)
+    for a in (2, 1):
+        assert ord_for_word(system, omega[a - 1], (1, 2, 3, 4, 2, 1)) == 2, a
+    system = root_system("D", 5)
+    omega = fundamental_weights(system)
+    for a in (3, 2, 1):
+        assert ord_for_word(system, omega[a - 1], (1, 2, 3, 4, 5, 3, 2, 1)) == 2, a
 
 
-def test_mirror_orders_cap_a_drop_of_three() -> None:
-    """In B3 the center (1, 3) straddles alpha_2, whose drop is 1 + 2."""
-    assert mirror_orders(root_system("B", 3), (2,), (1, 3)) == (2,)
+def test_the_coordinate_order_caps_a_drop_of_three() -> None:
+    """In B3 the center (1, 3) or (3, 1) straddles alpha_2, whose drop is
+    1 + 2; (1, 1, 0) pairs to 1 on alpha_2 and to 0 on the center, so the
+    order is the capped 2, not 3."""
+    for word in ((2, 1, 3, 2), (2, 3, 1, 2)):
+        assert ord_for_word(root_system("B", 3), vec(1, 1, 0), word) == 2, word
 
 
 def test_f_orders_reject_shared_letters() -> None:
-    with pytest.raises(ValueError, match="distinct"):
-        mirror_orders(root_system("D", 4), (2, 1), (2, 4))
-    with pytest.raises(ValueError, match="distinct"):
-        ord_mirrored(root_system("D", 4), e1(4), (2,), (2, 1), (3, 4))
+    """Alphas (2, 1) around the center (2, 4), with or without the prefix
+    (2,), spell words whose every split repeats a letter."""
+    with pytest.raises(ValueError, match="no supported shape"):
+        ord_for_word(root_system("D", 4), e1(4), (1, 2, 2, 4, 2, 1))
+    with pytest.raises(ValueError, match="no supported shape"):
+        ord_for_word(root_system("D", 4), e1(4), (2, 1, 2, 3, 4, 2, 1))
 
 
 # -- mirrored-shape orders ----------------------------------------------------
 
 
 def test_ord_typeB_hasse_word_without_prefix() -> None:
-    assert ord_mirrored(root_system("B", 4), e1(4), (), (3, 2, 1), (4,)) == 2
+    assert ord_for_word(root_system("B", 4), e1(4), (1, 2, 3, 4, 3, 2, 1)) == 2
 
 
 def test_ord_typeB_hasse_word_with_prefix() -> None:
     """A leading beta chain moves the weight pairing to the prefix, dropping
     the order to one."""
-    assert ord_mirrored(root_system("B", 4), e1(4), (1,), (3, 2), (4,)) == 1
+    assert ord_for_word(root_system("B", 4), e1(4), (1, 2, 3, 4, 3, 2)) == 1
 
 
 def test_ord_typeB_empty_alphas_reduces_to_distinct() -> None:
+    """The prefix (1, 2) with the center (3,) and no alphas is the word of
+    distinct letters (1, 2, 3)."""
     system = root_system("B", 3)
-    lam = vec(2, 1, 0)
-    assert ord_mirrored(system, lam, (1, 2), (), (3,)) == ord_mirrored(
-        system, lam, (1, 2, 3), (), ()
-    )
+    assert vanishing._split((1, 2, 3)) == ((1, 2, 3), (), ())
+    assert ord_for_word(system, vec(2, 1, 0), (1, 2, 3)) == 2
 
 
 def test_ord_typeD_hasse_word_without_prefix() -> None:
-    assert ord_mirrored(root_system("D", 4), e1(4), (), (2, 1), (3, 4)) == 2
+    assert ord_for_word(root_system("D", 4), e1(4), (1, 2, 3, 4, 2, 1)) == 2
 
 
 def test_ord_typeD_hasse_word_with_prefix() -> None:
-    assert ord_mirrored(root_system("D", 5), e1(5), (1,), (3, 2), (4, 5)) == 1
+    assert ord_for_word(root_system("D", 5), e1(5), (1, 2, 3, 4, 5, 3, 2)) == 1
 
 
 def test_ord_typeB_rejects_nonreduced_assembled_word() -> None:
     """The assembled word (2, 1, 3, 1) shortens to s2 s3, so the guard trips
-    even though the letter groups are pairwise distinct; dominance of the
+    even though it splits with pairwise distinct letters; dominance of the
     weight is checked before it."""
     system = root_system("B", 3)
     with pytest.raises(ValueError, match="not reduced"):
-        ord_mirrored(system, e1(3), (2,), (1,), (3,))
+        ord_for_word(system, e1(3), (2, 1, 3, 1))
     with pytest.raises(ValueError, match="not dominant"):
-        ord_mirrored(system, vec(0, 0, -1), (2,), (1,), (3,))
+        ord_for_word(system, vec(0, 0, -1), (2, 1, 3, 1))
 
 
 # -- weight linearity ---------------------------------------------------------
@@ -521,17 +548,15 @@ def test_dispatch_picks_the_mirrored_single_shape() -> None:
     system = root_system("B", 4)
     word = family_word_typeB(4, 1, 2)
     assert word == (1, 2, 3, 4, 3, 2)
-    assert ord_for_word(system, e1(4), word) == ord_mirrored(
-        system, e1(4), (1,), (3, 2), (4,)
-    )
+    assert vanishing._split(word) == ((1,), (3, 2), (4,))
+    assert ord_for_word(system, e1(4), word) == 1
 
 
 def test_dispatch_picks_the_mirrored_double_shape() -> None:
     system = root_system("D", 4)
     word = family_word_typeD(4, 1, 2)
-    assert ord_for_word(system, e1(4), word) == ord_mirrored(
-        system, e1(4), (1,), (2,), (3, 4)
-    )
+    assert vanishing._split(word) == ((1,), (2,), (3, 4))
+    assert ord_for_word(system, e1(4), word) == 1
 
 
 def test_dispatch_rejects_unsupported_shapes() -> None:
@@ -545,6 +570,16 @@ def test_dispatch_refuses_a_long_word_without_searching() -> None:
     per word of this length)."""
     with pytest.raises(ValueError, match="no supported shape"):
         ord_for_word(root_system("A", 2), vec(1, 0, 0), (1, 2) * 16000)
+
+
+def _splits(word) -> bool:
+    """Whether ``_split`` finds a split of the word."""
+    try:
+        vanishing._split(word)
+    except ValueError as err:
+        assert "no supported shape" in str(err)
+        return False
+    return True
 
 
 def _has_mirrored_split(word) -> bool:
@@ -568,8 +603,7 @@ def test_dispatch_finds_a_split_exactly_when_one_exists() -> None:
     longer than twice their distinct letters drops no split."""
     for length in range(8):
         for word in itertools.product((1, 2, 3), repeat=length):
-            parsed = vanishing._parse_mirrored(word)
-            assert (parsed is not None) == _has_mirrored_split(word)
+            assert _splits(word) == _has_mirrored_split(word), word
 
 
 def _reduced_words(cartan_type: str, rank: int):
@@ -598,19 +632,20 @@ def _reduced_words(cartan_type: str, rank: int):
 )
 def test_dispatch_on_every_reduced_word(cartan_type: str, rank: int, lam) -> None:
     """Each reduced word either splits into mirrored pieces that reassemble
-    it, and its order is the mirrored formula on them, or it is rejected."""
+    it, and its order is the unchecked kernel on them, or it is rejected."""
     system = root_system(cartan_type, rank)
+    pairings = simple_pairings(system, lam)
     parsed_count = 0
     for word in _reduced_words(cartan_type, rank):
-        parsed = vanishing._parse_mirrored(word)
-        if parsed is None:
+        if not _splits(word):
             with pytest.raises(ValueError, match="no supported shape"):
                 ord_for_word(system, lam, word)
             continue
+        parsed = vanishing._split(word)
         prefix, alphas, center = parsed
         assert prefix + alphas[::-1] + center + alphas == word
         assert len(center) in ((1, 2) if alphas else (0,))
-        assert ord_for_word(system, lam, word) == ord_mirrored(system, lam, *parsed)
+        assert ord_for_word(system, lam, word) == vanishing._order(system, lam, pairings, parsed)
         parsed_count += 1
     assert parsed_count > 0
 

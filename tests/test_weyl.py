@@ -531,11 +531,10 @@ def test_coset_words_are_the_stripped_reduced_words(cartan_type: str, rank: int)
     one ``reduced_word`` strips, on every letter set of the group (244 sets
     and 71438 representatives over all the groups); the map is read-only."""
     g = weyl_group(cartan_type, rank)
-    stripped = weyl._reduced_word.__wrapped__
     for k in range(rank + 1):
         for I in itertools.combinations(range(1, rank + 1), k):
             for u, word in g.min_coset_reps(I).items():
-                assert word == stripped(g, u), (I, u)
+                assert word == g.reduced_word(u), (I, u)
     with pytest.raises(TypeError):
         g.min_coset_reps(())[g.identity()] = ()
 
@@ -887,14 +886,17 @@ def test_shared_group_keeps_the_shared_system_after_evictions() -> None:
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_memoized_words_and_cosets_match_a_fresh_group(cartan_type: str, rank: int) -> None:
-    """Cached words and cosets equal the uncached functions behind them."""
+    """Cached cosets and their words equal the uncached function behind
+    them, and the words of W (the cosets of no letter) are the stripped
+    ones of a fresh group."""
     shared = weyl_group(cartan_type, rank)
-    fresh_word = weyl._reduced_word.__wrapped__
     fresh_reps = weyl._min_coset_reps.__wrapped__
     for _ in range(2):  # the second pass reads the caches
         fresh = wg(cartan_type, rank)
-        for w in fresh.elements():
-            assert shared.reduced_word(w) == fresh_word(fresh, w)
+        words = shared.min_coset_reps(())
+        assert set(words) == set(fresh.elements())
+        for w, word in words.items():
+            assert word == fresh.reduced_word(w)
         for size in range(rank + 1):
             for I in itertools.combinations(range(1, rank + 1), size):
                 expected = list(fresh_reps(fresh, I).items())
@@ -902,12 +904,16 @@ def test_memoized_words_and_cosets_match_a_fresh_group(cartan_type: str, rank: i
                 assert list(shared.min_coset_reps(I[::-1] + I).items()) == expected
 
 
-def test_reduced_word_memo_is_bounded() -> None:
+def test_words_round_trip_and_every_cache_is_bounded() -> None:
+    """Six caches: words are stored only with their cosets."""
     g = wg("B", 3)
     elements = g.elements()
     words = [g.reduced_word(w) for w in elements]
     stats = cache_stats()
-    assert stats["weyl._reduced_word"].currsize >= 1
+    assert sorted(stats) == [
+        "cases._case_data", "cli.build_parser", "reps._slot_table",
+        "rootsys.root_system", "weyl._group_of", "weyl._min_coset_reps",
+    ]
     for info in stats.values():
         assert info.maxsize is not None and 0 <= info.currsize <= info.maxsize
     for w, word in zip(elements, words):

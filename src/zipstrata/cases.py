@@ -299,13 +299,15 @@ def _case_data(identifier: str, rank: int) -> _CaseData:
     """The datum, Hodge character and report columns of a validated case,
     built once per (identifier, rank). The datum comes from the preset's
     (type, rank, mu), the Hodge character from ``hodge_character``, the
-    line positions from one ``standard_zips`` call (``clp`` where the Hodge
-    slice is a line, ``clp_exterior_top`` of its top exterior power
-    otherwise), and the orders from the closed form, if the preset has one;
-    eta and the line positions are scaled by the preset's power. Labels and
-    words are ``min_coset_reps``, sorted stably by descending word length:
-    open first, then by word. A label has no left descent in I, so its
-    Bruhat class strips only its right descents in J."""
+    line positions from one ``standard_zips`` call on the words (``clp``
+    where the Hodge slice is a line, ``clp_exterior_top`` of its top
+    exterior power otherwise), and the orders from the closed form, if the
+    preset has one; eta and the line positions are scaled by the preset's
+    power. Labels and words are ``min_coset_reps``, sorted stably by
+    descending word length: open first, then by word. Reversed, each word
+    follows the word it extends by one letter, so each zip costs one
+    composition. A label has no left descent in I, so its Bruhat class
+    strips only its right descents in J."""
     preset = PRESETS[identifier]
     cartan_type, group_rank, mu, module = preset.triple(rank)
     group = weyl_group(cartan_type, group_rank)
@@ -326,8 +328,8 @@ def _case_data(identifier: str, rank: int) -> _CaseData:
         bruhat_classes=tuple(bruhat_classes),
         clps=tuple(
             power * (clp(z) if z.dims[0] == 1 else clp_exterior_top(z))
-            for z in standard_zips(datum, module, labels)
-        ),
+            for z in standard_zips(datum, module, words[::-1])
+        )[::-1],
         orders=None if order is None else tuple(order(rank, w) for w in labels),
     )
 

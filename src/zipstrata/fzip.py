@@ -15,18 +15,20 @@ the slot keys are the module's stored keys (each weight times the lcm,
 ``scale``, of the module's denominators), and the Weyl action, a signed
 permutation of coordinates, moves keys and weights alike. Only the simple
 reflections are applied to keys, once per ``standard_zips`` call: W acts on
-the slots of a W-stable module, so every other element's permutation is a
-composition of theirs (the slot action of the zip data of Pink, Wedhorn
-and Ziegler). The slots, their keys and the slice dimensions are the
-module's one mu-slicing, ``reps._slot_table``, which a case's Hodge
-character has already built: slots sorted by the integer pairing of their
-keys with the scaled cocharacter, which orders them as the exact pairing
-does, and slices counted off the same sorted pairings.
+the slots of a W-stable module, so every other element's permutation is the
+composition of theirs along a word of it (the slot action of the zip data
+of Pink, Wedhorn and Ziegler). A case builds its zips along the words that
+``min_coset_reps`` stores for its strata. The slots, their keys and the
+slice dimensions are the module's one mu-slicing, ``reps._slot_table``,
+which a case's Hodge character has already built: slots sorted by the
+integer pairing of their keys with the scaled cocharacter, which orders
+them as the exact pairing does, and slices counted off the same sorted
+pairings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from .reps import WeightMultiset, _slot_table
 from .rootsys import IntVector, Vector
@@ -43,55 +45,42 @@ class StandardZip(NamedTuple):
 
 
 def standard_zips(
-    datum: CocharacterDatum, module: WeightMultiset, elements: Sequence[Perm]
+    datum: CocharacterDatum, module: WeightMultiset, words: Iterable[Sequence[int]]
 ) -> Tuple[StandardZip, ...]:
     """Standard zips of the module at the cocharacter of the datum, one per
-    element, with the conjugate lines permuted by that element.
+    word, with the conjugate lines permuted by the word's element.
 
     The weights must be multiplicity free, otherwise slots and weights do not
     determine each other and the permutation model breaks down. Each simple
     reflection is mapped once to the slot permutation of its action on the
     integer slot keys; a module that is not W-stable fails there, naming a
-    weight that leaves the slots, whatever the elements. Since W acts on the
-    slots of a W-stable module, w = (w s_j) s_j for w's first right descent
-    s_j gives w's permutation as w s_j's composed with s_j's. The walk down
-    to an element already known (the identity at the latest) is iterative,
-    each step s_j's slot swaps on the element, and every element on it is
-    remembered for the rest of the call, so the strata of a case, whose
-    labels are closed under dropping a right descent, cost one composition
-    each. A non-element never meets one, and raises once its walk runs out
-    of descents or outgrows w_0.
+    weight that leaves the slots, whatever the words. Since W acts on the
+    slots of a W-stable module, a word's permutation is the product of its
+    letters', so it depends only on the element, reduced word or not. Each
+    word's permutation is remembered for the rest of the call: a word whose
+    prefix without its last letter came before costs one composition, so
+    the words of a ``min_coset_reps`` table, in its order, cost one each.
+    Any other word is folded from the identity. A letter outside 1..rank
+    raises.
     """
     if any(mult != 1 for mult in module.mults):
         raise ValueError("the permutation model needs multiplicity-free weights")
     slots, keys, index_of, dims = _slot_table(module, datum.mu)
-    group, system = datum.group, datum.group.system
-    pairs, swaps = system.root_pairs, system.simple_swaps
-    simple = list(enumerate(pairs[: group.rank]))
+    group = datum.group
     steps = [
         _reflection_slot_perm(group, group.simple_reflection(i), slots, keys, index_of)
         for i in range(1, group.rank + 1)
     ]
-    known: Dict[Perm, Perm] = {group.identity(): identity_perm(len(slots))}
+    known: Dict[Tuple[int, ...], Perm] = {(): identity_perm(len(slots))}
     zips = []
-    for w in map(tuple, elements):
-        path = []
-        key = w
-        letters = simple if len(w) == group.slots else ()
-        while key not in known:
-            letter = next((i for i, (a, b) in letters if key[a] > key[b]), None)
-            if letter is None or len(path) == len(pairs):
-                raise ValueError(f"{w} is not an element of W({system.cartan_type}{group.rank})")
-            path.append((key, letter))
-            step = list(key)
-            for x, y in swaps[letter]:
-                step[x], step[y] = step[y], step[x]
-            key = tuple(step)
-        sigma = known[key]
-        for key, letter in reversed(path):
-            sigma = compose(sigma, steps[letter])
-            known[key] = sigma
-        zips.append(StandardZip(dims=dims, slots=slots, sigma=sigma))
+    for word in map(tuple, words):
+        if word not in known:
+            prefix = known.get(word[:-1])
+            sigma, letters = (known[()], word) if prefix is None else (prefix, word[-1:])
+            for i in group._letter_indices(letters):
+                sigma = compose(sigma, steps[i])
+            known[word] = sigma
+        zips.append(StandardZip(dims=dims, slots=slots, sigma=known[word]))
     return tuple(zips)
 
 
@@ -117,8 +106,9 @@ def _reflection_slot_perm(
 def build_standard(
     datum: CocharacterDatum, module: WeightMultiset, w: Perm
 ) -> StandardZip:
-    """The standard zip of ``standard_zips`` for the one element w."""
-    return standard_zips(datum, module, (w,))[0]
+    """The standard zip of ``standard_zips`` for the one element w, by its
+    ``reduced_word``, which refuses a w outside the group."""
+    return standard_zips(datum, module, (datum.group.reduced_word(w),))[0]
 
 
 def clp(z: StandardZip) -> int:

@@ -38,11 +38,9 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .rootsys import IntVector, Vector, _to_ints, neg, root_system
 
-# Ceiling on the subset enumeration behind exterior powers.
-WEDGE_CAP = 10_000_000
-
 # Ceiling on a module's dimension, checked before its weights are built: by
-# ``spin_weights`` here and by ``cases.check_spec`` for every case.
+# ``spin_weights`` and ``wedge`` here and by ``cases.check_spec`` for every
+# case.
 MODULE_DIM_CAP = 4096
 
 
@@ -145,15 +143,17 @@ def spin_weights(cartan_type: str, rank: int) -> WeightMultiset:
 def wedge(module: WeightMultiset, k: int) -> WeightMultiset:
     """Exterior power: sums of the weights over k-element sub-multisets,
     added as rows of the integer image at the module's scale; the
-    constructor reduces the scale where every sum is integral."""
+    constructor reduces the scale where every sum is integral. A power of
+    dimension above ``MODULE_DIM_CAP`` raises before any subset is built."""
     if not module.keys:
         raise ValueError("empty module has no ambient dimension")
     dim = module.dimension
     if not 0 <= k <= dim:
         raise ValueError(f"exterior power {k} of a {dim}-dimensional module")
-    if math.comb(dim, k) > WEDGE_CAP:
+    if math.comb(dim, k) > MODULE_DIM_CAP:
         raise ValueError(
-            f"exterior power would enumerate {math.comb(dim, k)} subsets"
+            f"exterior power {k} of a {dim}-dimensional module has dimension "
+            f"{math.comb(dim, k)}, above the ceiling of {MODULE_DIM_CAP}"
         )
     flat = [key for key, mult in zip(module.keys, module.mults) for _ in range(mult)]
     zero = (0,) * len(flat[0])

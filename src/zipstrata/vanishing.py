@@ -31,7 +31,7 @@ from operator import add
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .rootsys import Root, RootSystem, Vector, simple_pairings
-from .weyl import CocharacterDatum, Perm, _group_of, compose
+from .weyl import CocharacterDatum, Perm, WeylGroup, compose
 
 Word = Tuple[int, ...]
 
@@ -80,7 +80,7 @@ def root_sequence(system: RootSystem, word: Sequence[int]) -> Tuple[Root, ...]:
     positive and pairwise distinct; a non-reduced word revisits a root line
     and the sequence picks up repeats or negatives.
     """
-    group = _group_of(system)
+    group = WeylGroup(system)
     swaps = system.simple_swaps
     prefix = list(group.identity())
     swept = []
@@ -124,7 +124,7 @@ def condition_closed(
             stage = t
     if stage is None:
         return True, None
-    group = _group_of(system)
+    group = WeylGroup(system)
     back = group.from_word(word[:stage][::-1])
     found = _closure_violation(system, swept[stage:])
     return False, ClosednessWitness(stage, *group._act_all(back, found))
@@ -155,7 +155,7 @@ def _int_pairing(pairings: Sequence[Fraction], lam: Vector, i: int) -> int:
 def _require_reduced(system: RootSystem, word: Word) -> None:
     """Raise unless the word is reduced; a letter outside 1..rank raises
     through ``from_word``."""
-    group = _group_of(system)
+    group = WeylGroup(system)
     if group.length(group.from_word(word)) != len(word):
         raise ValueError(f"word {word} is not reduced")
 

@@ -18,9 +18,9 @@ through those two, and descent stripping tests only the letters it may
 strip (left ones on the inverse). A simple reflection is its one or two
 slot swaps (``RootSystem.simple_swaps``) and has no other form: every
 product by one, in ``from_word``, the stripping kernels (``reduced_word``,
-``min_in_double_coset``, ``longest_in``) and the enumerations, swaps slots
-of a list in place, and ``simple_reflection`` builds a tuple only for a
-caller that asks for one. Left descents are stripped on the inverse, which
+``min_in_double_coset``, ``longest_in``) and the coset enumeration, swaps
+slots of a list in place, and ``simple_reflection`` builds a tuple only for
+a caller that asks for one. Left descents are stripped on the inverse, which
 is built once. Coset enumeration (``min_coset_reps``) climbs W^I a length
 at a time by the same swaps, keeping an ascent u s_j exactly when
 Deodhar's test passes: u sends alpha_j to no simple root of I, read off
@@ -33,12 +33,13 @@ The action on coordinate vectors (``act``) is a signed permutation of
 coordinates, the sign flipped where a coordinate lands on a mirror slot; it
 serves Fraction weights and integer roots alike and keeps the entry type.
 
-``weyl_group`` hands out one shared group per root system, and so per type
-and rank. ``min_coset_reps`` (with the words) per parabolic type is served
-by a module-level ``lru_cache`` function keyed by the group, which hashes
-on its system, so every group of the same system shares its entries. It is
-the one store of words: W itself is ``min_coset_reps(())``, and
-``reduced_word`` strips afresh on every call.
+``weyl_group`` builds the group of the shared ``root_system``; groups hold
+no state but their system. ``min_coset_reps`` (with the words) per
+parabolic type is served by a module-level ``lru_cache`` function keyed by
+the group, which hashes on its system, so every group of the same system
+shares its entries. It is the one enumeration of W and the one store of
+words: ``elements`` reads ``min_coset_reps(())``, and ``reduced_word``
+strips afresh on every call.
 """
 
 from __future__ import annotations
@@ -268,6 +269,12 @@ class WeylGroup:
         self._letter_indices(I)
         return _min_coset_reps(self, tuple(sorted(set(I))))
 
+    def elements(self) -> Tuple[Perm, ...]:
+        """Every element: W is the cosets of no letter, so this is
+        ``min_coset_reps(())``, which refuses a group above
+        ``ENUMERATION_CAP``."""
+        return tuple(self.min_coset_reps(()))
+
     def min_in_double_coset(self, w: Perm, I: Sequence[int], J: Sequence[int]) -> Perm:
         """Minimum of W_I * w * W_J by descent stripping: left descents in I
         first, on the inverse (s w has inverse w^-1 s), then right descents
@@ -303,33 +310,6 @@ class WeylGroup:
                     break
             else:
                 return
-
-    # -- enumeration (guarded, small ranks only) --------------------------
-
-    def elements(self, cap: int = ENUMERATION_CAP) -> Tuple[Perm, ...]:
-        """Every element, by breadth-first search from the identity over
-        right multiplication by the simple reflections, as slot swaps; a
-        group of more than cap elements raises before any is built."""
-        if self.group_order() > cap:
-            raise ValueError(
-                f"refusing to enumerate {self.group_order()} elements (cap {cap})"
-            )
-        swaps = self.system.simple_swaps
-        seen = {self.identity()}
-        frontier = list(seen)
-        while frontier:
-            nxt: List[Perm] = []
-            for u in frontier:
-                for swap in swaps:
-                    step = list(u)
-                    for x, y in swap:
-                        step[x], step[y] = step[y], step[x]
-                    v = tuple(step)
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return tuple(seen)
 
 
 @lru_cache(maxsize=64)
@@ -376,14 +356,8 @@ def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Mapping[Perm, Tuple
 
 
 def weyl_group(cartan_type: str, rank: int) -> WeylGroup:
-    """The Weyl group of ``root_system(cartan_type, rank)``, shared per
-    system: its ``system`` is always the one ``root_system`` hands out."""
-    return _group_of(root_system(cartan_type, rank))
-
-
-@lru_cache(maxsize=64)
-def _group_of(system: RootSystem) -> WeylGroup:
-    return WeylGroup(system)
+    """The Weyl group of ``root_system(cartan_type, rank)``."""
+    return WeylGroup(root_system(cartan_type, rank))
 
 
 class CocharacterDatum(NamedTuple):

@@ -1,5 +1,6 @@
 """Standard zips: slot order, induced permutations, line positions."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from helpers import (
     is_cy,
     mu_profile,
     reference_slot_perm,
+    right_descents,
     w0ij_perm,
 )
 
@@ -146,24 +148,62 @@ def test_composed_slot_perms_equal_the_per_key_action(
     cartan_type, rank, mu, module
 ) -> None:
     """On every element, one at a time and all in one call (which reuses the
-    elements met on the way), the slot permutation equals the one read off
-    the action on each integer key."""
+    words met before), the slot permutation equals the one read off the
+    action on each integer key."""
     datum = datum_for(cartan_type, rank, vec(*mu))
     module = module()
-    elements = datum.group.elements()
-    expected = [reference_slot_perm(datum, module, w) for w in elements]
-    assert [build_standard(datum, module, w).sigma for w in elements] == expected
-    assert [z.sigma for z in standard_zips(datum, module, elements)] == expected
+    words = datum.group.min_coset_reps(())
+    expected = [reference_slot_perm(datum, module, w) for w in words]
+    assert [build_standard(datum, module, w).sigma for w in words] == expected
+    assert [z.sigma for z in standard_zips(datum, module, words.values())] == expected
+
+
+def largest_descent_word(group, w) -> tuple:
+    """A reduced word of w, read off by stripping its largest right descent
+    until none is left."""
+    u, letters = w, []
+    while descents := right_descents(group, u):
+        letters.append(descents[-1])
+        u = compose(u, group.simple_reflection(descents[-1]))
+    assert u == group.identity()
+    return tuple(reversed(letters))
+
+
+@pytest.mark.parametrize("cartan_type,rank,mu,module", _ZIP_MODULES)
+def test_a_zip_depends_only_on_its_element(cartan_type, rank, mu, module) -> None:
+    """Each element's slot permutation is the same from its stored word, from
+    the reduced word that strips the largest descent first, and from a
+    non-reduced word that appends some (i, i)."""
+    datum = datum_for(cartan_type, rank, vec(*mu))
+    group, module = datum.group, module()
+    words = group.min_coset_reps(())
+    expected = [reference_slot_perm(datum, module, w) for w in words]
+    second = [largest_descent_word(group, w) for w in words]
+    assert any(a != b for a, b in zip(second, words.values()))
+    padded = [
+        word + (i, i)
+        for i, word in zip(itertools.cycle(range(1, rank + 1)), words.values())
+    ]
+    for other in (second, padded):
+        assert [z.sigma for z in standard_zips(datum, module, other)] == expected
+
+
+@pytest.mark.parametrize("words", [[(0,)], [(4,)], [(1, 2), (1, 2, 4)], [(1,), (1, 0)]])
+def test_a_letter_out_of_range_is_refused(words) -> None:
+    """A letter outside 1..rank raises, also as the one new letter of a
+    word whose prefix is known; 0 does not wrap round to the last letter."""
+    datum = datum_for("B", 3, e1(3))
+    with pytest.raises(ValueError, match="out of range"):
+        standard_zips(datum, std_weights("B", 3), words)
 
 
 def test_the_strata_of_a_case_cost_one_composition_each(monkeypatch) -> None:
-    """The labels of B_4 open first: the first walk passes every shorter
-    label, so each label but the identity costs one step of the walk, made
-    by slot swaps, and one composition of slot permutations."""
+    """The words of B_4's labels in the order of ``min_coset_reps``: each
+    word's prefix without its last letter comes before it, so each label
+    but the identity costs one composition of slot permutations."""
     datum = datum_for("B", 4, e1(4))
-    labels = sorted(
-        datum.group.min_coset_reps(datum.I), key=datum.group.length, reverse=True
-    )
+    table = datum.group.min_coset_reps(datum.I)
+    labels = list(table)
     calls = []
     compose_once = fzip.compose
 
@@ -172,7 +212,7 @@ def test_the_strata_of_a_case_cost_one_composition_each(monkeypatch) -> None:
         return compose_once(a, b)
 
     monkeypatch.setattr(fzip, "compose", counted)
-    zips = standard_zips(datum, std_weights("B", 4), labels)
+    zips = standard_zips(datum, std_weights("B", 4), table.values())
     assert len(calls) == len(labels) - 1
     assert [z.sigma for z in zips] == [
         reference_slot_perm(datum, std_weights("B", 4), w) for w in labels
@@ -180,7 +220,8 @@ def test_the_strata_of_a_case_cost_one_composition_each(monkeypatch) -> None:
 
 
 def test_the_longest_element_of_b64_needs_no_recursion() -> None:
-    """The walk from w0 of B_64 to the identity takes 4096 steps."""
+    """w0 of B_64 has a reduced word of 4096 letters, stripped and then
+    folded into one slot permutation without recursion."""
     group = weyl_group("B", 64)
     datum = cocharacter_datum(group, e1(64))
     module = std_weights("B", 64)
@@ -309,7 +350,7 @@ def test_one_dimensional_p_divisible_groups_have_order_and_clp_one(n) -> None:
     group = datum.group
     labels = group.min_coset_reps(datum.I)
     orders = strata_ord_table(datum, neg(hodge_character(module, mu)))
-    positions = [clp(z) for z in standard_zips(datum, module, labels)]
+    positions = [clp(z) for z in standard_zips(datum, module, labels.values())]
     open_label = max(labels, key=group.length)
     assert len(labels) == n
     for label, position in zip(labels, positions):

@@ -204,6 +204,22 @@ def test_wedge_rejects_out_of_range_power() -> None:
         wedge(std_weights("A", 2), 5)
 
 
+@pytest.mark.parametrize("rank,k", [(14, 7), (19, 10), (22, 8), (63, 32)])
+def test_wedge_refuses_a_power_above_the_module_ceiling_before_enumerating(
+    rank: int, k: int, monkeypatch
+) -> None:
+    """A power of dimension comb(dim, k) above ``MODULE_DIM_CAP`` is refused
+    before any subset is built; wedge^7 of A14's standard module, of
+    dimension 6435, is the smallest refused middle power."""
+    def refuse(*args):
+        raise AssertionError("started enumerating subsets")
+
+    module = std_weights("A", rank)
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    with pytest.raises(ValueError, match=f"above the ceiling of {MODULE_DIM_CAP}"):
+        wedge(module, k)
+
+
 def test_dual_negates_weights() -> None:
     module = std_weights("A", 2)
     assert multiplicity(dual(module), vec(-1, 0, 0)) == 1

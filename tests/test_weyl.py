@@ -281,15 +281,23 @@ def test_slot_order_matches_the_action_on_roots(cartan_type: str, rank: int) -> 
     [("A", 3, 24), ("B", 3, 48), ("C", 2, 8), ("D", 3, 24), ("D", 4, 192)],
 )
 def test_group_order_matches_enumeration(cartan_type: str, rank: int, order: int) -> None:
+    """``elements`` lists each element once, the same ones as a breadth-first
+    search over the simple reflections."""
     g = wg(cartan_type, rank)
     assert g.group_order() == order
     assert len(g.elements()) == order
+    assert set(g.elements()) == set(subgroup_elements(g, range(1, rank + 1)))
 
 
-def test_enumeration_cap_is_enforced() -> None:
-    g = wg("B", 3)
-    with pytest.raises(ValueError):
-        g.elements(cap=10)
+def test_enumeration_cap_is_enforced(monkeypatch) -> None:
+    """W is the cosets of no letter, so a group above ``ENUMERATION_CAP`` is
+    refused before the identity, its first element, is built."""
+    def refuse(*args):
+        raise AssertionError("started enumerating")
+
+    monkeypatch.setattr(WeylGroup, "identity", refuse)
+    with pytest.raises(ValueError, match=f"refusing to enumerate {factorial(9)} cosets"):
+        wg("A", 8).elements()
 
 
 _PARABOLIC_GROUPS = (
@@ -863,7 +871,9 @@ def test_length_counts_inversions_of_positive_roots() -> None:
 @pytest.mark.parametrize("cartan_type,rank", SMALL_GROUPS)
 def test_weyl_group_is_shared(cartan_type: str, rank: int) -> None:
     g = weyl_group(cartan_type, rank)
-    assert g is weyl_group(cartan_type, rank)
+    again = weyl_group(cartan_type, rank)
+    assert g == again and hash(g) == hash(again)
+    assert g.min_coset_reps((1,)) is again.min_coset_reps((1,))
     assert g.system is root_system(cartan_type, rank)
     built = WeylGroup(root_system(cartan_type, rank))
     assert built == g and hash(built) == hash(g)
@@ -888,13 +898,13 @@ def test_shared_group_keeps_the_shared_system_after_evictions() -> None:
 def test_memoized_words_and_cosets_match_a_fresh_group(cartan_type: str, rank: int) -> None:
     """Cached cosets and their words equal the uncached function behind
     them, and the words of W (the cosets of no letter) are the stripped
-    ones of a fresh group."""
+    ones of a fresh group, on the elements a breadth-first search finds."""
     shared = weyl_group(cartan_type, rank)
     fresh_reps = weyl._min_coset_reps.__wrapped__
     for _ in range(2):  # the second pass reads the caches
         fresh = wg(cartan_type, rank)
         words = shared.min_coset_reps(())
-        assert set(words) == set(fresh.elements())
+        assert set(words) == set(subgroup_elements(fresh, range(1, rank + 1)))
         for w, word in words.items():
             assert word == fresh.reduced_word(w)
         for size in range(rank + 1):
@@ -905,14 +915,15 @@ def test_memoized_words_and_cosets_match_a_fresh_group(cartan_type: str, rank: i
 
 
 def test_words_round_trip_and_every_cache_is_bounded() -> None:
-    """Six caches: words are stored only with their cosets."""
+    """Five caches: words are stored only with their cosets, and groups,
+    which hold nothing but their system, are not cached."""
     g = wg("B", 3)
     elements = g.elements()
     words = [g.reduced_word(w) for w in elements]
     stats = cache_stats()
     assert sorted(stats) == [
         "cases._case_data", "cli.build_parser", "reps._slot_table",
-        "rootsys.root_system", "weyl._group_of", "weyl._min_coset_reps",
+        "rootsys.root_system", "weyl._min_coset_reps",
     ]
     for info in stats.values():
         assert info.maxsize is not None and 0 <= info.currsize <= info.maxsize

@@ -7,7 +7,9 @@ __version__ = "0.1.0"
 def cache_stats() -> dict:
     """``cache_info()`` of every ``functools.lru_cache`` function in the
     package, keyed by ``module.function`` (for example
-    ``"cases._case_data"``). Evictions are ``misses - currsize``."""
+    ``"cases._case_data"``). Evictions are ``misses - currsize``, less the
+    calls that raised, which count as misses and are not kept: refused
+    inputs, and the coset tables ``weyl`` hands out uncached."""
     # Imported here: pkgutil would add about a millisecond to every import
     # of the package, which the command line pays on each run.
     import importlib

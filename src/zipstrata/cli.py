@@ -58,7 +58,7 @@ class RunConfig(NamedTuple):
 def _word_str(word: Sequence[int]) -> str:
     if not word:
         return "e"
-    return " ".join(f"s{letter}" for letter in word)
+    return "s" + " s".join(map(str, word))
 
 
 def _parse_word(text: str) -> Tuple[int, ...]:
@@ -158,12 +158,10 @@ def _render_text(config: RunConfig, rows: List[Dict[str, object]]) -> str:
         max(len(h), *(len(line[k]) for line in table))
         for k, h in enumerate(headers)
     ]
-    out = [
-        f"case {config.case}  rank {config.rank}  prime {config.prime}",
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-    ]
-    for line in table:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
+    out = [f"case {config.case}  rank {config.rank}  prime {config.prime}"]
+    for line in [headers] + table:
+        # The last column is not padded, so no line ends in a space.
+        out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
     agreeing = sum(1 for row in rows if row["ogus"])
     out.append(f"ogus principle holds on {agreeing}/{len(rows)} strata")
     return "\n".join(out) + "\n"

@@ -16,10 +16,10 @@ and the roots are read off the slot pairs.
 system once per type and rank and hands out the same instance
 afterwards. A system compares and hashes by identity, so it is a cheap cache
 key downstream; the derived integer data (simple coroots, Cartan matrix,
-the root set) is computed on first use and kept on it. Every simple coroot
-is an integer vector too, so ``simple_pairings`` scales a weight to integer
-numerators over the lcm of its denominators and pairs on machine integers,
-building one ``Fraction`` per coroot at the end.
+the positive roots and the root set) is computed on first use and kept on
+it. Every simple coroot is an integer vector too, so ``simple_pairings``
+scales a weight to integer numerators over the lcm of its denominators and
+pairs on machine integers, building one ``Fraction`` per coroot at the end.
 ``pairing`` and ``reflect`` remain the general formulas and accept either
 kind of vector.
 """
@@ -87,8 +87,10 @@ def _to_ints(vectors: Iterable[Vector]) -> Tuple[int, Tuple[IntVector, ...]]:
 class RootSystem:
     """A root system with its chosen simple roots and its slot layout.
 
-    ``positive_roots`` is the full set of positive roots; ``roots`` adds the
-    negatives. ``ambient_dim`` is the number of coordinates (rank+1 for A).
+    ``positive_roots`` is the full set of positive roots, built on first
+    read (only ``roots`` and ``root_keys``, the closedness diagnostic's
+    tables, read it); ``roots`` adds the negatives. ``ambient_dim`` is the
+    number of coordinates (rank+1 for A).
     ``slot_weights`` are the standard module's weights in slot order, as
     int tuples (see ``root_system``); ``root_pairs`` holds the zero-based
     slot pair (a, b), a < b, of each positive root slot_weights[a] -
@@ -135,9 +137,16 @@ class RootSystem:
         self.slot_weights = tuple(slots)
         self.root_pairs = tuple(simple) + tuple(p for p in pairs if p not in simple_set)
         self.simple_swaps = tuple(swaps)
-        self.mirror = {k: index[neg(u)] for k, u in enumerate(slots) if neg(u) in index}
+        self.mirror = {
+            k: j for k, u in enumerate(slots) if (j := index.get(neg(u))) is not None
+        }
         self.simple_roots = tuple(sub(slots[a], slots[b]) for a, b in simple)
-        self.positive_roots = tuple(sub(slots[a], slots[b]) for a, b in pairs)
+        self._positive_pairs = pairs
+
+    @cached_property
+    def positive_roots(self) -> Tuple[Root, ...]:
+        slots = self.slot_weights
+        return tuple(sub(slots[a], slots[b]) for a, b in self._positive_pairs)
 
     @property
     def roots(self) -> Tuple[Root, ...]:

@@ -32,6 +32,9 @@ coset W_I x, and a Bruhat class of a double coset, so both are in W^I.
 The action on coordinate vectors (``act``) is a signed permutation of
 coordinates, the sign flipped where a coordinate lands on a mirror slot; it
 serves Fraction weights and integer roots alike and keeps the entry type.
+Both slot kernels, the action and ``compose``, pick their entries with one
+``operator.itemgetter`` call per image, so the per-entry work runs in C;
+only the flipped coordinates are touched again in Python.
 
 ``weyl_group`` builds the group of the shared ``root_system``; groups hold
 no state but their system. ``min_coset_reps`` (with the words) per
@@ -39,7 +42,9 @@ parabolic type is served by a module-level ``lru_cache`` function keyed by
 the group, which hashes on its system, so every group of the same system
 shares its entries. It is the one enumeration of W and the one store of
 words: ``elements`` reads ``min_coset_reps(())``, and ``reduced_word``
-strips afresh on every call.
+strips afresh on every call. A table of more than ``CACHED_REPS_CAP``
+representatives is enumerated on every call and never kept, so the cache
+is bounded in size as well as in entries.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
@@ -66,14 +72,24 @@ T = TypeVar("T")
 # 1.0 s and 81 MB peak RSS fresh on a 2-vCPU Xeon (5.2 s, 42 MB without words).
 ENUMERATION_CAP = 200_000
 
+# Largest coset table ``min_coset_reps`` keeps in its cache. A case table has
+# at most 64 representatives and W(A6) has 5040, so both stay cached; the
+# 181440 of A8 above are enumerated afresh on every call instead of holding
+# 81 MB in the cache.
+CACHED_REPS_CAP = 10_000
+
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
-    """a after b: (a*b)(i) = a(b(i))."""
-    return tuple([a[x - 1] for x in b])
+    """a after b: (a*b)(i) = a(b(i)), one ``itemgetter`` over b's values
+    picking from a shifted to 1-indexed slots (entry by entry below two
+    slots, where ``itemgetter`` would not return a tuple)."""
+    if len(b) < 2:
+        return tuple([a[x - 1] for x in b])
+    return itemgetter(*b)((0,) + a)
 
 
 def inverse(a: Perm) -> Perm:
@@ -116,7 +132,7 @@ class WeylGroup:
 
         The action is a signed permutation of the coordinates, so the image
         keeps the entry type: Fraction weights stay Fraction and integer
-        roots stay integer.
+        roots stay integer. It is ``_act_all`` on the one vector.
         """
         return self._act_all(w, (v,))[0]
 
@@ -126,8 +142,11 @@ class WeylGroup:
         """``act`` of one element on many vectors, which share the table of
         where each coordinate lands. Coordinate i goes to coordinate w(i),
         or, when w(i) lies past the coordinate slots, to the coordinate of
-        its mirror slot with its sign flipped. Each image picks its
-        coordinates by index and then negates the flipped ones."""
+        its mirror slot with its sign flipped. Each image is one
+        ``itemgetter`` call over the sources (on one coordinate, where
+        ``itemgetter`` returns the entry itself, a one-entry tuple); only
+        when some coordinate lands on a mirror slot is it copied to a list
+        to negate the flipped ones."""
         dim, mirror = self.system.ambient_dim, self.system.mirror
         sources = [0] * dim
         flipped = []
@@ -138,12 +157,17 @@ class WeylGroup:
                 j = mirror[k - 1]
                 sources[j] = i
                 flipped.append(j)
-        images = []
-        for v in vectors:
-            image = list(map(v.__getitem__, sources))
-            for k in flipped:
-                image[k] = -image[k]
-            images.append(tuple(image))
+        if dim == 1:
+            (source,) = sources
+            images = [(v[source],) for v in vectors]
+        else:
+            images = list(map(itemgetter(*sources), vectors))
+        if flipped:
+            for n, image in enumerate(images):
+                image = list(image)
+                for k in flipped:
+                    image[k] = -image[k]
+                images[n] = tuple(image)
         return tuple(images)
 
     # -- generators and words ---------------------------------------------
@@ -265,9 +289,14 @@ class WeylGroup:
     def min_coset_reps(self, I: Sequence[int]) -> Mapping[Perm, Tuple[int, ...]]:
         """Each minimal-length representative of W_I \\ W mapped to its
         ``reduced_word``, read-only, by length and then word; a letter
-        outside 1..rank raises, and so do over ``ENUMERATION_CAP`` of them."""
+        outside 1..rank raises, and so do over ``ENUMERATION_CAP`` of them.
+        A table above ``CACHED_REPS_CAP`` comes back uncached (see
+        ``_min_coset_reps``)."""
         self._letter_indices(I)
-        return _min_coset_reps(self, tuple(sorted(set(I))))
+        try:
+            return _min_coset_reps(self, tuple(sorted(set(I))))
+        except _Uncached as large:
+            return large.args[0]
 
     def elements(self) -> Tuple[Perm, ...]:
         """Every element: W is the cosets of no letter, so this is
@@ -312,6 +341,11 @@ class WeylGroup:
                 return
 
 
+class _Uncached(Exception):
+    """Carries a coset table, its one argument, out of ``_min_coset_reps``
+    past its cache."""
+
+
 @lru_cache(maxsize=64)
 def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Mapping[Perm, Tuple[int, ...]]:
     """Minimal coset representatives W^I with their reduced words, level by
@@ -327,7 +361,10 @@ def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Mapping[Perm, Tuple
     too. Each level is built by slot swaps on a list, its elements in order
     of word trying their letters j in order, so a new element's first word
     word(u) + (j,) is its least, and the level comes out sorted. First
-    |W^I| = |W| / |W_I| is checked against ``ENUMERATION_CAP``.
+    |W^I| = |W| / |W_I| is checked against ``ENUMERATION_CAP``. A table of
+    more than ``CACHED_REPS_CAP`` is raised in an ``_Uncached``, which
+    ``lru_cache`` does not store (the call still counts as a miss), so the
+    size is decided once per miss and a hit pays nothing for it.
     """
     count = group.group_order() // group.parabolic_order(I)
     if count > ENUMERATION_CAP:
@@ -352,6 +389,8 @@ def _min_coset_reps(group: WeylGroup, I: Tuple[int, ...]) -> Mapping[Perm, Tuple
                     found.setdefault(tuple(v), word + (j,))
         words.update(found)
         level = list(found.items())
+    if count > CACHED_REPS_CAP:
+        raise _Uncached(MappingProxyType(words))
     return MappingProxyType(words)
 
 

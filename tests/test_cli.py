@@ -36,6 +36,15 @@ def run_cli(capsys, *argv):
 
 
 class TestStrataText:
+    @pytest.mark.parametrize("preset", PRESETS.values(), ids=lambda p: p.flag)
+    def test_no_line_ends_in_a_space(self, capsys, preset):
+        """At the least rank and the next (sp-cn's first False, a last
+        column wider than True)."""
+        for rank in {preset.min_rank, min(preset.min_rank + 1, preset.max_rank or 64)}:
+            code, out, _ = run_cli(capsys, "strata", "--case", preset.flag, "--n", str(rank))
+            assert code == 0
+            assert [line for line in out.splitlines() if line.endswith(" ")] == []
+
     def test_orthogonal_table_lists_every_stratum(self, capsys):
         code, out, _ = run_cli(capsys, "strata", "--case", "so-odd", "--m", "3")
         assert code == 0

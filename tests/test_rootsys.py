@@ -1,5 +1,6 @@
 """Exact arithmetic and classical root system tables."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipstrata import rootsys
+from zipstrata.cases import CASE_BY_FLAG, CaseSpec, run_case
 from zipstrata.reps import std_weights
 from zipstrata.rootsys import (
     ROOT_RANK_CAP,
@@ -24,8 +26,9 @@ from zipstrata.rootsys import (
     unit,
     vec,
 )
+from zipstrata.vanishing import condition_closed
 
-from helpers import expanded, int_reflect
+from helpers import clear_caches, expanded, int_reflect
 
 
 def is_dominant(system, lam) -> bool:
@@ -369,3 +372,26 @@ def test_the_mirror_holds_each_negated_slot_weight(cartan_type: str, rank: int) 
     for k, j in system.mirror.items():
         assert weights[j] == neg(weights[k])
         assert system.mirror[j] == k
+
+
+@pytest.mark.parametrize("flag,rank", [("so-odd", 3), ("so-even", 4), ("sp-cn", 3), ("gl-dualsum", 4)])
+def test_positive_roots_are_built_only_for_the_closedness_diagnostic(flag: str, rank: int) -> None:
+    """A case table never reads the positive roots. ``condition_closed``
+    builds them on demand and gives the verdicts and witnesses of a system
+    whose roots were built up front, on every word of up to four letters,
+    some of them not closed."""
+    clear_caches()
+    system = run_case(CaseSpec(CASE_BY_FLAG[flag], rank, 3)).datum.group.system
+    assert system is root_system(system.cartan_type, system.rank)
+    assert "positive_roots" not in system.__dict__
+    eager = rootsys.RootSystem(system.cartan_type, system.rank)
+    assert eager.positive_roots
+    verdicts = []
+    for length in range(1, 5):
+        for word in itertools.product(range(1, system.rank + 1), repeat=length):
+            verdict = condition_closed(system, word)
+            assert verdict == condition_closed(eager, word), word
+            verdicts.append(verdict[0])
+    assert "positive_roots" in system.__dict__
+    assert system.positive_roots == eager.positive_roots
+    assert True in verdicts and False in verdicts

@@ -34,6 +34,7 @@ from helpers import (
     compose_all,
     eo_same_stratum,
     in_min_coset_reps,
+    int_reflect,
     is_reduced,
     left_descents,
     min_double_coset_reps,
@@ -914,6 +915,27 @@ def test_memoized_words_and_cosets_match_a_fresh_group(cartan_type: str, rank: i
                 assert list(shared.min_coset_reps(I[::-1] + I).items()) == expected
 
 
+def test_coset_tables_above_the_size_bound_are_not_cached(monkeypatch) -> None:
+    """With ``CACHED_REPS_CAP`` patched down to 10, the 24 elements of A3
+    are enumerated on each call and never kept, equal to the cached table
+    of the unpatched bound; its 4 cosets of {2, 3} still enter the cache."""
+    g = wg("A", 3)
+    clear_caches()
+    cached = list(g.min_coset_reps(()).items())
+    clear_caches()
+    monkeypatch.setattr(weyl, "CACHED_REPS_CAP", 10)
+    for _ in range(2):
+        before = cache_stats()["weyl._min_coset_reps"]
+        assert list(g.min_coset_reps(()).items()) == cached
+        after = cache_stats()["weyl._min_coset_reps"]
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses + 1
+    assert g.min_coset_reps(()) is not g.min_coset_reps(())
+    assert len(g.min_coset_reps((2, 3))) == 4
+    assert cache_stats()["weyl._min_coset_reps"].currsize == 1
+    clear_caches()
+
+
 def test_words_round_trip_and_every_cache_is_bounded() -> None:
     """Five caches: words are stored only with their cosets, and groups,
     which hold nothing but their system, are not cached."""
@@ -950,6 +972,52 @@ def test_act_on_ints_matches_act_on_fractions(data) -> None:
     assert image == g.act(w, fractions)
     assert all(type(c) is int for c in image)
     assert all(type(c) is Fraction for c in g.act(w, fractions))
+
+
+# -- the itemgetter kernels against one-entry-at-a-time references ----------
+
+
+_KERNEL_GROUPS = (
+    [(t, r) for t in "ABC" for r in range(1, 4)] + [("D", r) for r in range(2, 5)]
+)
+
+
+@pytest.mark.parametrize("cartan_type,rank", _KERNEL_GROUPS)
+def test_act_is_the_simple_reflections_along_a_reduced_word(
+    cartan_type: str, rank: int
+) -> None:
+    """On every element, ``act`` equals the integer reflections in the
+    simple roots of a reduced word, the last letter applied first. The
+    Fraction vector is the int one halved, so its image is too, with
+    non-integral entries; both keep their entry type, and the one-coordinate
+    systems B1 and C1 return tuples."""
+    g = weyl_group(cartan_type, rank)
+    system = g.system
+    ints = tuple((-1) ** k * (2 * k + 3) for k in range(system.ambient_dim))
+    halves = tuple(Fraction(c, 2) for c in ints)
+    for w, word in g.min_coset_reps(()).items():
+        expected = ints
+        for letter in reversed(word):
+            expected = int_reflect(expected, system.simple(letter))
+        image = g.act(w, ints)
+        assert type(image) is tuple and image == expected, word
+        assert all(type(c) is int for c in image)
+        image = g.act(w, halves)
+        assert type(image) is tuple and image == tuple(Fraction(c, 2) for c in expected)
+        assert all(type(c) is Fraction for c in image)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_compose_picks_a_along_b(data) -> None:
+    """``compose`` equals the entry-by-entry pick on permutations of one,
+    two and eight slots, the identity on either side included."""
+    n = data.draw(st.sampled_from((1, 2, 8)))
+    a = tuple(data.draw(st.permutations(range(1, n + 1))))
+    b = tuple(data.draw(st.permutations(range(1, n + 1))))
+    for x, y in ((a, b), (a, identity_perm(n)), (identity_perm(n), b)):
+        got = compose(x, y)
+        assert type(got) is tuple and got == tuple(x[k - 1] for k in y)
 
 
 @given(data=st.data())

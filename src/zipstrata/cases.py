@@ -52,7 +52,7 @@ from .reps import (
     std_weights,
     wedge,
 )
-from .rootsys import Vector, neg, smul, unit, vec
+from .rootsys import Vector, neg, smul, unit, vec, weight_str
 from .vanishing import Word, d_w0, strata_ord_table
 from .weyl import CocharacterDatum, Perm, cocharacter_datum, weyl_group
 
@@ -350,7 +350,7 @@ def run_case(spec: CaseSpec) -> CaseResult:
     expected = smul(spec.prime - 1, data.eta)
     if d_w0(lam, spec.prime, datum) != expected:
         raise ValueError(
-            f"case {spec.identifier}: the Hodge character {data.eta} does "
+            f"case {spec.identifier}: the Hodge character {weight_str(data.eta)} does "
             f"not satisfy the twist identity"
         )
     orders = data.orders

@@ -92,18 +92,12 @@ def fundamental_weights(system: RootSystem) -> Tuple[Vector, ...]:
             weights.append(vec(*(
                 (1 - shift if k <= i else -shift) for k in range(1, dim + 1)
             )))
-        elif system.cartan_type == "B":
-            weights.append(
-                vec(*(half,) * m) if i == m else ones(i)
-            )
-        elif system.cartan_type == "C":
+        elif system.cartan_type == "B" and i == m:
+            weights.append(vec(*(half,) * m))
+        elif system.cartan_type != "D" or i <= m - 2:
             weights.append(ones(i))
         else:
-            if i <= m - 2:
-                weights.append(ones(i))
-            else:
-                last = half if i == m else -half
-                weights.append(vec(*((half,) * (m - 1) + (last,))))
+            weights.append(vec(*(half,) * (m - 1), half if i == m else -half))
     return tuple(weights)
 
 

@@ -14,9 +14,9 @@ builder hands it counted integer keys: sign vectors over L = 2 for the spin
 modules, the slot weights over L = 1 for the standard ones, integer row
 sums for exterior powers, negated keys for duals. Scaling mu by the lcm M
 of its own denominators, the integer pairing is the exact one times
-L * M > 0, so it groups and orders the weights identically. Fractions are
-built only where a weight leaves the module, by ``_weights``: the derived
-``entries``, the slots of the slot table and the Hodge character.
+L * M > 0, so it groups and orders the weights identically. Weights are
+built only where they leave the module, int where integral, by ``_weights``:
+the derived ``entries``, the slots of the slot table and the Hodge character.
 
 The slicing of a module by a cocharacter mu has one owner, ``_slot_table``:
 the weights sorted by pairing with mu, highest first, as slots, with the
@@ -84,10 +84,11 @@ class WeightMultiset:
         return WeightMultiset(scale, Counter(image))
 
     def _weights(self, keys: Sequence[IntVector]) -> Tuple[Vector, ...]:
-        """The exact weights of integer keys: each key over the scale, with
-        one Fraction per distinct coordinate value."""
+        """The exact weights of integer keys: each key over the scale, one
+        value per distinct coordinate, an int where the scale divides it."""
         exact = {
-            c: Fraction(c, self.scale) for c in set(itertools.chain.from_iterable(keys))
+            c: Fraction(c, self.scale) if c % self.scale else c // self.scale
+            for c in set(itertools.chain.from_iterable(keys))
         }
         return tuple(tuple(map(exact.__getitem__, key)) for key in keys)
 

@@ -1,9 +1,11 @@
 """Classical root systems in their standard coordinate realizations.
 
-Everything is exact and no float ever appears. Weights are tuples of
-``Fraction``, except for integer vectors in the standard coordinates, which
-are plain int tuples: every root of these types (``Root``) and every slot
-weight (0 or plus-minus e_i). Types A, B, C, D are
+Everything is exact and no float ever appears. A weight coordinate is an
+``int`` where it is integral and a ``Fraction`` only where it is not; the
+two forms compare and hash alike. The builders (``vec``, ``unit``,
+``parse_weight``) normalize through ``_exact``, and arithmetic results are
+not normalized again. Roots (``Root``) and slot weights (0 or plus-minus
+e_i) are int tuples. Types A, B, C, D are
 supported; type A_{rank} lives in rank+1 coordinates (the GL weight lattice),
 the others in ``rank`` coordinates.
 
@@ -18,39 +20,46 @@ afterwards. A system compares and hashes by identity, so it is a cheap cache
 key downstream; the derived integer data (simple coroots, Cartan matrix,
 the positive roots and the root set) is computed on first use and kept on
 it. Every simple coroot is an integer vector too, so ``simple_pairings``
-scales a weight to integer numerators over the lcm of its denominators and
-pairs on machine integers, building one ``Fraction`` per coroot at the end.
-``pairing`` and ``reflect`` remain the general formulas and accept either
-kind of vector.
+scales a weight to integer numerators over the lcm of its denominators,
+pairs on machine integers and keeps a ``Fraction`` only for a pairing that
+is not integral. ``pairing`` and ``reflect`` remain the general formulas
+and accept any exact vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import lcm
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
-Vector = Tuple[Fraction, ...]
+Vector = Tuple[int | Fraction, ...]
 Root = Tuple[int, ...]
 IntVector = Tuple[int, ...]
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _exact(c: int | Fraction) -> int | Fraction:
+    """The coordinate as an int when it is integral, else as it is."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def vec(*entries: int | Fraction) -> Vector:
     """Build an exact vector from ints or Fractions."""
-    return tuple(Fraction(e) for e in entries)
+    return tuple(map(_exact, entries))
 
 
 def unit(dim: int, i: int) -> Vector:
     """Standard basis vector e_i, 1-indexed."""
     if not 1 <= i <= dim:
         raise ValueError(f"unit index {i} out of range for dimension {dim}")
-    return tuple(_ONE if j == i else _ZERO for j in range(1, dim + 1))
+    return vec(*(j == i for j in range(1, dim + 1)))
+
+
+def weight_str(v: Vector) -> str:
+    """A weight for messages, coordinates as ``str`` prints them: (3/2, 0)."""
+    return f"({', '.join(map(str, v))})"
 
 
 def add(u: Vector, v: Vector) -> Vector:
@@ -66,12 +75,11 @@ def neg(v: Vector) -> Vector:
 
 
 def smul(c: int | Fraction, v: Vector) -> Vector:
-    c = Fraction(c)
     return tuple(c * a for a in v)
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+def dot(u: Vector, v: Vector) -> int | Fraction:
+    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def _to_ints(vectors: Iterable[Vector]) -> Tuple[int, Tuple[IntVector, ...]]:
@@ -221,11 +229,11 @@ def root_system(cartan_type: str, rank: int, /) -> RootSystem:
 
 
 def pairing(lam: Vector, alpha: Vector | Root) -> Fraction:
-    """<lam, alpha_vee> = 2 (lam, alpha) / (alpha, alpha)."""
+    """<lam, alpha_vee> = 2 (lam, alpha) / (alpha, alpha), a Fraction."""
     denom = dot(alpha, alpha)
     if denom == 0:
         raise ValueError("pairing against the zero vector")
-    return 2 * dot(lam, alpha) / denom
+    return Fraction(2 * dot(lam, alpha), denom)
 
 
 def reflect(lam: Vector, alpha: Vector | Root) -> Vector:
@@ -233,12 +241,13 @@ def reflect(lam: Vector, alpha: Vector | Root) -> Vector:
     return sub(lam, smul(pairing(lam, alpha), alpha))
 
 
-def simple_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:
+def simple_pairings(system: RootSystem, lam: Vector) -> Vector:
     """<lam, alpha_i_vee> for every simple root, in index order.
 
     lam is scaled once by the lcm of its denominators; the integer
     numerators are paired with the integer coroots and each result is put
-    back over the common denominator, so the values equal ``pairing``.
+    back over the common denominator, as an int where it divides, so the
+    values equal ``pairing``.
     """
     if len(lam) != system.ambient_dim:
         raise ValueError(
@@ -246,14 +255,12 @@ def simple_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:
         )
     scale, (nums,) = _to_ints((lam,))
     sums = [sum(c * nums[k] for k, c in coroot) for coroot in system.simple_coroots]
-    if scale == 1:
-        return tuple(Fraction(s) for s in sums)
-    return tuple(Fraction(s, scale) for s in sums)
+    return tuple(Fraction(s, scale) if s % scale else s // scale for s in sums)
 
 
 def parse_weight(system: RootSystem, coords: Sequence[int | Fraction]) -> Vector:
     """Validate a coordinate sequence as a weight of this system."""
-    v = tuple(Fraction(c) for c in coords)
+    v = tuple(map(_exact, coords))
     if len(v) != system.ambient_dim:
         raise ValueError(
             f"weight has {len(v)} coordinates, expected {system.ambient_dim}"
@@ -262,7 +269,4 @@ def parse_weight(system: RootSystem, coords: Sequence[int | Fraction]) -> Vector
 
 
 def sum_vectors(vs: Iterable[Vector], dim: int) -> Vector:
-    total = tuple(Fraction(0) for _ in range(dim))
-    for v in vs:
-        total = add(total, v)
-    return total
+    return reduce(add, vs, (0,) * dim)

@@ -26,11 +26,10 @@ W-invariant) and looks the sums up in the root set.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .rootsys import Root, RootSystem, Vector, simple_pairings
+from .rootsys import Root, RootSystem, Vector, simple_pairings, weight_str
 from .weyl import CocharacterDatum, Perm, WeylGroup, compose
 
 Word = Tuple[int, ...]
@@ -133,21 +132,21 @@ def condition_closed(
 # -- validation helpers ------------------------------------------------------
 
 
-def _dominant_pairings(system: RootSystem, lam: Vector) -> Tuple[Fraction, ...]:
+def _dominant_pairings(system: RootSystem, lam: Vector) -> Vector:
     """The simple pairings of lam, which must all be non-negative."""
     values = simple_pairings(system, lam)
     if any(value < 0 for value in values):
-        raise ValueError(f"weight {lam} is not dominant")
+        raise ValueError(f"weight {weight_str(lam)} is not dominant")
     return values
 
 
-def _int_pairing(pairings: Sequence[Fraction], lam: Vector, i: int) -> int:
+def _int_pairing(pairings: Vector, lam: Vector, i: int) -> int:
     """The pairing of lam with the i-th simple coroot, which must be an
     integer."""
     value = pairings[i - 1]
     if value.denominator != 1:
         raise ValueError(
-            f"pairing {value} of {lam} against alpha_{i} is not integral"
+            f"pairing {value} of {weight_str(lam)} against alpha_{i} is not integral"
         )
     return value.numerator
 
@@ -164,7 +163,7 @@ def _require_reduced(system: RootSystem, word: Word) -> None:
 
 
 def _order(
-    system: RootSystem, lam: Vector, pairings: Sequence[Fraction], shape: Sequence[Word]
+    system: RootSystem, lam: Vector, pairings: Vector, shape: Sequence[Word]
 ) -> int:
     """The order formula on a reduced word split as (prefix, alphas, center),
     given lam's simple pairings checked dominant; checks no word. It is the

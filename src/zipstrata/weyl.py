@@ -31,7 +31,7 @@ W^I, the cell w_{0,I} w w_0 = w_0 w_{0,J} (w_0 w w_0) is the minimum of a
 coset W_I x, and a Bruhat class of a double coset, so both are in W^I.
 The action on coordinate vectors (``act``) is a signed permutation of
 coordinates, the sign flipped where a coordinate lands on a mirror slot; it
-serves Fraction weights and integer roots alike and keeps the entry type.
+serves weights and integer roots alike and keeps each entry's type.
 Both slot kernels, the action and ``compose``, pick their entries with one
 ``operator.itemgetter`` call per image, so the per-entry work runs in C;
 only the flipped coordinates are touched again in Python.
@@ -131,8 +131,8 @@ class WeylGroup:
         """Image of a coordinate vector under the reflection action.
 
         The action is a signed permutation of the coordinates, so the image
-        keeps the entry type: Fraction weights stay Fraction and integer
-        roots stay integer. It is ``_act_all`` on the one vector.
+        keeps each entry's type: an int stays int and a Fraction stays
+        Fraction. It is ``_act_all`` on the one vector.
         """
         return self._act_all(w, (v,))[0]
 

@@ -4,6 +4,7 @@ import importlib
 import itertools
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from zipstrata import cache_stats
@@ -110,6 +111,68 @@ def left_descents(group: WeylGroup, w: Perm) -> Tuple[int, ...]:
 def in_min_coset_reps(group: WeylGroup, w: Perm, I: Sequence[int]) -> bool:
     """True when w is the minimal-length element of W_I * w."""
     return first_descent(group, inverse(w), I) is None
+
+
+def bruhat_leq(group: WeylGroup, u: Perm, w: Perm) -> bool:
+    """Bruhat order by the left-descent recursion: strip the first left
+    descent s of w, and of u too when it is one of u's."""
+    if u == group.identity():
+        return True
+    if group.length(u) > group.length(w):
+        return False
+    i = left_descents(group, w)[0]
+    sw = compose(group.simple_reflection(i), w)
+    if i in left_descents(group, u):
+        return bruhat_leq(group, compose(group.simple_reflection(i), u), sw)
+    return bruhat_leq(group, u, sw)
+
+
+# -- all-Fraction references for exact coordinates ------------------------------
+
+
+def fractions_of(v: Iterable) -> Tuple[Fraction, ...]:
+    """The coordinates of v, each as a Fraction."""
+    return tuple(map(Fraction, v))
+
+
+def is_exact(v: Iterable) -> bool:
+    """Every coordinate is an int or a Fraction: no float and no bool."""
+    return all(type(c) in (int, Fraction) for c in v)
+
+
+def in_one_form(v: Iterable) -> bool:
+    """Every coordinate is an int where integral and a Fraction where not."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in v)
+
+
+def fraction_pairing(lam: Vector, alpha: Vector) -> Fraction:
+    """2 (lam, alpha) / (alpha, alpha), on Fractions throughout."""
+    lam, alpha = fractions_of(lam), fractions_of(alpha)
+    return 2 * sum(map(mul, lam, alpha)) / sum(map(mul, alpha, alpha))
+
+
+def fraction_act(group: WeylGroup, w: Perm, v: Vector) -> Tuple[Fraction, ...]:
+    """w applied to v as the simple reflections of its reduced word, the
+    last letter first, on Fractions throughout."""
+    out = fractions_of(v)
+    for letter in reversed(group.reduced_word(w)):
+        alpha = group.system.simple(letter)
+        c = fraction_pairing(out, alpha)
+        out = tuple(a - c * b for a, b in zip(out, alpha))
+    return out
+
+
+def fraction_hodge_character(module: WeightMultiset, mu: Vector) -> Tuple[Fraction, ...]:
+    """Minus the sum, with multiplicities, of the weights that pair highest
+    with mu, each weight its key over the scale, on Fractions throughout."""
+    weights = [tuple(Fraction(c, module.scale) for c in key) for key in module.keys]
+    values = [sum(map(mul, weight, fractions_of(mu))) for weight in weights]
+    top = [
+        tuple(mult * c for c in weight)
+        for weight, value, mult in zip(weights, values, module.mults)
+        if value == max(values)
+    ]
+    return tuple(-sum(column) for column in zip(*top))
 
 
 # -- reference copies of the one-tuple-per-step Weyl kernels -------------------

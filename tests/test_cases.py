@@ -24,7 +24,7 @@ from zipstrata.rootsys import vec
 from zipstrata.vanishing import strata_ord_table
 from zipstrata.weyl import WeylGroup, cocharacter_datum, compose, weyl_group
 
-from helpers import clear_caches, dsum, hand_eta, reference_reports
+from helpers import bruhat_leq, clear_caches, dsum, hand_eta, reference_reports
 
 
 def ords(result):
@@ -257,6 +257,50 @@ def test_order_tables_sweep_no_roots(identifier, monkeypatch):
     assert [run_case(spec).reports for spec in specs] == before
 
 
+def test_a_failed_twist_identity_prints_the_exact_weight(monkeypatch):
+    monkeypatch.setattr(cases, "d_w0", lambda lam, p, datum: lam)
+    with pytest.raises(ValueError) as err:
+        run_case(CaseSpec("GSpin_spin_odd", 4, 3))
+    assert str(err.value) == (
+        "case GSpin_spin_odd: the Hodge character (-4, 0, 0, 0) does not "
+        "satisfy the twist identity"
+    )
+
+
+def _falls(pairs, values):
+    """The Bruhat pairs (a, b), labels[a] <= labels[b], on which the values
+    fall from a to b."""
+    return [(a, b) for a, b in pairs if values[a] < values[b]]
+
+
+@pytest.mark.parametrize("identifier,rank", [
+    (identifier, rank)
+    for identifier in CASE_IDENTIFIERS
+    for rank in _accepted_ranks(identifier)
+    if rank <= 4
+])
+def test_orders_and_line_positions_rise_down_the_bruhat_order(identifier, rank):
+    """For labels w' <= w in the Bruhat order, stratum w' lies in the
+    closure of stratum w, so ord(w') >= ord(w) and clp(w') >= clp(w).
+    Control: every label lies below the open stratum's, so swapping its
+    value with that of a stratum whose value differs must be caught."""
+    result = run_case(CaseSpec(identifier, rank, 3))
+    labels = [report.w for report in result.reports]
+    group = result.datum.group
+    pairs = [
+        (a, b)
+        for a, u in enumerate(labels)
+        for b, w in enumerate(labels)
+        if a != b and bruhat_leq(group, u, w)
+    ]
+    for column in (ords(result), clps(result)):
+        assert _falls(pairs, column) == []
+        other = next(k for k, value in enumerate(column) if value != column[0])
+        swapped = list(column)
+        swapped[0], swapped[other] = column[other], column[0]
+        assert (other, 0) in _falls(pairs, swapped)
+
+
 class TestCaseDataCache:
     @pytest.mark.parametrize("identifier,rank", [
         ("SO_odd_std", 4), ("GSp2n_wedge_dual", 3), ("GSpin_spin_even", 4),
@@ -426,6 +470,16 @@ class TestOrthogonalStandard:
     def test_eta_is_minus_the_first_coordinate(self):
         result = run_case(CaseSpec("SO_odd_std", 3, 3))
         assert result.eta == vec(-1, 0, 0)
+
+    def test_the_k3_case_follows_the_principle(self):
+        """so-odd at m = 10 is (B10, e1, std), the primitive H^2 of a
+        polarized K3 surface: Ogus' original setting, with orders 0 on the
+        open stratum, 1 on the 18 middle ones and 2 on the closed one."""
+        result = run_case(CaseSpec("SO_odd_std", 10, 3))
+        expected = [0] + [1] * 18 + [2]
+        assert ords(result) == expected
+        assert clps(result) == expected
+        assert result.ogus_everywhere
 
 
 class TestSymplecticStandard:

@@ -435,6 +435,19 @@ class TestOrd:
         assert code == 1
         assert "no supported shape" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--word", "s1", "--lambda=-1,0"), "weight (-1, 0) is not dominant"),
+        (
+            ("--type", "C", "--m", "2", "--word", "s1 s2 s1", "--lambda=1/2,0"),
+            "pairing 1/2 of (1/2, 0) against alpha_1 is not integral",
+        ),
+    ])
+    def test_weights_in_messages_print_exact_coordinates(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "ord", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"cannot evaluate: {message}\n"
+
     def test_garbled_letters_are_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ord", "--word", "sx 2")
         assert code == 2

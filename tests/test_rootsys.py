@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zipstrata import rootsys
 from zipstrata.cases import CASE_BY_FLAG, CaseSpec, run_case
-from zipstrata.reps import std_weights
+from zipstrata.reps import hodge_character, spin_weights, std_weights
 from zipstrata.rootsys import (
     ROOT_RANK_CAP,
     add,
@@ -26,9 +26,20 @@ from zipstrata.rootsys import (
     unit,
     vec,
 )
-from zipstrata.vanishing import condition_closed
+from zipstrata.vanishing import condition_closed, d_w0
+from zipstrata.weyl import cocharacter_datum, compose, weyl_group
 
-from helpers import clear_caches, expanded, int_reflect
+from helpers import (
+    clear_caches,
+    expanded,
+    fraction_act,
+    fraction_hodge_character,
+    fraction_pairing,
+    fractions_of,
+    in_one_form,
+    int_reflect,
+    is_exact,
+)
 
 
 def is_dominant(system, lam) -> bool:
@@ -46,9 +57,12 @@ def first_nonzero_sign(v) -> int:
 
 
 def test_vec_builds_fractions() -> None:
+    """A coordinate is an int where it is integral and a Fraction only
+    where it is not, whichever form it came in."""
     v = vec(1, Fraction(1, 2), -3)
-    assert v == (Fraction(1), Fraction(1, 2), Fraction(-3))
-    assert all(isinstance(c, Fraction) for c in v)
+    assert v == (1, Fraction(1, 2), -3)
+    assert [type(c) for c in v] == [int, Fraction, int]
+    assert [type(c) for c in vec(Fraction(4, 2), True, Fraction(-3, 6))] == [int, int, Fraction]
 
 
 def test_unit_is_one_indexed() -> None:
@@ -173,6 +187,14 @@ def test_pairing_short_root_doubles() -> None:
     # against a short root of B, the coroot is twice the root
     alpha = vec(0, 1)
     assert pairing(vec(0, 3), alpha) == 6
+
+
+def test_pairing_of_int_vectors_is_exact() -> None:
+    """Two int vectors pair to a Fraction, never a float, also where the
+    value is not integral."""
+    for lam, alpha, expected in [((3, 1), (1, -1), 2), ((1, 0), (2, 2), Fraction(1, 2))]:
+        value = pairing(lam, alpha)
+        assert type(value) is Fraction and value == expected
 
 
 def test_is_dominant() -> None:
@@ -302,6 +324,69 @@ def test_simple_pairings_match_pairing(data) -> None:
 def test_simple_pairings_check_dimension() -> None:
     with pytest.raises(ValueError):
         simple_pairings(root_system("B", 2), vec(1, 0, 0))
+
+
+# Integral coordinates as int or as Fraction, and half-integral ones.
+MIXED_COORDINATE = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.integers(min_value=-12, max_value=12).map(lambda n: Fraction(n, 2)),
+)
+EXACT_SYSTEMS = [(t, r) for t in "ABC" for r in range(1, 4)] + [("D", r) for r in range(2, 5)]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_coordinates_stay_exact_in_either_form(data) -> None:
+    """On mixed int and Fraction inputs, the builders and kernels return
+    only int and Fraction coordinates and the values of the same
+    computation done on Fractions throughout; the builders return each
+    coordinate in its one form, an int where it is integral."""
+    cartan_type, rank = data.draw(st.sampled_from(EXACT_SYSTEMS))
+    group = weyl_group(cartan_type, rank)
+    system = group.system
+    dim = system.ambient_dim
+    coords = st.lists(MIXED_COORDINATE, min_size=dim, max_size=dim).map(tuple)
+    lam, mu = data.draw(coords), data.draw(coords)
+    c = data.draw(MIXED_COORDINATE)
+    i = data.draw(st.integers(min_value=1, max_value=dim))
+    w = data.draw(st.sampled_from(group.elements()))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+
+    built = {
+        "vec": (vec(*lam), fractions_of(lam)),
+        "unit": (unit(dim, i), fractions_of(int(j == i) for j in range(1, dim + 1))),
+        "simple_pairings": (
+            simple_pairings(system, lam),
+            tuple(fraction_pairing(lam, alpha) for alpha in system.simple_roots),
+        ),
+    }
+    modules = [std_weights(cartan_type, rank)]
+    if cartan_type in "BD":
+        modules.append(spin_weights(cartan_type, rank))
+    for k, module in enumerate(modules):
+        built[f"hodge_character {k}"] = (
+            hodge_character(module, mu), fraction_hodge_character(module, mu)
+        )
+    for name, (got, expected) in built.items():
+        assert in_one_form(got) and got == expected, name
+
+    datum = cocharacter_datum(group, mu)
+    twisted = fraction_act(group, compose(datum.z, datum.w0), lam)
+    computed = {
+        "smul": (smul(c, lam), tuple(Fraction(c) * a for a in fractions_of(lam))),
+        "neg": (neg(lam), tuple(-a for a in fractions_of(lam))),
+        "act": (group.act(w, lam), fraction_act(group, w, lam)),
+        "d_w0": (
+            d_w0(lam, p, datum),
+            tuple(a - p * b for a, b in zip(fractions_of(lam), twisted)),
+        ),
+    }
+    for name, (got, expected) in computed.items():
+        assert is_exact(got) and got == expected, name
+    for alpha in system.simple_roots:
+        value = pairing(lam, alpha)
+        assert is_exact((value,)) and value == fraction_pairing(lam, alpha)
 
 
 # -- the slot layout -----------------------------------------------------------

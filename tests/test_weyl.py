@@ -30,6 +30,7 @@ from zipstrata.weyl import (
 )
 
 from helpers import (
+    bruhat_leq,
     clear_caches,
     compose_all,
     eo_same_stratum,
@@ -675,20 +676,6 @@ def test_coset_letters_out_of_range_are_rejected() -> None:
 
 
 # -- Bruhat order -------------------------------------------------------------
-
-
-def bruhat_leq(g: WeylGroup, u, w) -> bool:
-    """Bruhat order by the left-descent recursion: strip the first left
-    descent s of w, and of u too when it is one of u's."""
-    if u == g.identity():
-        return True
-    if g.length(u) > g.length(w):
-        return False
-    i = left_descents(g, w)[0]
-    sw = compose(g.simple_reflection(i), w)
-    if i in left_descents(g, u):
-        return bruhat_leq(g, compose(g.simple_reflection(i), u), sw)
-    return bruhat_leq(g, u, sw)
 
 
 def bruhat_leq_by_subwords(g: WeylGroup, u, w) -> bool:

@@ -1,10 +1,13 @@
 """Command-line front end: stratum tables, verification sweeps, single queries.
 
-Four subcommands. ``strata`` prints one row per stratum of a case (word,
-length, Bruhat class, vanishing order, line position, agreement flag) in
-text, JSON, or CSV. ``verify`` runs the consistency suites and exits nonzero
-on the first counterexample. ``ord`` and ``clp`` answer one-off questions
-about a single word or stratum.
+Four subcommands, each a ``cmd_*`` function of the parsed arguments and
+the parser, set as its subparser's ``run`` default. ``strata`` prints one
+row per stratum of a case, in the columns of ``COLUMNS`` (word, length,
+Bruhat class, vanishing order, line position, agreement flag), in a format
+of ``RENDERERS``: text, JSON or CSV. ``verify`` runs the consistency suites
+of ``SUITES``, each up to its first counterexample, and exits nonzero if
+any fails. ``ord`` and ``clp`` answer one-off questions about a single word
+or stratum; ``strata`` and ``clp`` read their case from the same flags.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cases import (
     CASE_BY_FLAG,
@@ -43,16 +46,6 @@ from .vanishing import (
 from .weyl import Perm, weyl_group
 
 SCHEMA_VERSION = 1
-
-
-class RunConfig(NamedTuple):
-    """Everything a subcommand needs to know about one invocation."""
-
-    case: str
-    rank: int
-    prime: int
-    fmt: str
-    oracle: bool
 
 
 def _word_str(word: Sequence[int]) -> str:
@@ -134,26 +127,29 @@ def _parse_lambda(spec: str, system: RootSystem, basis: str) -> Vector:
 # -- strata ---------------------------------------------------------------------
 
 
+# The columns of a stratum row, in the order every format prints them.
+COLUMNS = ("word", "length", "bruhat", "ord", "clp", "ogus")
+
+
 def _stratum_row(report: StratumReport, words: Mapping[Perm, Word]) -> Dict[str, object]:
-    return {
-        "word": _word_str(report.word),
-        "length": len(report.word),
-        "bruhat": _word_str(words[report.bruhat_class]),
-        "ord": report.ord,
-        "clp": report.clp,
-        "ogus": report.ogus_holds,
-    }
+    return dict(zip(COLUMNS, (
+        _word_str(report.word),
+        len(report.word),
+        _word_str(words[report.bruhat_class]),
+        report.ord,
+        report.clp,
+        report.ogus_holds,
+    )))
 
 
-def _render_text(config: RunConfig, rows: List[Dict[str, object]]) -> str:
-    headers = ["word", "length", "bruhat", "ord", "clp", "ogus"]
-    table = [[str(row[h]) for h in headers] for row in rows]
+def _render_text(header: Dict[str, object], rows: List[Dict[str, object]]) -> str:
+    table = [[str(row[h]) for h in COLUMNS] for row in rows]
     widths = [
         max(len(h), *(len(line[k]) for line in table))
-        for k, h in enumerate(headers)
+        for k, h in enumerate(COLUMNS)
     ]
-    out = [f"case {config.case}  rank {config.rank}  prime {config.prime}"]
-    for line in [headers] + table:
+    out = ["  ".join(f"{key} {value}" for key, value in header.items())]
+    for line in [COLUMNS] + table:
         # The last column is not padded, so no line ends in a space.
         out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
     agreeing = sum(1 for row in rows if row["ogus"])
@@ -167,35 +163,37 @@ _HEAD_JSON = json.JSONEncoder(separators=(",\n  ", ": "))
 _ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def _render_json(config: RunConfig, rows: List[Dict[str, object]]) -> str:
+def _render_json(header: Dict[str, object], rows: List[Dict[str, object]]) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` byte for byte: the C-encoded
     header and flat rows, each with its braces opened onto lines."""
-    head = _HEAD_JSON.encode({"schema_version": SCHEMA_VERSION, "case": config.case,
-                              "rank": config.rank, "prime": config.prime})
+    head = _HEAD_JSON.encode({"schema_version": SCHEMA_VERSION, **header})
     body = ",\n    ".join("{\n      " + _ROW_JSON.encode(row)[1:-1] + "\n    }" for row in rows)
     return "{\n  " + head[1:-1] + ',\n  "strata": [\n    ' + body + "\n  ]\n}\n"
 
 
-def _render_csv(config: RunConfig, rows: List[Dict[str, object]]) -> str:
-    headers = ["word", "length", "bruhat", "ord", "clp", "ogus"]
+def _render_csv(header: Dict[str, object], rows: List[Dict[str, object]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(headers)
+    writer.writerow(COLUMNS)
     for row in rows:
-        writer.writerow([row[h] for h in headers])
+        writer.writerow([row[h] for h in COLUMNS])
     return buffer.getvalue()
 
 
-def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
+# ``strata --format`` choices, each a renderer of the header and the rows.
+RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
+
+
+def cmd_strata(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Print the case's table; with ``--oracle``, first check it against the
     preset's matrix oracle, refusing a preset that has none, or a rank above
     the oracle's ceiling, before anything is built."""
-    spec = CaseSpec(CASE_BY_FLAG[config.case], config.rank, config.prime)
+    spec = _case_spec(args, parser)
     check = None
-    if config.oracle:
+    if args.oracle:
         oracle = PRESETS[spec.identifier].oracle
         if oracle is None:
-            raise ValueError(f"case {config.case} has no matrix oracle for --oracle")
+            raise ValueError(f"case {args.case} has no matrix oracle for --oracle")
         check = oracle(spec)
     result = run_case(spec)
     words = result.datum.group.min_coset_reps(result.datum.I)
@@ -205,17 +203,13 @@ def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
         if complaint is not None:
             print(f"oracle disagrees: {complaint}", file=sys.stderr)
             return 1
-    renderer = {
-        "text": _render_text,
-        "json": _render_json,
-        "csv": _render_csv,
-    }[config.fmt]
-    rendered = renderer(config, rows)
-    if output is None:
+    header = {"case": args.case, "rank": spec.rank, "prime": spec.prime}
+    rendered = RENDERERS[args.format](header, rows)
+    if args.output is None:
         sys.stdout.write(rendered)
         return 0
     try:
-        with open(output, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(rendered)
     except OSError as err:
         raise ValueError(f"cannot write the table: {err}") from err
@@ -225,18 +219,33 @@ def cmd_strata(config: RunConfig, output: Optional[str]) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
+# The verify suites in the order they run. ``verify --<name>`` selects one;
+# with none selected all run, less ``oracle`` under ``--no-oracle``. Each is
+# ``_check_<name>(args)``, looked up in the module when it runs, and returns
+# whether it passed with a one-line detail.
+SUITES = ("closedness", "functoriality", "siegel", "oracle")
+
 # Largest rank ``verify --closedness`` sweeps, checked before any root system
 # is built: the family words of B_24 or D_24 take about 0.5 s on a 2-vCPU Xeon.
 CLOSEDNESS_RANK_CAP = 24
 
 
-def _check_closedness(
-    types: Sequence[str], ranks: Optional[Sequence[int]]
-) -> Tuple[bool, str]:
+def _primes(args: argparse.Namespace) -> List[int]:
+    """``--prime``, 2, 3 and 5 by default (``append`` would add to a default)."""
+    return args.prime or [2, 3, 5]
+
+
+def _siegel_ranks(args: argparse.Namespace) -> List[int]:
+    return [args.rank] if args.rank is not None else [1, 2, 3]
+
+
+def _check_closedness(args: argparse.Namespace) -> Tuple[bool, str]:
+    """Every family word of B (ranks 2 to 6) and D (3 to 6), or of ``--type``
+    at ``--m``, meets the closedness condition."""
     checked = 0
-    for cartan_type in types:
+    for cartan_type in (args.cartan_type,) if args.cartan_type else ("B", "D"):
         builder = family_word_typeB if cartan_type == "B" else family_word_typeD
-        sweep = ranks if ranks is not None else (
+        sweep = [args.rank] if args.rank is not None else (
             range(2, 7) if cartan_type == "B" else range(3, 7)
         )
         for m in sweep:
@@ -257,29 +266,27 @@ def _check_closedness(
     return True, f"{checked} family words closed"
 
 
-def _check_functoriality(
-    primes: Sequence[int], mutate: bool
-) -> Tuple[bool, str]:
+def _check_functoriality(args: argparse.Namespace) -> Tuple[bool, str]:
+    primes = _primes(args)
     for p in primes:
-        ok, detail = functoriality_check_A3_D3(p, scramble=mutate)
+        ok, detail = functoriality_check_A3_D3(p, scramble=args.mutate)
         if not ok:
             return False, f"p={p}: {detail}"
-    return True, f"tables match for p in {list(primes)}"
+    return True, f"tables match for p in {primes}"
 
 
-def _check_siegel(
-    ns: Sequence[int], primes: Sequence[int]
-) -> Tuple[bool, str]:
+def _check_siegel(args: argparse.Namespace) -> Tuple[bool, str]:
     """The Siegel preset's oracle on its case at every rank and prime, the
     check ``strata --oracle`` runs."""
     identifier = CASE_BY_FLAG["siegel"]
+    ns, primes = _siegel_ranks(args), _primes(args)
     for n in ns:
         for p in primes:
             spec = CaseSpec(identifier, n, p)
             complaint = PRESETS[identifier].oracle(spec)(run_case(spec))
             if complaint is not None:
                 return False, f"n={n} p={p}: {complaint}"
-    return True, f"n in {list(ns)}, p in {list(primes)}"
+    return True, f"n in {ns}, p in {primes}"
 
 
 def _dominant_lambdas(dim: int, seed: int) -> List[Tuple[int, ...]]:
@@ -296,7 +303,7 @@ def _dominant_lambdas(dim: int, seed: int) -> List[Tuple[int, ...]]:
     return fixed
 
 
-def _check_oracle(seed: int, mutate: bool) -> Tuple[bool, str]:
+def _check_oracle(args: argparse.Namespace) -> Tuple[bool, str]:
     """Compare the word formulas against polynomial cell orders on small
     linear groups, for every element whose word the formulas cover; the
     elements and their words are ``min_coset_reps(())``: W^I with I empty
@@ -306,14 +313,14 @@ def _check_oracle(seed: int, mutate: bool) -> Tuple[bool, str]:
     for n in (3, 4):
         system = root_system("A", n - 1)
         words = weyl_group("A", n - 1).min_coset_reps(())
-        for lam_ints in _dominant_lambdas(n, seed):
+        for lam_ints in _dominant_lambdas(n, args.seed):
             lam = vec(*lam_ints)
             for w, word in words.items():
                 try:
                     expected = ord_for_word(system, lam, word)
                 except ValueError:
                     continue
-                if mutate:
+                if args.mutate:
                     expected += 1
                 got = gl_cell_order(n, lam_ints, w)
                 if got != expected:
@@ -325,52 +332,27 @@ def _check_oracle(seed: int, mutate: bool) -> Tuple[bool, str]:
     return True, f"{checked} cell orders match"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    selected = {
-        name
-        for name, wanted in (
-            ("closedness", args.closedness),
-            ("functoriality", args.functoriality),
-            ("siegel", args.siegel),
-            ("oracle", args.oracle_suite),
-        )
-        if wanted
-    }
-    if not selected:
-        selected = {"closedness", "functoriality", "siegel", "oracle"}
-        if args.no_oracle:
-            selected.discard("oracle")
-    primes = args.prime or [2, 3, 5]
-    types = [args.cartan_type] if args.cartan_type else ["B", "D"]
-    ranks = [args.rank] if args.rank is not None else None
-    ns = [args.rank] if args.rank is not None else [1, 2, 3]
+def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    selected = [name for name in SUITES if getattr(args, name)] or [
+        name for name in SUITES if not (args.no_oracle and name == "oracle")
+    ]
     # Every selected suite's ceiling is checked before the first one runs,
     # so a usage error prints no partial results.
-    if "closedness" in selected and ranks is not None and max(ranks) > CLOSEDNESS_RANK_CAP:
+    if "closedness" in selected and args.rank is not None and args.rank > CLOSEDNESS_RANK_CAP:
         raise ValueError(
-            f"closedness rank {max(ranks)} is above the ceiling of "
+            f"closedness rank {args.rank} is above the ceiling of "
             f"{CLOSEDNESS_RANK_CAP}"
         )
     if "siegel" in selected:
-        for n in ns:
-            for p in primes:
+        for n in _siegel_ranks(args):
+            for p in _primes(args):
                 check_spec(CaseSpec(CASE_BY_FLAG["siegel"], n, p))
-    failures = 0
-    for name in ("closedness", "functoriality", "siegel", "oracle"):
-        if name not in selected:
-            continue
-        if name == "closedness":
-            ok, detail = _check_closedness(types, ranks)
-        elif name == "functoriality":
-            ok, detail = _check_functoriality(primes, args.mutate)
-        elif name == "siegel":
-            ok, detail = _check_siegel(ns, primes)
-        else:
-            ok, detail = _check_oracle(args.seed, args.mutate)
+    failed = False
+    for name in selected:
+        ok, detail = globals()[f"_check_{name}"](args)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failures += 1
-    return 1 if failures else 0
+        failed = failed or not ok
+    return 1 if failed else 0
 
 
 # -- single queries -------------------------------------------------------------
@@ -393,10 +375,7 @@ def cmd_ord(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_clp(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    config = _config_from(args, parser)
-    result = run_case(
-        CaseSpec(CASE_BY_FLAG[config.case], config.rank, config.prime)
-    )
+    result = run_case(_case_spec(args, parser))
     if args.word is not None:
         wanted = _parse_word(args.word)
         matches = [r for r in result.reports if r.word == wanted]
@@ -429,43 +408,43 @@ def _prime(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{p} is not a prime")
 
 
+def _add_rank_flags(sub: argparse.ArgumentParser) -> None:
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--m", dest="rank", type=int, help="rank (orthogonal/spin naming)")
+    group.add_argument("--n", dest="rank", type=int, help="rank (linear/symplectic naming)")
+
+
 def _add_case_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--case", required=True, choices=sorted(CASE_BY_FLAG),
         help="which case to run",
     )
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--m", dest="rank", type=int, help="rank (orthogonal/spin naming)")
-    group.add_argument("--n", dest="rank", type=int, help="rank (linear/symplectic naming)")
+    _add_rank_flags(sub)
     sub.add_argument(
         "--prime", type=_prime, default=3,
         help=f"working prime, at most {PRIME_MAX} (default 3)",
     )
 
 
-def _config_from(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> RunConfig:
+def _case_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CaseSpec:
+    """The spec of ``--case``, ``--m``/``--n`` and ``--prime``; a preset of
+    one rank needs no rank flag."""
+    identifier = CASE_BY_FLAG[args.case]
     rank = args.rank
     if rank is None:
-        preset = PRESETS[CASE_BY_FLAG[args.case]]
+        preset = PRESETS[identifier]
         if preset.max_rank != preset.min_rank:
             parser.error(f"case {args.case} needs --m or --n")
         rank = preset.min_rank
-    return RunConfig(
-        case=args.case,
-        rank=rank,
-        prime=args.prime,
-        fmt=getattr(args, "format", "text"),
-        oracle=getattr(args, "oracle", False),
-    )
+    return CaseSpec(identifier, rank, args.prime)
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later ``main`` in the process. argparse keeps no state between parses:
-    each parse fills a fresh namespace and copies ``append`` defaults."""
+    each parse fills a fresh namespace and copies ``append`` defaults. Each
+    subcommand's ``run`` default is its ``cmd_*`` function."""
     parser = argparse.ArgumentParser(
         prog="zipstrata",
         description=(
@@ -478,10 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     strata = commands.add_parser(
         "strata", help="tabulate ord and clp on every stratum of a case"
     )
+    strata.set_defaults(run=cmd_strata)
     _add_case_flags(strata)
-    strata.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text"
-    )
+    strata.add_argument("--format", choices=tuple(RENDERERS), default="text")
     strata.add_argument("--output", help="write the table to a file")
     strata.add_argument(
         "--oracle", action="store_true",
@@ -491,19 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify", help="run the consistency suites, exit nonzero on failure"
     )
-    verify.add_argument("--closedness", action="store_true")
-    verify.add_argument("--functoriality", action="store_true")
-    verify.add_argument("--siegel", action="store_true")
-    verify.add_argument("--oracle-suite", action="store_true")
+    verify.set_defaults(run=cmd_verify)
+    for name in SUITES:
+        verify.add_argument(f"--{name}", action="store_true")
     verify.add_argument("--no-oracle", action="store_true",
                         help="drop the oracle suite from the default set")
     verify.add_argument("--mutate", action="store_true",
                         help="negative control: inject a wrong constant and a "
                              "scrambled relabeling; the suite must fail")
     verify.add_argument("--type", dest="cartan_type", choices=("B", "D"))
-    group = verify.add_mutually_exclusive_group()
-    group.add_argument("--m", dest="rank", type=int)
-    group.add_argument("--n", dest="rank", type=int)
+    _add_rank_flags(verify)
     verify.add_argument(
         "--prime", type=_prime, action="append",
         help=f"prime to verify at, at most {PRIME_MAX}; repeatable (default 2, 3, 5)",
@@ -513,11 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     order = commands.add_parser(
         "ord", help="vanishing order of one word against one weight"
     )
+    order.set_defaults(run=cmd_ord)
     order.add_argument("--type", dest="cartan_type",
                        choices=("A", "B", "C", "D"))
-    group = order.add_mutually_exclusive_group()
-    group.add_argument("--m", dest="rank", type=int)
-    group.add_argument("--n", dest="rank", type=int)
+    _add_rank_flags(order)
     order.add_argument("--lambda", dest="lam", default="e1",
                        help="weight: e<k>, or comma-separated coordinates; "
                        "write one starting with a minus sign as --lambda=-1,-2")
@@ -529,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     clp_cmd = commands.add_parser(
         "clp", help="conjugate line position of one stratum"
     )
+    clp_cmd.set_defaults(run=cmd_clp)
     _add_case_flags(clp_cmd)
     clp_cmd.add_argument("--w-length", type=int,
                          help="select strata whose label has this length")
@@ -541,13 +516,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "strata":
-            return cmd_strata(_config_from(args, parser), args.output)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "ord":
-            return cmd_ord(args, parser)
-        return cmd_clp(args, parser)
+        return args.run(args, parser)
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from .reps import WeightMultiset, _slot_table
-from .rootsys import IntVector, Vector
+from .rootsys import IntVector, Vector, weight_str
 from .weyl import CocharacterDatum, Perm, WeylGroup, compose, identity_perm
 
 
@@ -98,7 +98,7 @@ def _reflection_slot_perm(
         slot = index_of.get(image)
         if slot is None:
             moved = group.act(s, weight)
-            raise ValueError(f"weights are not stable: {moved} is not a slot")
+            raise ValueError(f"weights are not stable: {weight_str(moved)} is not a slot")
         images.append(slot)
     return tuple(images)
 

@@ -17,15 +17,17 @@ root, the simple roots first; every other combinatorial method goes
 through those two, and descent stripping tests only the letters it may
 strip (left ones on the inverse). A simple reflection is its one or two
 slot swaps (``RootSystem.simple_swaps``) and has no other form: every
-product by one, in ``from_word``, the stripping kernels (``reduced_word``,
-``min_in_double_coset``, ``longest_in``) and the coset enumeration, swaps
-slots of a list in place, and ``simple_reflection`` builds a tuple only for
-a caller that asks for one. Left descents are stripped on the inverse, which
-is built once. Coset enumeration (``min_coset_reps``) climbs W^I a length
-at a time by the same swaps, keeping an ascent u s_j exactly when
-Deodhar's test passes: u sends alpha_j to no simple root of I, read off
-u's values on alpha_j's slot pair. It hands out each element's least
-word, the one ``reduced_word`` strips: every v s_j with s_j a right
+product by one, in ``from_word``, the one stripping kernel (``_strip``,
+behind ``reduced_word``, ``min_in_double_coset`` and ``longest_in``) and
+the coset enumeration, swaps slots of a list in place, and
+``simple_reflection`` builds a tuple only for a caller that asks for one.
+The kernel takes the least letter it may strip, restarting its scan of the
+sorted letters two positions back after each; left descents are stripped on
+the inverse, which is built once. Coset enumeration (``min_coset_reps``)
+climbs W^I a length at a time by the same swaps, keeping an ascent u s_j
+exactly when Deodhar's test passes: u sends alpha_j to no simple root of
+I, read off u's values on alpha_j's slot pair. It hands out each element's
+least word, the one ``reduced_word`` strips: every v s_j with s_j a right
 descent of v in W^I is in W^I and reaches v by Deodhar's step. For w in
 W^I, the cell w_{0,I} w w_0 = w_0 w_{0,J} (w_0 w w_0) is the minimum of a
 coset W_I x, and a Bruhat class of a double coset, so both are in W^I.
@@ -207,40 +209,22 @@ class WeylGroup:
 
     def reduced_word(self, w: Perm) -> Tuple[int, ...]:
         """Reduced word by stripping the smallest left descent, on the
-        inverse kept as a list: s_i w has inverse w^-1 s_i, which swaps
-        slots of the list in place. Stripping s_i can change only the
-        letters whose simple root's slot pair meets a slot it swaps, and
-        those below i are at most two below it (two in type D, one
-        otherwise); every letter below i was an ascent, so the next scan
-        starts two letters below i. A w that is not an element raises:
-        before any stripping unless it is a slot permutation commuting with
-        the mirror (stripping one that is not may never end), and otherwise
-        once stripping runs out of descents away from the identity, as a
-        lone sign change of D does. Nothing is cached: the tables read
-        their words from ``min_coset_reps``, which hands out the same
-        words."""
+        inverse (s_i w has inverse w^-1 s_i), through ``_strip``. A w that
+        is not an element raises: before any stripping unless it is a slot
+        permutation commuting with the mirror (stripping one that is not
+        may never end), and otherwise once stripping runs out of descents
+        away from the identity, as a lone sign change of D does. Nothing is
+        cached: the tables read their words from ``min_coset_reps``, which
+        hands out the same words."""
         system = self.system
         ident, mirror = list(range(1, self.slots + 1)), system.mirror
         if sorted(w) == ident and all(
             w[j] - 1 == mirror[w[k] - 1] for k, j in mirror.items()
         ):
             inv = list(inverse(w))
-            pairs, swaps, rank = system.root_pairs, system.simple_swaps, self.rank
-            word: List[int] = []
-            start = 0
-            while True:
-                for i in range(start, rank):
-                    a, b = pairs[i]
-                    if inv[a] > inv[b]:
-                        break
-                else:
-                    if inv == ident:
-                        return tuple(word)
-                    break
-                word.append(i + 1)
-                for x, y in swaps[i]:
-                    inv[x], inv[y] = inv[y], inv[x]
-                start = max(0, i - 2)
+            word = self._strip(inv, range(self.rank))
+            if inv == ident:
+                return word
         raise ValueError(f"{w} is not an element of W({system.cartan_type}{self.rank})")
 
     # -- distinguished elements -------------------------------------------
@@ -325,20 +309,31 @@ class WeylGroup:
         self._strip(u, right)
         return tuple(u)
 
-    def _strip(self, u: List[int], letters: List[int], descent: bool = True) -> None:
-        """Multiply u on the right, in place, by the first of the (zero-based)
+    def _strip(self, u: List[int], letters: Iterable[int], descent: bool = True) -> Tuple[int, ...]:
+        """Multiply u on the right, in place, by the least of the (zero-based)
         letters that is a right descent (an ascent if ``descent`` is false),
-        until none of them is."""
+        until none of them is, and return the word of the letters taken.
+        Taking s_i can change only the letters whose slot pair meets a slot
+        it swaps, and those below i are at most two below it (two in type
+        D, one otherwise). Every letter below i was passed over, so after
+        each one the scan of the sorted letters restarts two positions
+        back, which holds every letter at most two below i."""
         pairs, swaps = self.system.root_pairs, self.system.simple_swaps
+        letters = sorted(letters)
+        taken: List[int] = []
+        start = 0
         while True:
-            for i in letters:
+            for k in range(start, len(letters)):
+                i = letters[k]
                 a, b = pairs[i]
                 if (u[a] > u[b]) == descent:
                     for x, y in swaps[i]:
                         u[x], u[y] = u[y], u[x]
+                    taken.append(i + 1)
+                    start = k - 2 if k > 2 else 0
                     break
             else:
-                return
+                return tuple(taken)
 
 
 class _Uncached(Exception):

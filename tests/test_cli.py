@@ -15,7 +15,6 @@ from zipstrata.cli import (
     CASE_BY_FLAG,
     CLOSEDNESS_RANK_CAP,
     SCHEMA_VERSION,
-    RunConfig,
     _parse_lambda,
     _parse_word,
     _render_json,
@@ -116,7 +115,7 @@ def test_render_json_is_the_indented_dump(flag, rank):
     result = run_case(CaseSpec(CASE_BY_FLAG[flag], rank, 3))
     words = result.datum.group.min_coset_reps(result.datum.I)
     rows = [_stratum_row(report, words) for report in result.reports]
-    rendered = _render_json(RunConfig(flag, rank, 3, "json", False), rows)
+    rendered = _render_json({"case": flag, "rank": rank, "prime": 3}, rows)
     assert rendered == json.dumps(_payload(flag, rank, rows), indent=2) + "\n"
 
 
@@ -311,6 +310,13 @@ class TestVerify:
         assert code == 0
         passes = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(passes) == 4
+
+    @pytest.mark.parametrize("name", cli.SUITES)
+    def test_each_suite_runs_alone(self, capsys, name):
+        code, out, _ = run_cli(capsys, "verify", f"--{name}")
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert out.startswith(f"PASS {name}: ")
 
     def test_closedness_sweep_alone(self, capsys):
         code, out, _ = run_cli(

@@ -106,8 +106,7 @@ def test_build_names_the_weight_that_leaves_the_slots() -> None:
     datum = datum_for("B", 2, e1(2))
     half = Fraction(1, 2)
     module = WeightMultiset.from_weights([vec(half, half)])
-    image = str(vec(half, -half))
-    with pytest.raises(ValueError, match=re.escape(f"{image} is not a slot")):
+    with pytest.raises(ValueError, match=re.escape("(1/2, -1/2) is not a slot")):
         build_standard(datum, module, datum.group.simple_reflection(2))
 
 
@@ -118,9 +117,9 @@ def test_an_unstable_module_is_refused_from_every_element() -> None:
     datum = datum_for("B", 2, e1(2))
     half = Fraction(1, 2)
     module = WeightMultiset.from_weights([vec(half, half), vec(-half, -half)])
-    image = re.escape(f"{vec(half, -half)} is not a slot")
+    message = re.escape("weights are not stable: (1/2, -1/2) is not a slot")
     for w in datum.group.elements():
-        with pytest.raises(ValueError, match=f"weights are not stable: {image}"):
+        with pytest.raises(ValueError, match=message):
             build_standard(datum, module, w)
 
 

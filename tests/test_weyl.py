@@ -593,6 +593,38 @@ def test_in_place_kernels_equal_the_tuple_references(cartan_type: str, rank: int
             )
 
 
+_LETTER_ORDER_GROUPS = (
+    [("A", r) for r in range(1, 4)]
+    + [(t, r) for t in "BC" for r in (2, 3)]
+    + [("D", 3), ("D", 4)]
+)
+
+
+@pytest.mark.parametrize("cartan_type,rank", _LETTER_ORDER_GROUPS)
+def test_stripping_does_not_depend_on_the_order_of_the_letters(
+    cartan_type: str, rank: int
+) -> None:
+    """``longest_in`` and ``min_in_double_coset`` given I and J in
+    descending order, and interleaved (every other letter first), equal the
+    sorted call, for every pair of letter sets and every element. A kernel
+    that restarted two positions back over the letters in the order given
+    would pass the descending order, whose neighbours of a letter also lie
+    within two positions of it, but not the interleaved one at rank four,
+    which puts a neighbour further back."""
+    g = wg(cartan_type, rank)
+    sets = [c for k in range(rank + 1) for c in itertools.combinations(range(1, rank + 1), k)]
+    orders = (lambda I: I[::-1], lambda I: I[1::2] + I[::2])
+    for I in sets:
+        for order in orders:
+            assert g.longest_in(order(I)) == g.longest_in(I)
+    for w in g.elements():
+        for I in sets:
+            for J in sets:
+                expected = g.min_in_double_coset(w, I, J)
+                for order in orders:
+                    assert g.min_in_double_coset(w, order(I), order(J)) == expected
+
+
 def _sign_change(m: int, k: int) -> tuple:
     """The signed permutation of D_m's 2m slots that swaps e_k with -e_k."""
     n = 2 * m

@@ -306,26 +306,35 @@ def _case_data(identifier: str, rank: int) -> _CaseData:
     power. Labels and words are ``min_coset_reps``, sorted stably by
     descending word length: open first, then by word. Reversed, each word
     follows the word it extends by one letter, so each zip costs one
-    composition. A label has no left descent in I, so its Bruhat class
-    strips only its right descents in J."""
+    composition. Shortest first, a label u takes the Bruhat class of u s_j
+    for its first right descent j in J, a shorter label (W^I is closed under
+    dropping a right descent), and a label with none is its own class."""
     preset = PRESETS[identifier]
     cartan_type, group_rank, mu, module = preset.triple(rank)
     group = weyl_group(cartan_type, group_rank)
     datum = cocharacter_datum(group, mu)
     table = group.min_coset_reps(datum.I)
     labels, words = zip(*sorted(table.items(), key=lambda item: len(item[1]), reverse=True))
-    right = [j - 1 for j in datum.J]
-    bruhat_classes = []
-    for u in map(list, labels):
-        group._strip(u, right)
-        bruhat_classes.append(tuple(u))
+    system = group.system
+    right = [(system.root_pairs[j - 1], system.simple_swaps[j - 1]) for j in datum.J]
+    class_of: Dict[Perm, Perm] = {}
+    for u in reversed(labels):
+        for (a, b), swaps in right:
+            if u[a] > u[b]:
+                v = list(u)
+                for x, y in swaps:
+                    v[x], v[y] = v[y], v[x]
+                class_of[u] = class_of[tuple(v)]
+                break
+        else:
+            class_of[u] = u
     power, order = preset.power, preset.order
     return _CaseData(
         datum=datum,
         eta=smul(power, hodge_character(module, mu)),
         labels=labels,
         words=words,
-        bruhat_classes=tuple(bruhat_classes),
+        bruhat_classes=tuple(map(class_of.__getitem__, labels)),
         clps=tuple(
             power * (clp(z) if z.dims[0] == 1 else clp_exterior_top(z))
             for z in standard_zips(datum, module, words[::-1])

@@ -37,7 +37,6 @@ from .cases import (
 from .oracle import gl_cell_order
 from .rootsys import RootSystem, Vector, root_system, sum_vectors, unit, vec
 from .vanishing import (
-    Word,
     condition_closed,
     family_word_typeB,
     family_word_typeD,
@@ -131,11 +130,12 @@ def _parse_lambda(spec: str, system: RootSystem, basis: str) -> Vector:
 COLUMNS = ("word", "length", "bruhat", "ord", "clp", "ogus")
 
 
-def _stratum_row(report: StratumReport, words: Mapping[Perm, Word]) -> Dict[str, object]:
+def _stratum_row(report: StratumReport, texts: Mapping[Perm, str]) -> Dict[str, object]:
+    """The report's row, with ``texts`` the printed word of each label."""
     return dict(zip(COLUMNS, (
-        _word_str(report.word),
+        texts[report.w],
         len(report.word),
-        _word_str(words[report.bruhat_class]),
+        texts[report.bruhat_class],
         report.ord,
         report.clp,
         report.ogus_holds,
@@ -157,17 +157,22 @@ def _render_text(header: Dict[str, object], rows: List[Dict[str, object]]) -> st
     return "\n".join(out) + "\n"
 
 
-# The item separators of ``indent=2`` at the header's and at a row's depth,
-# for the C encoder (``indent`` itself runs the pure-Python one).
+# The item separators of ``indent=2`` at the header's depth, for the C encoder
+# (``indent`` itself runs the pure-Python one), and a row laid out at its depth:
+# the words are letters, digits and spaces, which need no escaping.
 _HEAD_JSON = json.JSONEncoder(separators=(",\n  ", ": "))
-_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": "))
+_ROW_JSON = ('{{\n      "word": "{}",\n      "length": {},\n      "bruhat": "{}",'
+             '\n      "ord": {},\n      "clp": {},\n      "ogus": {}\n    }}')
+_JSON_FLAG = {False: "false", True: "true"}
 
 
 def _render_json(header: Dict[str, object], rows: List[Dict[str, object]]) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` byte for byte: the C-encoded
-    header and flat rows, each with its braces opened onto lines."""
+    header with its braces opened onto lines, and each row one format call."""
     head = _HEAD_JSON.encode({"schema_version": SCHEMA_VERSION, **header})
-    body = ",\n    ".join("{\n      " + _ROW_JSON.encode(row)[1:-1] + "\n    }" for row in rows)
+    body = ",\n    ".join(_ROW_JSON.format(
+        row["word"], row["length"], row["bruhat"], row["ord"], row["clp"], _JSON_FLAG[row["ogus"]]
+    ) for row in rows)
     return "{\n  " + head[1:-1] + ',\n  "strata": [\n    ' + body + "\n  ]\n}\n"
 
 
@@ -196,8 +201,8 @@ def cmd_strata(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             raise ValueError(f"case {args.case} has no matrix oracle for --oracle")
         check = oracle(spec)
     result = run_case(spec)
-    words = result.datum.group.min_coset_reps(result.datum.I)
-    rows = [_stratum_row(report, words) for report in result.reports]
+    texts = {report.w: _word_str(report.word) for report in result.reports}
+    rows = [_stratum_row(report, texts) for report in result.reports]
     if check is not None:
         complaint = check(result)
         if complaint is not None:

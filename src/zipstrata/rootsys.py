@@ -104,24 +104,26 @@ class RootSystem:
     slot pair (a, b), a < b, of each positive root slot_weights[a] -
     slot_weights[b], simple roots first, and ``simple_swaps`` the one or two
     slot pairs each simple reflection swaps. ``mirror`` maps a slot to the
-    slot of its negated weight, looked up among the slots: none in type A,
-    and type B's zero slot is its own. Built only by ``root_system``,
-    which checks the type and rank first; compares and hashes by identity.
+    slot of its negated weight, read off the layout: none in type A, and
+    slot n - 1 - k for slot k of n otherwise (type B's zero slot is its
+    own). Built only by ``root_system``, which checks the type and rank
+    first; compares and hashes by identity.
     """
 
     def __init__(self, cartan_type: str, rank: int) -> None:
         dim = rank + 1 if cartan_type == "A" else rank
-        e = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        e = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
         simple = [(i, i + 1) for i in range(rank)]
         if cartan_type == "A":
-            slots = e
+            slots, mirror = e, {}
             pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
             swaps = [((i, i + 1),) for i in range(rank)]
         else:
             m = rank
             zero = [(0,) * m] if cartan_type == "B" else []
-            slots = e + zero + [neg(u) for u in reversed(e)]
+            slots = e + zero + [(0,) * (m - 1 - i) + (-1,) + (0,) * i for i in range(m)]
             n = len(slots)
+            mirror = {k: n - 1 - k for k in range(n)}
             # e_a - e_b and e_a + e_b = e_a - (-e_b) for each a < b.
             pairs = [
                 p for a in range(m) for b in range(a + 1, m) for p in ((a, b), (a, n - 1 - b))
@@ -138,16 +140,13 @@ class RootSystem:
                 swaps.append(((m - 2, m), (m - 1, m + 1)))
 
         simple_set = set(simple)
-        index = {u: k for k, u in enumerate(slots)}
         self.cartan_type = cartan_type
         self.rank = rank
         self.ambient_dim = dim
         self.slot_weights = tuple(slots)
         self.root_pairs = tuple(simple) + tuple(p for p in pairs if p not in simple_set)
         self.simple_swaps = tuple(swaps)
-        self.mirror = {
-            k: j for k, u in enumerate(slots) if (j := index.get(neg(u))) is not None
-        }
+        self.mirror = mirror
         self.simple_roots = tuple(sub(slots[a], slots[b]) for a, b in simple)
         self._positive_pairs = pairs
 

@@ -18,8 +18,8 @@ through those two, and descent stripping tests only the letters it may
 strip (left ones on the inverse). A simple reflection is its one or two
 slot swaps (``RootSystem.simple_swaps``) and has no other form: every
 product by one, in ``from_word``, the one stripping kernel (``_strip``,
-behind ``reduced_word``, ``min_in_double_coset`` and ``longest_in``) and
-the coset enumeration, swaps slots of a list in place, and
+called only by ``reduced_word``, ``min_in_double_coset`` and ``longest_in``)
+and the coset enumeration, swaps slots of a list in place, and
 ``simple_reflection`` builds a tuple only for a caller that asks for one.
 The kernel takes the least letter it may strip, restarting its scan of the
 sorted letters two positions back after each; left descents are stripped on
@@ -401,7 +401,8 @@ class CocharacterDatum(NamedTuple):
     -w0 diagram involution, and z = w0 * w_{0,J}, the longest element of the
     minimal coset representatives W^J. ``w0`` is the longest element of
     W, built once here for every reader of the datum, and ``w0_I`` the
-    longest element of W_I, which twists stratum labels into cells.
+    longest element of W_I, which twists stratum labels into cells. As
+    w0 s_i w0 = s_j for j = -w0(i), z = w_{0,I} * w0, built from those two.
     """
 
     group: WeylGroup
@@ -427,6 +428,5 @@ def cocharacter_datum(group: WeylGroup, mu: Sequence[int | Fraction]) -> Cochara
         if j is None:
             raise ValueError(f"-w0(alpha_{i}) is not a simple root")
         J.append(j)
-    z = compose(w0, group.longest_in(J))
     w0_I = group.longest_in(I)
-    return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), w0, z, w0_I)
+    return CocharacterDatum(group, mu_v, I, tuple(sorted(J)), w0, compose(w0_I, w0), w0_I)

@@ -8,11 +8,11 @@ from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from zipstrata import cache_stats
-from zipstrata.cases import StratumReport
+from zipstrata.cases import PRESETS, StratumReport
 from zipstrata.fzip import StandardZip, clp
 from zipstrata.oracle import Matrix, SparsePoly, _bottom_minor, gl_cell_point, order_at_zero
 from zipstrata.reps import WeightMultiset, _slot_table
-from zipstrata.rootsys import RootSystem, Vector
+from zipstrata.rootsys import RootSystem, Vector, weight_str
 from zipstrata.vanishing import condition_closed, ord_for_word
 from zipstrata.weyl import (
     ENUMERATION_CAP,
@@ -23,6 +23,16 @@ from zipstrata.weyl import (
     identity_perm,
     inverse,
 )
+
+
+# Each preset's tables from its least rank to rank 7 (siegel to 6, gl-dualsum
+# to 11, gl4-wedge2 only at 4), as (flag, rank): the strata-cold pool.
+_TOP_TABLE_RANK = {"siegel": 6, "gl-dualsum": 11, "gl4-wedge2": 4}
+TABLE_CASES = [
+    (preset.flag, rank)
+    for preset in PRESETS.values()
+    for rank in range(preset.min_rank, _TOP_TABLE_RANK.get(preset.flag, 7) + 1)
+]
 
 
 def clear_caches() -> None:
@@ -234,7 +244,7 @@ def reference_slot_perm(
         slot = index_of.get(datum.group.act(w, key))
         if slot is None:
             moved = datum.group.act(w, weight)
-            raise ValueError(f"weights are not stable: {moved} is not a slot")
+            raise ValueError(f"weights are not stable: {weight_str(moved)} is not a slot")
         images.append(slot)
     return tuple(images)
 

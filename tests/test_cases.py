@@ -3,7 +3,7 @@
 import pytest
 
 from zipstrata import cache_stats
-from zipstrata import cases, fzip, vanishing
+from zipstrata import cases, fzip, vanishing, weyl
 from zipstrata.cases import (
     CASE_BY_FLAG,
     CASE_IDENTIFIERS,
@@ -24,7 +24,15 @@ from zipstrata.rootsys import vec
 from zipstrata.vanishing import strata_ord_table
 from zipstrata.weyl import WeylGroup, cocharacter_datum, compose, weyl_group
 
-from helpers import bruhat_leq, clear_caches, dsum, hand_eta, reference_reports
+from helpers import (
+    TABLE_CASES,
+    bruhat_leq,
+    clear_caches,
+    dsum,
+    hand_eta,
+    reference_min_in_double_coset,
+    reference_reports,
+)
 
 
 def ords(result):
@@ -414,6 +422,20 @@ def test_cells_and_bruhat_classes_are_labels(identifier):
             assert compose(datum.w0_I, compose(label, datum.w0)) in table
             assert bruhat_class == group.min_in_double_coset(label, datum.I, datum.J)
             assert bruhat_class in table
+
+
+@pytest.mark.parametrize("flag,rank", TABLE_CASES)
+def test_cold_bruhat_classes_are_the_double_coset_minima(flag, rank):
+    """With the case data and the coset tables uncached, as in a fresh
+    interpreter, each label's Bruhat class is the minimum of its double coset
+    by the reference's alternating stripping."""
+    for cached in (cases._case_data, weyl._min_coset_reps):
+        cached.cache_clear()
+    data = cases._case_data(CASE_BY_FLAG[flag], rank)
+    group, datum = data.datum.group, data.datum
+    assert data.bruhat_classes == tuple(
+        reference_min_in_double_coset(group, label, datum.I, datum.J) for label in data.labels
+    )
 
 
 class TestReportShape:

@@ -25,7 +25,7 @@ from zipstrata.cli import (
 )
 from zipstrata.rootsys import pairing, root_system, vec
 
-from helpers import reference_min_in_double_coset, reference_reduced_word
+from helpers import TABLE_CASES, reference_min_in_double_coset, reference_reduced_word
 
 
 def run_cli(capsys, *argv):
@@ -109,12 +109,13 @@ def _payload(flag, rank, rows):
             "strata": rows}
 
 
-@pytest.mark.parametrize("flag,rank", _SMALL_CASES)
+@pytest.mark.parametrize("flag,rank", TABLE_CASES)
 def test_render_json_is_the_indented_dump(flag, rank):
-    """The hand-laid JSON is ``json.dumps(payload, indent=2)`` byte for byte."""
+    """The hand-laid JSON is ``json.dumps(payload, indent=2)`` byte for byte,
+    on every table of the strata-cold pool."""
     result = run_case(CaseSpec(CASE_BY_FLAG[flag], rank, 3))
-    words = result.datum.group.min_coset_reps(result.datum.I)
-    rows = [_stratum_row(report, words) for report in result.reports]
+    texts = {report.w: _word_str(report.word) for report in result.reports}
+    rows = [_stratum_row(report, texts) for report in result.reports]
     rendered = _render_json({"case": flag, "rank": rank, "prime": 3}, rows)
     assert rendered == json.dumps(_payload(flag, rank, rows), indent=2) + "\n"
 

@@ -123,6 +123,21 @@ def test_an_unstable_module_is_refused_from_every_element() -> None:
             build_standard(datum, module, w)
 
 
+def test_the_reference_refuses_an_unstable_module_with_the_same_message() -> None:
+    """On B2 with the one weight (1/2, 1/2), which s2 sends to (1/2, -1/2),
+    ``standard_zips`` and the reference slot permutation name the moved
+    weight alike."""
+    datum = datum_for("B", 2, e1(2))
+    half = Fraction(1, 2)
+    module = WeightMultiset.from_weights([vec(half, half)])
+    with pytest.raises(ValueError) as ours:
+        standard_zips(datum, module, [(2,)])
+    with pytest.raises(ValueError) as reference:
+        reference_slot_perm(datum, module, datum.group.simple_reflection(2))
+    assert str(ours.value) == str(reference.value)
+    assert str(ours.value) == "weights are not stable: (1/2, -1/2) is not a slot"
+
+
 @pytest.mark.parametrize("w", [(2, 1, 3, 4, 5), (1, 2, 3, 4), (1, 1, 3, 4, 5)])
 def test_a_tuple_outside_the_group_is_refused(w) -> None:
     datum = datum_for("B", 2, e1(2))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipstrata import cache_stats, weyl
+from zipstrata.cases import PRESETS
 from zipstrata.rootsys import (
     dot,
     neg,
@@ -801,6 +802,38 @@ def test_cocharacter_datum_even_orthogonal() -> None:
     assert datum.J == (2, 3, 4)
     assert compose(datum.z, datum.z) == g.identity()
     assert g.length(datum.z) == 2 * 4 - 2
+
+
+def _twist_mus(cartan_type: str, rank: int) -> set:
+    """Every e_1 + ... + e_k, and the mu of every preset whose group is
+    (cartan_type, rank)."""
+    dim = rank + 1 if cartan_type == "A" else rank
+    mus = {tuple(int(j < k) for j in range(dim)) for k in range(1, dim + 1)}
+    for preset in PRESETS.values():
+        for case_rank in range(preset.min_rank, (preset.max_rank or rank + 1) + 1):
+            group_type, group_rank, mu, _ = preset.triple(case_rank)
+            if (group_type, group_rank) == (cartan_type, rank):
+                mus.add(tuple(mu))
+    return mus
+
+
+@pytest.mark.parametrize("cartan_type,rank", [
+    (t, m) for t in "ABCD" for m in range(2 if t == "D" else 1, 9)
+])
+def test_the_twist_is_w0_times_the_longest_element_of_J(cartan_type, rank) -> None:
+    """z = w_{0,I} w0, as the datum builds it, is w0 w_{0,J}. The types where
+    J differs from I for some mu are those where -w0 moves letters: A from
+    rank 2, which it reverses, and D at odd rank, where it swaps the two fork
+    letters (for e_1 + ... + e_m, which pairs to zero with one of them)."""
+    g = wg(cartan_type, rank)
+    w0 = g.longest_element()
+    swapped = False
+    for mu in sorted(_twist_mus(cartan_type, rank)):
+        datum = cocharacter_datum(g, mu)
+        assert datum.z == compose(w0, reference_longest_in(g, datum.J))
+        assert datum.w0_I == reference_longest_in(g, datum.I)
+        swapped |= datum.J != datum.I
+    assert swapped == (cartan_type == "A" and rank > 1 or cartan_type == "D" and rank % 2 == 1)
 
 
 def test_central_cocharacter_gives_identity_twist() -> None:

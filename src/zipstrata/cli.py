@@ -128,22 +128,17 @@ def _parse_lambda(spec: str, system: RootSystem, basis: str) -> Vector:
 
 # The columns of a stratum row, in the order every format prints them.
 COLUMNS = ("word", "length", "bruhat", "ord", "clp", "ogus")
+Row = Tuple[str, int, str, int, int, bool]
 
 
-def _stratum_row(report: StratumReport, texts: Mapping[Perm, str]) -> Dict[str, object]:
-    """The report's row, with ``texts`` the printed word of each label."""
-    return dict(zip(COLUMNS, (
-        texts[report.w],
-        len(report.word),
-        texts[report.bruhat_class],
-        report.ord,
-        report.clp,
-        report.ogus_holds,
-    )))
+def _stratum_row(report: StratumReport, texts: Mapping[Perm, str]) -> Row:
+    """The report's row in ``COLUMNS`` order; ``texts`` prints each label."""
+    return (texts[report.w], len(report.word), texts[report.bruhat_class],
+            report.ord, report.clp, report.ogus_holds)
 
 
-def _render_text(header: Dict[str, object], rows: List[Dict[str, object]]) -> str:
-    table = [[str(row[h]) for h in COLUMNS] for row in rows]
+def _render_text(header: Dict[str, object], rows: List[Row]) -> str:
+    table = [list(map(str, row)) for row in rows]
     widths = [
         max(len(h), *(len(line[k]) for line in table))
         for k, h in enumerate(COLUMNS)
@@ -152,7 +147,7 @@ def _render_text(header: Dict[str, object], rows: List[Dict[str, object]]) -> st
     for line in [COLUMNS] + table:
         # The last column is not padded, so no line ends in a space.
         out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-    agreeing = sum(1 for row in rows if row["ogus"])
+    agreeing = sum(1 for row in rows if row[-1])
     out.append(f"ogus principle holds on {agreeing}/{len(rows)} strata")
     return "\n".join(out) + "\n"
 
@@ -166,22 +161,20 @@ _ROW_JSON = ('{{\n      "word": "{}",\n      "length": {},\n      "bruhat": "{}"
 _JSON_FLAG = {False: "false", True: "true"}
 
 
-def _render_json(header: Dict[str, object], rows: List[Dict[str, object]]) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"`` byte for byte: the C-encoded
-    header with its braces opened onto lines, and each row one format call."""
+def _render_json(header: Dict[str, object], rows: List[Row]) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` byte for byte, with each row
+    the object of its ``COLUMNS``: the C-encoded header with its braces
+    opened onto lines, and each row one format call."""
     head = _HEAD_JSON.encode({"schema_version": SCHEMA_VERSION, **header})
-    body = ",\n    ".join(_ROW_JSON.format(
-        row["word"], row["length"], row["bruhat"], row["ord"], row["clp"], _JSON_FLAG[row["ogus"]]
-    ) for row in rows)
+    body = ",\n    ".join(_ROW_JSON.format(*row[:-1], _JSON_FLAG[row[-1]]) for row in rows)
     return "{\n  " + head[1:-1] + ',\n  "strata": [\n    ' + body + "\n  ]\n}\n"
 
 
-def _render_csv(header: Dict[str, object], rows: List[Dict[str, object]]) -> str:
+def _render_csv(header: Dict[str, object], rows: List[Row]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(COLUMNS)
-    for row in rows:
-        writer.writerow([row[h] for h in COLUMNS])
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -248,12 +248,13 @@ def ord_for_word(system: RootSystem, lam: Vector, word: Sequence[int]) -> int:
 
 
 def d_w0(lam: Vector, p: int, datum: CocharacterDatum) -> Vector:
-    """The difference lam - p * (z w0)(lam) attached to the cocharacter datum.
+    """The difference lam - p * (z w0)(lam) attached to the cocharacter datum,
+    where z w0 is the datum's ``w0_I``, as z = w_{0,I} w0 and w0 w0 = 1.
 
     Applied to the Hasse weight it recovers (p - 1) times the Hodge character,
     which is the standard consistency check on a case's lambda.
     """
-    twisted = datum.group.act(compose(datum.z, datum.w0), lam)
+    twisted = datum.group.act(datum.w0_I, lam)
     return tuple(a - p * b for a, b in zip(lam, twisted, strict=True))
 
 

@@ -22,8 +22,9 @@ called only by ``reduced_word``, ``min_in_double_coset`` and ``longest_in``)
 and the coset enumeration, swaps slots of a list in place, and
 ``simple_reflection`` builds a tuple only for a caller that asks for one.
 The kernel takes the least letter it may strip, restarting its scan of the
-sorted letters two positions back after each; left descents are stripped on
-the inverse, which is built once. Coset enumeration (``min_coset_reps``)
+sorted distinct letters two positions back after each; left descents are
+stripped on the inverse, which is built once. ``longest_element`` strips
+nothing: w0 is the slot reversal. Coset enumeration (``min_coset_reps``)
 climbs W^I a length at a time by the same swaps, keeping an ascent u s_j
 exactly when Deodhar's test passes: u sends alpha_j to no simple root of
 I, read off u's values on alpha_j's slot pair. It hands out each element's
@@ -230,8 +231,13 @@ class WeylGroup:
     # -- distinguished elements -------------------------------------------
 
     def longest_element(self) -> Perm:
-        """w0, the longest element of the parabolic subgroup of every letter."""
-        return self.longest_in(range(1, self.rank + 1))
+        """w0 of a simple group: the slot reversal k -> n + 1 - k, except in
+        type D at odd rank, where -1 is not in W and slots e_m and -e_m stay
+        fixed."""
+        w0, m = list(range(self.slots, 0, -1)), self.rank
+        if self.system.cartan_type == "D" and m % 2:
+            w0[m - 1], w0[m] = m, m + 1
+        return tuple(w0)
 
     def longest_in(self, I: Sequence[int]) -> Perm:
         """Longest element of the parabolic subgroup generated by I: the
@@ -316,10 +322,10 @@ class WeylGroup:
         Taking s_i can change only the letters whose slot pair meets a slot
         it swaps, and those below i are at most two below it (two in type
         D, one otherwise). Every letter below i was passed over, so after
-        each one the scan of the sorted letters restarts two positions
-        back, which holds every letter at most two below i."""
+        each one the scan of the sorted distinct letters restarts two
+        positions back, which holds every letter at most two below i."""
         pairs, swaps = self.system.root_pairs, self.system.simple_swaps
-        letters = sorted(letters)
+        letters = sorted(set(letters))
         taken: List[int] = []
         start = 0
         while True:
@@ -400,7 +406,7 @@ class CocharacterDatum(NamedTuple):
     I is the set of simple indices orthogonal to mu, J its image under the
     -w0 diagram involution, and z = w0 * w_{0,J}, the longest element of the
     minimal coset representatives W^J. ``w0`` is the longest element of
-    W, built once here for every reader of the datum, and ``w0_I`` the
+    W, the slot reversal of ``longest_element``, and ``w0_I`` the
     longest element of W_I, which twists stratum labels into cells. As
     w0 s_i w0 = s_j for j = -w0(i), z = w_{0,I} * w0, built from those two.
     """

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from zipstrata.cases import PRESETS, CaseSpec, run_case
 from zipstrata.cli import (
     CASE_BY_FLAG,
     CLOSEDNESS_RANK_CAP,
+    COLUMNS,
     SCHEMA_VERSION,
     _parse_lambda,
     _parse_word,
@@ -25,7 +27,16 @@ from zipstrata.cli import (
 )
 from zipstrata.rootsys import pairing, root_system, vec
 
-from helpers import TABLE_CASES, reference_min_in_double_coset, reference_reduced_word
+from helpers import (
+    TABLE_CASES,
+    clear_caches,
+    reference_min_in_double_coset,
+    reference_reduced_word,
+)
+
+# The benchmark's reference tables: every strata-pool table at p = 3, each row
+# with its label ``w`` and class label ``bruhat_w``.
+_REFERENCE_STRATA = Path(__file__).resolve().parents[1] / "zsbench" / "reference" / "strata.json"
 
 
 def run_cli(capsys, *argv):
@@ -117,7 +128,25 @@ def test_render_json_is_the_indented_dump(flag, rank):
     texts = {report.w: _word_str(report.word) for report in result.reports}
     rows = [_stratum_row(report, texts) for report in result.reports]
     rendered = _render_json({"case": flag, "rank": rank, "prime": 3}, rows)
-    assert rendered == json.dumps(_payload(flag, rank, rows), indent=2) + "\n"
+    payload = _payload(flag, rank, [dict(zip(COLUMNS, row)) for row in rows])
+    assert rendered == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flag,rank", TABLE_CASES)
+def test_a_cold_table_is_the_reference_table(flag, rank):
+    """With every cache cleared, as in a fresh interpreter, each row of a
+    strata-cold table, with its label and class label, is the reference's."""
+    clear_caches()
+    result = run_case(CaseSpec(CASE_BY_FLAG[flag], rank, 3))
+    texts = {report.w: _word_str(report.word) for report in result.reports}
+    rows = [
+        dict(zip(COLUMNS, _stratum_row(report, texts)),
+             w=list(report.w), bruhat_w=list(report.bruhat_class))
+        for report in result.reports
+    ]
+    with open(_REFERENCE_STRATA, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    assert rows == reference[CASE_BY_FLAG[flag]][str(rank)]
 
 
 def test_a_cold_strata_run_strips_no_word(capsys, monkeypatch):

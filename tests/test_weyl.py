@@ -151,10 +151,11 @@ def test_longest_element_minus_one_cases() -> None:
 def test_longest_element_and_order_keep_their_former_closed_forms(
     cartan_type: str,
 ) -> None:
-    """At every rank up to the ceiling, ``longest_element`` (stripped from
-    the identity) is the slot reversal, with D's middle pair kept at odd
-    rank, and ``group_order`` (read off the Cartan matrix) is (r+1)! in type
-    A, 2^r r! in B and C and 2^(r-1) r! in D."""
+    """At every rank up to the ceiling, ``longest_element`` (read off the
+    slots) is the slot reversal, with D's middle pair kept at odd rank, and
+    equals ``longest_in`` over every letter (stripped from the identity);
+    ``group_order`` (read off the Cartan matrix) is (r+1)! in type A, 2^r r!
+    in B and C and 2^(r-1) r! in D."""
     orders = {
         "A": lambda r: factorial(r + 1),
         "B": lambda r: 2**r * factorial(r),
@@ -168,9 +169,39 @@ def test_longest_element_and_order_keep_their_former_closed_forms(
             if cartan_type == "D" and rank % 2:
                 expected[rank - 1], expected[rank] = rank, rank + 1
             assert g.longest_element() == tuple(expected), rank
+            assert g.longest_in(range(1, rank + 1)) == tuple(expected), rank
             assert g.group_order() == orders[cartan_type](rank), rank
     finally:
         clear_caches()
+
+
+_REPEAT_GROUPS = [(t, r) for t in "ABCD" for r in range(2 if t == "D" else 1, 6)]
+
+
+@pytest.mark.parametrize("cartan_type,rank", _REPEAT_GROUPS)
+def test_a_doubled_letter_strips_as_the_letter_set(cartan_type: str, rank: int) -> None:
+    """Every letter set with one of its letters doubled gives the
+    deduplicated ``longest_in`` and ``min_in_double_coset``, on I and on J,
+    for every element up to rank 3, every fourth at rank 4 and every
+    fortieth at rank 5. A kernel that restarts two positions back over the
+    letters with the repeat kept stops short of a letter two below: in D4,
+    s2 s4 times W_{2,3,4} came out as s2 instead of the identity."""
+    g = wg(cartan_type, rank)
+    elements = g.elements()[:: {4: 4, 5: 40}.get(rank, 1)]
+    for k in range(1, rank + 1):
+        for letters in itertools.combinations(range(1, rank + 1), k):
+            for doubled in letters:
+                repeated = tuple(sorted(letters + (doubled,)))
+                assert g.longest_in(repeated) == g.longest_in(letters), repeated
+                for w in elements:
+                    assert g.min_in_double_coset(w, repeated, ()) == g.min_in_double_coset(
+                        w, letters, ()
+                    ), (w, repeated)
+                    assert g.min_in_double_coset(w, (), repeated) == g.min_in_double_coset(
+                        w, (), letters
+                    ), (w, repeated)
+    if (cartan_type, rank) == ("D", 4):
+        assert g.min_in_double_coset(g.from_word((2, 4)), (), (2, 3, 3, 4)) == g.identity()
 
 
 def test_longest_element_d_odd_fixes_last_axis() -> None:
